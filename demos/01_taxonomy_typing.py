@@ -20,7 +20,6 @@ from tasr import (
     TypeEmbeddingIndex,
     load_default_taxonomy,
     load_script,
-    retrieve_type_candidates,
     rule_type_entity,
     validate_config,
 )
@@ -47,9 +46,9 @@ gateway = Gateway(backend=load_script(ROOT / "fixtures" / "toy" / "llm_script.js
 typer = EntityTyper(taxonomy, index, gateway, cfg)
 
 entity = Entity("MySQL database")
-candidates = retrieve_type_candidates(entity, taxonomy, index, cfg)
+candidates = index.top_l1(entity.surface, cfg.n_l1_candidates)
 print(f"top first-level candidates for {entity.surface!r}:")
-for l1, sim in candidates.l1_candidates[:5]:
+for l1, sim in candidates[:5]:
     print(f"  {l1:<14} similarity {sim:+.4f}")
 
 label = typer.type_entity(entity)

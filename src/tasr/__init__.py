@@ -5,88 +5,19 @@ entities carry two-level taxonomy types. A question becomes an ordered chain
 of sub-queries with latent variables; each hop reranks the retrieved pool
 with a hybrid structural+semantic triple score, answers the hop, and binds
 the resolved entity for the following hops.
+
+The names below are the ones the demos and the README quick start use; the
+rest of the API lives in the submodules.
 """
 
-from tasr.config import PipelineConfig, load_config, validate_config
-from tasr.embedding import (
-    CachingEncoder,
-    CorpusIndex,
-    HashEncoderClient,
-    HttpEncoderClient,
-    VectorIndex,
-    dense_retrieve,
-    encode,
-    encode_triple_components,
-    encoder_from_url,
-    normalize,
-    search,
-)
-from tasr.evaluation import (
-    BenchmarkRun,
-    EvalReport,
-    QaExample,
-    load_corpus,
-    load_dataset,
-    run_benchmark,
-    score_predictions,
-    write_trace,
-)
-from tasr.llm import (
-    Gateway,
-    HttpChatBackend,
-    LlmRequest,
-    LlmResponse,
-    RecordingBackend,
-    ScriptedMockBackend,
-    ScriptEntry,
-    backend_from_spec,
-    chat_complete,
-    load_script,
-    scripted_mock,
-)
-from tasr.matching import (
-    RankedPool,
-    ScoredDocument,
-    TripleMatch,
-    aggregate_document_score,
-    best_triple_score,
-    filter_and_rank,
-    score_document,
-    score_semantic,
-    score_structural,
-    score_triple,
-    score_type_pair,
-)
+from tasr.config import PipelineConfig, validate_config
+from tasr.embedding import CachingEncoder, HashEncoderClient
+from tasr.evaluation import load_corpus, load_dataset, run_benchmark
+from tasr.llm import Gateway, load_script
+from tasr.matching import filter_and_rank, score_triple
 from tasr.metrics import exact_match, normalize_answer, token_f1
-from tasr.model import (
-    BindingTable,
-    Document,
-    Entity,
-    HopRecord,
-    ReasoningTrace,
-    Slot,
-    SubQuery,
-    TaxonomyLabel,
-    Triple,
-    TypedTriple,
-)
-from tasr.reasoner import Pipeline, answer_subquery, bind, resolve, run_query
-from tasr.structurer import (
-    Decomposition,
-    decompose_query,
-    extract_triples,
-    type_document_triples,
-    type_subqueries,
-)
-from tasr.taxonomy import (
-    EntityTyper,
-    Taxonomy,
-    TypeCandidates,
-    TypeEmbeddingIndex,
-    load_default_taxonomy,
-    load_taxonomy,
-    retrieve_type_candidates,
-    rule_type_entity,
-)
+from tasr.model import Document, Entity, Slot, SubQuery, TaxonomyLabel, Triple, TypedTriple
+from tasr.reasoner import Pipeline
+from tasr.taxonomy import EntityTyper, TypeEmbeddingIndex, load_default_taxonomy, rule_type_entity
 
 __version__ = "0.1.0"

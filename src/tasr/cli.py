@@ -80,9 +80,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config(path: str | None) -> PipelineConfig:
+    return load_config(path) if path else validate_config(PipelineConfig())
+
+
 def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
-    cfg = load_config(args.config) if args.config else validate_config(PipelineConfig())
-    return cfg.with_overrides(
+    return _config(args.config).with_overrides(
         k0=args.k0,
         theta=args.theta,
         alpha=args.alpha,
@@ -163,8 +166,7 @@ def cmd_type_entity(args: argparse.Namespace) -> int:
     if label is None:
         encoder = _encoder(args.embed)
         typer = EntityTyper(
-            taxonomy, TypeEmbeddingIndex(taxonomy, encoder), _gateway(args.llm),
-            validate_config(PipelineConfig()),
+            taxonomy, TypeEmbeddingIndex(taxonomy, encoder), _gateway(args.llm), _config(None)
         )
         label = typer.type_entity(entity)
     print(json.dumps({"entity": entity.surface, "l1": label.l1, "l2": label.l2}))
@@ -180,7 +182,7 @@ def _parse_label(raw) -> TaxonomyLabel:
 
 
 def cmd_match(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config) if args.config else validate_config(PipelineConfig())
+    cfg = _config(args.config)
     encoder = _encoder(args.embed)
 
     sq_data = json.loads(Path(args.subquery).read_text(encoding="utf-8"))

@@ -17,14 +17,8 @@ import numpy as np
 import requests
 
 from tasr.config import PipelineConfig
-from tasr.errors import DimensionMismatch, EmptyIndex, EncoderUnavailable
-from tasr.model import Document, Triple
-
-NORM_TOL = 1e-6
-
-HEAD_PREFIX = "S: "
-RELATION_PREFIX = "P: "
-TAIL_PREFIX = "O: "
+from tasr.errors import DimensionMismatch, EmptyIndex, EncoderCacheError, EncoderUnavailable
+from tasr.model import Document
 
 
 class EncoderClient(Protocol):
@@ -74,56 +68,79 @@ class HttpEncoderClient:
                 f"{self.url}/embed", json={"texts": list(texts)}, timeout=self.timeout
             )
             resp.raise_for_status()
-            embeddings = resp.json()["embeddings"]
-        except (requests.RequestException, KeyError, ValueError) as exc:
+            return [normalize(np.asarray(e, dtype=np.float64)) for e in resp.json()["embeddings"]]
+        except (requests.RequestException, KeyError, TypeError, ValueError) as exc:
             raise EncoderUnavailable(f"encoder at {self.url}: {exc}") from exc
-        if len(embeddings) != len(texts):
-            raise EncoderUnavailable(
-                f"encoder returned {len(embeddings)} vectors for {len(texts)} texts"
-            )
-        vectors = [normalize(np.asarray(e, dtype=np.float64)) for e in embeddings]
-        dims = {v.shape[0] for v in vectors}
-        if len(dims) > 1:
-            raise DimensionMismatch(f"batch returned inconsistent dimensions: {sorted(dims)}")
-        return vectors
 
 
 class CachingEncoder:
     """Per-run memo over an encoder client, with an optional JSONL disk cache.
 
     Distinct calls for the same text always return the same vector, which is
-    what makes reranking scores reproducible within a run.
+    what makes reranking scores reproducible within a run. This is the one
+    place that checks vectors: every batch admitted from the client or the
+    disk cache must have one count per text and one dimension, the dimension
+    the encoder already holds. Cache hits are not checked again.
     """
 
     def __init__(self, client: EncoderClient, cache_path: Optional[str | Path] = None) -> None:
         self.client = client
         self._cache: dict[str, np.ndarray] = {}
+        self._shape: Optional[tuple[int, ...]] = None  # every held vector has this shape
         self._lock = threading.Lock()
         self._cache_path = Path(cache_path) if cache_path else None
         if self._cache_path and self._cache_path.exists():
-            with self._cache_path.open(encoding="utf-8") as fh:
-                for line in fh:
-                    record = json.loads(line)
-                    self._cache[record["text"]] = np.asarray(record["vector"], dtype=np.float64)
+            self._admit(*_read_cache(self._cache_path), persist=False)
 
     def encode(self, texts: Sequence[str]) -> list[np.ndarray]:
         missing = [t for t in dict.fromkeys(texts) if t not in self._cache]
         if missing:
             fresh = self.client.encode(missing)
-            dims = {v.shape[0] for v in fresh}
-            if len(dims) > 1:
-                raise DimensionMismatch(f"batch returned inconsistent dimensions: {sorted(dims)}")
             with self._lock:
-                for text, vec in zip(missing, fresh):
-                    self._cache[text] = vec
-            if self._cache_path:
-                with self._cache_path.open("a", encoding="utf-8") as fh:
-                    for text, vec in zip(missing, fresh):
-                        fh.write(json.dumps({"text": text, "vector": vec.tolist()}) + "\n")
+                self._admit(missing, fresh, persist=True)
         return [self._cache[t] for t in texts]
 
     def encode_one(self, text: str) -> np.ndarray:
         return self.encode([text])[0]
+
+    def _admit(self, texts: list[str], vectors: Sequence[np.ndarray], persist: bool) -> None:
+        """Check a batch against the contract, then store it; the caller holds the lock."""
+        if len(vectors) != len(texts):
+            raise EncoderUnavailable(
+                f"encoder returned {len(vectors)} vectors for {len(texts)} texts"
+            )
+        shapes = {np.shape(v) for v in vectors}
+        if self._shape is not None:
+            shapes.add(self._shape)
+        if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes):
+            raise DimensionMismatch(
+                f"vectors must be 1-D and of one length: got shapes {sorted(shapes)}, "
+                f"encoder holds {self._shape}"
+            )
+        if shapes:
+            self._shape = shapes.pop()
+        new = [(t, v) for t, v in zip(texts, vectors) if t not in self._cache]
+        self._cache.update(new)
+        if persist and self._cache_path and new:
+            with self._cache_path.open("a", encoding="utf-8") as fh:
+                for text, vec in new:
+                    fh.write(json.dumps({"text": text, "vector": vec.tolist()}) + "\n")
+
+
+def _read_cache(path: Path) -> tuple[list[str], list[np.ndarray]]:
+    texts, vectors = [], []
+    with path.open(encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                record = json.loads(line)
+                text, vector = record["text"], np.asarray(record["vector"], dtype=np.float64)
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+                raise EncoderCacheError(f"vector cache {path} line {lineno}: {exc!r}") from exc
+            if not isinstance(text, str):
+                raise EncoderCacheError(f"vector cache {path} line {lineno}: text is not a string")
+            texts.append(text)
+            vectors.append(vector)
+    return texts, vectors
 
 
 def encoder_from_url(url: str, dim: int = 384) -> EncoderClient:
@@ -133,40 +150,14 @@ def encoder_from_url(url: str, dim: int = 384) -> EncoderClient:
     return HttpEncoderClient(url)
 
 
-def encode(texts: Sequence[str], client: EncoderClient) -> list[np.ndarray]:
-    """Encode a batch, enforcing the unit-norm and consistent-dimension contract."""
-    if not texts:
-        raise ValueError("encode() requires at least one text")
-    vectors = client.encode(texts)
-    dims = {v.shape[0] for v in vectors}
-    if len(dims) > 1:
-        raise DimensionMismatch(f"batch returned inconsistent dimensions: {sorted(dims)}")
-    for v in vectors:
-        if abs(float(np.linalg.norm(v)) - 1.0) > NORM_TOL:
-            raise ValueError("encoder returned a non-unit vector")
-    return vectors
-
-
-def encode_triple_components(
-    triple: Triple, client: EncoderClient
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Encode head/relation/tail with their role prefixes ("S: ", "P: ", "O: ")."""
-    texts = [
-        HEAD_PREFIX + triple.head.surface,
-        RELATION_PREFIX + triple.relation,
-        TAIL_PREFIX + triple.tail.surface,
-    ]
-    v_h, v_r, v_t = client.encode(texts)
-    return v_h, v_r, v_t
-
-
 class VectorIndex:
     """Exact top-k search over unit vectors, keyed by string."""
 
     def __init__(self, entries: Sequence[tuple[str, np.ndarray]]) -> None:
         self.keys = [key for key, _ in entries]
         if entries:
-            self._matrix = np.stack([np.asarray(v, dtype=np.float64) for _, v in entries])
+            # one cast into the result; per-row float64 copies would double the peak
+            self._matrix = np.array([v for _, v in entries], dtype=np.float64)
         else:
             self._matrix = np.zeros((0, 0))
 
@@ -182,10 +173,6 @@ class VectorIndex:
         scores = self._matrix @ np.asarray(query, dtype=np.float64)
         order = sorted(range(len(self.keys)), key=lambda i: (-scores[i], self.keys[i]))
         return [(self.keys[i], float(scores[i])) for i in order[: min(k, len(self.keys))]]
-
-
-def search(index: VectorIndex, query: np.ndarray, k: int) -> list[tuple[str, float]]:
-    return index.search(query, k)
 
 
 class CorpusIndex:

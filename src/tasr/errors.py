@@ -48,6 +48,10 @@ class EncoderUnavailable(TasrError):
     """Embedding backend could not be reached."""
 
 
+class EncoderCacheError(TasrError):
+    """On-disk vector cache holds a line that cannot be read back."""
+
+
 class DimensionMismatch(TasrError):
     """Encoder returned vectors of inconsistent dimension."""
 
@@ -61,10 +65,14 @@ class EmptyPool(TasrError):
 
 
 class LlmUnavailable(TasrError):
-    """LLM transport failed after retries."""
+    """LLM transport failed after retries, or the endpoint rejected the request.
 
-    def __init__(self, role_tag: str, message: str) -> None:
+    ``retryable`` is False when another attempt cannot help (a 4xx client error).
+    """
+
+    def __init__(self, role_tag: str, message: str, retryable: bool = True) -> None:
         self.role_tag = role_tag
+        self.retryable = retryable
         super().__init__(f"[{role_tag}] {message}")
 
 

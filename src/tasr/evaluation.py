@@ -139,25 +139,15 @@ def run_benchmark(
         raise DatasetParseError("dataset has no examples")
 
     def run_one(example: QaExample) -> tuple[ExampleResult, int]:
-        fallbacks = 0
         try:
             answer, trace = pipeline.run_query(example.question)
         except QueryFailure as exc:
             if trace_dir is not None and exc.trace is not None:
                 write_trace(exc.trace, trace_dir, example.id)
-            return ExampleResult(example.id, "", em=0, f1=0.0, error=str(exc)), fallbacks
+            return _score_example(example, None, error=str(exc)), 0
         if trace_dir is not None:
             write_trace(trace, trace_dir, example.id)
-        fallbacks = sum(1 for hop in trace.hops if hop.fallback)
-        return (
-            ExampleResult(
-                example.id,
-                answer,
-                em=exact_match(answer, example.answers),
-                f1=token_f1(answer, example.answers),
-            ),
-            fallbacks,
-        )
+        return _score_example(example, answer), sum(1 for hop in trace.hops if hop.fallback)
 
     if parallel > 1:
         with ThreadPoolExecutor(max_workers=parallel) as pool:
@@ -166,15 +156,7 @@ def run_benchmark(
         outcomes = [run_one(example) for example in dataset]
 
     results = [result for result, _ in outcomes]
-    fallback_count = sum(count for _, count in outcomes)
-    error_count = sum(1 for r in results if r.error is not None)
-    report = EvalReport(
-        per_example=results,
-        em_avg=sum(r.em for r in results) / len(results),
-        f1_avg=sum(r.f1 for r in results) / len(results),
-        fallback_count=fallback_count,
-        error_count=error_count,
-    )
+    report = _report(results, fallback_count=sum(count for _, count in outcomes))
     predictions = [{"id": r.id, "answer": r.answer} for r in results]
     return BenchmarkRun(report=report, predictions=predictions)
 
@@ -184,24 +166,32 @@ def score_predictions(
 ) -> EvalReport:
     """Score an existing predictions list against the dataset golds."""
     by_id = {p["id"]: p.get("answer", "") for p in predictions}
-    results = []
-    for example in dataset:
-        answer = by_id.get(example.id)
-        if answer is None:
-            results.append(ExampleResult(example.id, "", em=0, f1=0.0, error="missing prediction"))
-        else:
-            results.append(
-                ExampleResult(
-                    example.id,
-                    answer,
-                    em=exact_match(answer, example.answers),
-                    f1=token_f1(answer, example.answers),
-                )
-            )
+    return _report(
+        [_score_example(ex, by_id.get(ex.id), error="missing prediction") for ex in dataset],
+        fallback_count=0,
+    )
+
+
+def _score_example(
+    example: QaExample, answer: Optional[str], error: Optional[str] = None
+) -> ExampleResult:
+    """EM/F1 of one answer; no answer (``None``) scores 0/0 and records ``error``."""
+    if answer is None:
+        return ExampleResult(example.id, "", em=0, f1=0.0, error=error)
+    return ExampleResult(
+        example.id,
+        answer,
+        em=exact_match(answer, example.answers),
+        f1=token_f1(answer, example.answers),
+    )
+
+
+def _report(results: list[ExampleResult], fallback_count: int) -> EvalReport:
+    """Averages over every example: errored ones stay in the denominator."""
     return EvalReport(
         per_example=results,
         em_avg=sum(r.em for r in results) / len(results),
         f1_avg=sum(r.f1 for r in results) / len(results),
-        fallback_count=0,
+        fallback_count=fallback_count,
         error_count=sum(1 for r in results if r.error is not None),
     )

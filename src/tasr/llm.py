@@ -15,7 +15,7 @@ import time
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Any, Callable, Optional, Protocol, Sequence
+from typing import Any, Callable, Protocol, Sequence
 
 import requests
 
@@ -25,6 +25,7 @@ ROLE_TAGS = ("extract", "decompose", "type_select", "answer")
 
 TRANSPORT_RETRIES = 2
 TRANSPORT_BACKOFF_S = 1.0
+RETRYABLE_CLIENT_STATUSES = (408, 429)  # timeout and rate limit: worth another attempt
 
 _FENCE_RE = re.compile(r"^```[a-zA-Z0-9_-]*\s*\n(.*?)\n?```\s*$", re.DOTALL)
 
@@ -103,16 +104,14 @@ def _try_parse(raw: str) -> Any:
 def _complete_with_transport_retry(
     req: LlmRequest, backend: Backend, sleep: Callable[[float], None]
 ) -> str:
-    last: Optional[LlmUnavailable] = None
-    for attempt in range(1 + TRANSPORT_RETRIES):
+    for _ in range(TRANSPORT_RETRIES):
         try:
             return backend.complete(req)
         except LlmUnavailable as exc:
-            last = exc
-            if attempt < TRANSPORT_RETRIES:
-                sleep(TRANSPORT_BACKOFF_S)
-    assert last is not None
-    raise last
+            if not exc.retryable:
+                raise
+            sleep(TRANSPORT_BACKOFF_S)
+    return backend.complete(req)
 
 
 class HttpChatBackend:
@@ -144,7 +143,15 @@ class HttpChatBackend:
             resp.raise_for_status()
             return resp.json()["choices"][0]["message"]["content"]
         except (requests.RequestException, KeyError, IndexError, ValueError) as exc:
-            raise LlmUnavailable(req.role_tag, f"chat endpoint {self.url}: {exc}") from exc
+            rejected = isinstance(exc, requests.HTTPError) and _is_rejection(exc.response.status_code)
+            raise LlmUnavailable(
+                req.role_tag, f"chat endpoint {self.url}: {exc}", retryable=not rejected
+            ) from exc
+
+
+def _is_rejection(status: int) -> bool:
+    """A 4xx the endpoint will answer the same way again; 408 and 429 are transient."""
+    return 400 <= status < 500 and status not in RETRYABLE_CLIENT_STATUSES
 
 
 @dataclass(frozen=True)
@@ -172,9 +179,6 @@ class ScriptedMockBackend:
             f"no script entry for role={req.role_tag!r}; prompt was:\n{req.user_prompt}"
         )
 
-    def calls_for(self, role_tag: str) -> list[LlmRequest]:
-        return [c for c in self.calls if c.role_tag == role_tag]
-
 
 def scripted_mock(script: Sequence[tuple[str, str, Any]] | Sequence[ScriptEntry]) -> ScriptedMockBackend:
     """Build a mock backend from (role_tag, prompt-substring, response) entries."""
@@ -190,18 +194,6 @@ def load_script(path: str | Path) -> ScriptedMockBackend:
         for item in data["responses"]
     ]
     return ScriptedMockBackend(entries)
-
-
-class RecordingBackend:
-    """Wrap a backend and record every request; used to assert call contracts."""
-
-    def __init__(self, inner: Backend) -> None:
-        self.inner = inner
-        self.requests: list[LlmRequest] = []
-
-    def complete(self, req: LlmRequest) -> str:
-        self.requests.append(req)
-        return self.inner.complete(req)
 
 
 def backend_from_spec(spec: str, model: str = "default", api_key: str = "") -> Backend:

@@ -22,14 +22,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 from tasr.config import PipelineConfig
-from tasr.embedding import (
-    CachingEncoder,
-    HEAD_PREFIX,
-    RELATION_PREFIX,
-    TAIL_PREFIX,
-)
+from tasr.embedding import CachingEncoder
 from tasr.errors import EmptyPool
 from tasr.model import Document, SubQuery, TaxonomyLabel, Triple, TypedTriple
+
+# role prefixes: the same surface embeds differently as head, relation and tail
+HEAD_PREFIX = "S: "
+RELATION_PREFIX = "P: "
+TAIL_PREFIX = "O: "
 
 
 @dataclass(frozen=True)
@@ -42,6 +42,8 @@ class TripleMatch:
     s_struct: float
     s_sem: float
     s_triple: float
+    type_pairs: tuple[float, float] = (0.0, 0.0)  # head, tail type-pair scores
+    cosines: tuple[float, float, float] = (0.0, 0.0, 0.0)  # head, relation, tail
 
 
 @dataclass(frozen=True)
@@ -63,46 +65,48 @@ def score_type_pair(tq: TaxonomyLabel, td: TaxonomyLabel, cfg: PipelineConfig) -
     return cfg.w1 * float(tq.l1 == td.l1) + cfg.w2 * float(tq.l2 == td.l2)
 
 
-def score_structural(qs: SubQuery, dt: TypedTriple, cfg: PipelineConfig) -> float:
-    """Type compatibility of the head and tail slots; the relation is ignored."""
+def _type_pairs(qs: SubQuery, dt: TypedTriple, cfg: PipelineConfig) -> tuple[float, float]:
     if qs.head_type is None or qs.tail_type is None:
         raise ValueError(f"sub-query {qs.index} is untyped")
-    return cfg.wh * score_type_pair(qs.head_type, dt.head_type, cfg) + cfg.wt * score_type_pair(
-        qs.tail_type, dt.tail_type, cfg
-    )
-
-
-def _subquery_component_vectors(qs: SubQuery, encoder: CachingEncoder):
-    """Role-prefixed vectors for a sub-query; latent slots embed as their ?Name text."""
     return (
-        encoder.encode_one(HEAD_PREFIX + qs.head.text),
-        encoder.encode_one(RELATION_PREFIX + qs.relation),
-        encoder.encode_one(TAIL_PREFIX + qs.tail.text),
+        score_type_pair(qs.head_type, dt.head_type, cfg),
+        score_type_pair(qs.tail_type, dt.tail_type, cfg),
     )
 
 
-def _triple_component_vectors(dt: Triple, encoder: CachingEncoder):
-    return (
-        encoder.encode_one(HEAD_PREFIX + dt.head.surface),
-        encoder.encode_one(RELATION_PREFIX + dt.relation),
-        encoder.encode_one(TAIL_PREFIX + dt.tail.surface),
-    )
+def _structural(type_pairs: tuple[float, float], cfg: PipelineConfig) -> float:
+    s_head, s_tail = type_pairs
+    return cfg.wh * s_head + cfg.wt * s_tail
+
+
+def score_structural(qs: SubQuery, dt: TypedTriple, cfg: PipelineConfig) -> float:
+    """Type compatibility of the head and tail slots; the relation is ignored."""
+    return _structural(_type_pairs(qs, dt, cfg), cfg)
+
+
+def component_vectors(head: str, relation: str, tail: str, encoder: CachingEncoder):
+    """Role-prefixed head, relation and tail vectors; latent slots embed as their ?Name text."""
+    return encoder.encode([HEAD_PREFIX + head, RELATION_PREFIX + relation, TAIL_PREFIX + tail])
 
 
 def component_cosines(
     qs: SubQuery, dt: Triple, encoder: CachingEncoder
 ) -> tuple[float, float, float]:
-    q_h, q_r, q_t = _subquery_component_vectors(qs, encoder)
-    d_h, d_r, d_t = _triple_component_vectors(dt, encoder)
+    q_h, q_r, q_t = component_vectors(qs.head.text, qs.relation, qs.tail.text, encoder)
+    d_h, d_r, d_t = component_vectors(dt.head.surface, dt.relation, dt.tail.surface, encoder)
     return (float(np.dot(q_h, d_h)), float(np.dot(q_r, d_r)), float(np.dot(q_t, d_t)))
+
+
+def _semantic(cosines: tuple[float, float, float], cfg: PipelineConfig) -> float:
+    cos_h, cos_r, cos_t = cosines
+    return cfg.lh * cos_h + cfg.lr * cos_r + cfg.lt * cos_t
 
 
 def score_semantic(
     qs: SubQuery, dt: Triple, encoder: CachingEncoder, cfg: PipelineConfig
 ) -> float:
     """Weighted cosine similarity over head, relation and tail components."""
-    cos_h, cos_r, cos_t = component_cosines(qs, dt, encoder)
-    return cfg.lh * cos_h + cfg.lr * cos_r + cfg.lt * cos_t
+    return _semantic(component_cosines(qs, dt, encoder), cfg)
 
 
 def score_triple(
@@ -114,8 +118,10 @@ def score_triple(
     doc_triple_index: Optional[int] = None,
 ) -> TripleMatch:
     """Alpha-mix of the structural and semantic scores for one triple pair."""
-    s_struct = score_structural(qs, dt_typed, cfg)
-    s_sem = score_semantic(qs, dt_raw, encoder, cfg)
+    type_pairs = _type_pairs(qs, dt_typed, cfg)
+    cosines = component_cosines(qs, dt_raw, encoder)
+    s_struct = _structural(type_pairs, cfg)
+    s_sem = _semantic(cosines, cfg)
     return TripleMatch(
         query_index=qs.index,
         doc_id=dt_raw.source_doc or "",
@@ -123,6 +129,8 @@ def score_triple(
         s_struct=s_struct,
         s_sem=s_sem,
         s_triple=cfg.alpha * s_struct + (1.0 - cfg.alpha) * s_sem,
+        type_pairs=type_pairs,
+        cosines=cosines,
     )
 
 
@@ -216,20 +224,15 @@ def explain_triple(
     encoder: CachingEncoder,
 ) -> dict:
     """Full score decomposition for one triple pair (CLI debug output)."""
-    cos_h, cos_r, cos_t = component_cosines(qs, dt_raw, encoder)
-    assert qs.head_type is not None and qs.tail_type is not None
-    s_type_head = score_type_pair(qs.head_type, dt_typed.head_type, cfg)
-    s_type_tail = score_type_pair(qs.tail_type, dt_typed.tail_type, cfg)
-    s_struct = cfg.wh * s_type_head + cfg.wt * s_type_tail
-    s_sem = cfg.lh * cos_h + cfg.lr * cos_r + cfg.lt * cos_t
+    match = score_triple(qs, dt_raw, dt_typed, cfg, encoder)
     return {
         "doc_triple": f"({dt_raw.head.surface}, {dt_raw.relation}, {dt_raw.tail.surface})",
-        "cos_head": cos_h,
-        "cos_relation": cos_r,
-        "cos_tail": cos_t,
-        "s_type_head": s_type_head,
-        "s_type_tail": s_type_tail,
-        "s_struct": s_struct,
-        "s_sem": s_sem,
-        "s_triple": cfg.alpha * s_struct + (1.0 - cfg.alpha) * s_sem,
+        "cos_head": match.cosines[0],
+        "cos_relation": match.cosines[1],
+        "cos_tail": match.cosines[2],
+        "s_type_head": match.type_pairs[0],
+        "s_type_tail": match.type_pairs[1],
+        "s_struct": match.s_struct,
+        "s_sem": match.s_sem,
+        "s_triple": match.s_triple,
     }

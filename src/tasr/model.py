@@ -34,9 +34,6 @@ class TaxonomyLabel:
     l1: str
     l2: str
 
-    def as_pair(self) -> tuple[str, str]:
-        return (self.l1, self.l2)
-
     def __str__(self) -> str:
         return f"{self.l1}/{self.l2}"
 
@@ -134,9 +131,6 @@ class SubQuery:
             if slot.latent:
                 names.append(slot.text)
         return names
-
-    def is_typed(self) -> bool:
-        return self.head_type is not None and self.tail_type is not None
 
     def render(self) -> str:
         return f"({self.head.text}, {self.relation}, {self.tail.text})"

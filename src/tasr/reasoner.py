@@ -87,6 +87,22 @@ def answer_subquery(resolved: SubQuery, docs: Sequence[Document], gateway: Gatew
     return parsed["answer"].strip()
 
 
+def structure_documents(
+    docs: Sequence[Document], query: Optional[str], gateway: Gateway, typer: EntityTyper
+) -> list[Document]:
+    """Structured copies of the documents: extracted triples plus their typed forms.
+
+    ``query`` conditions extraction on the question; None pre-extracts without it.
+    The caller's documents are left untouched.
+    """
+    structured = []
+    for doc in docs:
+        triples = extract_triples(doc, query, gateway)
+        typed = type_document_triples(triples, typer, context=doc.title)
+        structured.append(dataclasses.replace(doc, triples=triples, typed_triples=typed))
+    return structured
+
+
 class Pipeline:
     """Everything a query run needs: corpus index, taxonomy indexes, gateway, config."""
 
@@ -103,16 +119,14 @@ class Pipeline:
         self.encoder = encoder
         self.gateway = gateway
         self.taxonomy = taxonomy
-        self.corpus = CorpusIndex(documents, encoder)
         self.type_index = TypeEmbeddingIndex(taxonomy, encoder)
         self.pre_extract = pre_extract
         self.startup_events: list[str] = []
         if pre_extract:
             typer = EntityTyper(taxonomy, self.type_index, gateway, cfg)
-            for doc in documents:
-                doc.triples = extract_triples(doc, None, gateway)
-                doc.typed_triples = type_document_triples(doc.triples, typer, context=doc.title)
+            documents = structure_documents(documents, None, gateway, typer)
             self.startup_events.extend(typer.events)
+        self.corpus = CorpusIndex(documents, encoder)
 
     def run_query(self, question: str) -> tuple[str, ReasoningTrace]:
         """Run the full loop; returns the final answer and the complete trace."""
@@ -128,11 +142,8 @@ class Pipeline:
         typer = EntityTyper(self.taxonomy, self.type_index, self.gateway, self.cfg)
 
         if not self.pre_extract:
-            # fresh per-query copies: extraction is query-conditioned
-            pool = [dataclasses.replace(d, triples=[], typed_triples=[]) for d in pool]
-            for doc in pool:
-                doc.triples = extract_triples(doc, question, self.gateway)
-                doc.typed_triples = type_document_triples(doc.triples, typer, context=doc.title)
+            # per-query copies: extraction is query-conditioned
+            pool = structure_documents(pool, question, self.gateway, typer)
         pool_by_id = {d.id: d for d in pool}
 
         decomposition = type_subqueries(decompose_query(question, self.gateway), typer)
@@ -176,15 +187,6 @@ class Pipeline:
             chain = [resolve(sq, bindings) for sq in decomposition.sub_queries]
             return filter_and_rank(pool, chain, self.cfg, self.encoder, force_index=position)
         return filter_and_rank(pool, [resolved], self.cfg, self.encoder)
-
-
-def run_query(
-    question: str, pipeline: Pipeline, cfg: Optional[PipelineConfig] = None
-) -> tuple[str, ReasoningTrace]:
-    """Convenience wrapper matching the one-call-per-question usage."""
-    if cfg is not None and cfg != pipeline.cfg:
-        raise ValueError("pipeline was built with a different config")
-    return pipeline.run_query(question)
 
 
 def _score_records(ranked: RankedPool) -> list[dict]:

@@ -57,16 +57,23 @@ def extract_triples(doc: Document, query: Optional[str], gateway: Gateway) -> li
     triples: list[Triple] = []
     seen: set[tuple[str, str, str]] = set()
     for item in parsed["triples"]:
-        triple = Triple(
-            head=Entity(str(item["head"])),
-            relation=str(item["relation"]),
-            tail=Entity(str(item["tail"])),
-            source_doc=doc.id,
-        )
+        head, relation, tail = _triple_fields("extract", item)
+        triple = Triple(head=Entity(head), relation=relation, tail=Entity(tail), source_doc=doc.id)
         if triple.key() not in seen:
             seen.add(triple.key())
             triples.append(triple)
     return triples
+
+
+def _triple_fields(role_tag: str, item: object) -> tuple[str, str, str]:
+    """Head, relation and tail of one LLM output item; any other shape is a protocol error."""
+    if isinstance(item, dict):
+        fields = (item.get("head"), item.get("relation"), item.get("tail"))
+        if all(isinstance(f, str) for f in fields):
+            return fields
+    raise LlmProtocolError(
+        role_tag, f"expected an object with string head, relation and tail, got {item!r}"
+    )
 
 
 def type_document_triples(
@@ -97,12 +104,13 @@ def decompose_query(query: str, gateway: Gateway) -> Decomposition:
 
     sub_queries: list[SubQuery] = []
     for position, item in enumerate(parsed["sub_queries"], start=1):
+        head, relation, tail = _triple_fields("decompose", item)
         sub_queries.append(
             SubQuery(
                 index=position,
-                head=Slot.parse(str(item["head"])),
-                relation=str(item["relation"]).strip(),
-                tail=Slot.parse(str(item["tail"])),
+                head=Slot.parse(head),
+                relation=relation.strip(),
+                tail=Slot.parse(tail),
             )
         )
     validate_chain(sub_queries)
@@ -169,8 +177,8 @@ def variable_description(name: str, hint: Optional[str]) -> str:
 
 def _slot_label(slot: Slot, hints: dict[str, str], typer: EntityTyper):
     if slot.latent:
-        return typer.type_text(variable_description(slot.text, hints.get(slot.text)))
-    return typer.type_text(slot.text)
+        return typer.type_entity(Entity(variable_description(slot.text, hints.get(slot.text))))
+    return typer.type_entity(Entity(slot.text))
 
 
 def _humanize_variable(name: str) -> str:

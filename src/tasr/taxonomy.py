@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import re
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 from typing import Optional
@@ -91,7 +91,7 @@ def taxonomy_from_dict(data: dict) -> Taxonomy:
 
 
 def load_default_taxonomy() -> Taxonomy:
-    """Load the taxonomy bundled with the package (same table as taxonomy/default.json)."""
+    """Load the taxonomy bundled with the package."""
     text = (resources.files("tasr") / "data" / "default_taxonomy.json").read_text(
         encoding="utf-8"
     )
@@ -131,14 +131,6 @@ def rule_type_entity(entity: Entity) -> Optional[TaxonomyLabel]:
 
 # --- retrieval-first candidate generation ------------------------------------
 
-@dataclass
-class TypeCandidates:
-    """Ranked label candidates for one entity; L2 filled per selected branch."""
-
-    l1_candidates: list[tuple[str, float]]
-    l2_candidates: list[tuple[str, str, float]] = field(default_factory=list)
-
-
 class TypeEmbeddingIndex:
     """Global L1 label index plus one L2 index per first-level branch."""
 
@@ -163,25 +155,14 @@ class TypeEmbeddingIndex:
         return [(l1, key.split("/", 1)[1], score) for key, score in hits]
 
 
-def retrieve_type_candidates(
-    entity: Entity,
-    taxonomy: Taxonomy,
-    index: Optional[TypeEmbeddingIndex],
-    cfg: PipelineConfig,
-) -> TypeCandidates:
-    """Top first-level labels for the entity by embedding similarity."""
-    if index is None:
-        raise IndexUnavailable("type-label embedding index was not built")
-    return TypeCandidates(l1_candidates=index.top_l1(entity.surface, cfg.n_l1_candidates))
-
-
 # --- LLM selection ------------------------------------------------------------
 
 class EntityTyper:
     """Coarse-to-fine entity typing with memoization and fallback accounting.
 
     ``events`` records every fallback taken (LLM protocol failure or
-    out-of-vocabulary label), so traces can expose them.
+    out-of-vocabulary label), so traces can expose them. Retrieval mode needs
+    the label index; pure mode shows full label lists and needs none.
     """
 
     def __init__(
@@ -191,6 +172,8 @@ class EntityTyper:
         gateway: Gateway,
         cfg: PipelineConfig,
     ) -> None:
+        if index is None and cfg.typing_mode != "pure":
+            raise IndexUnavailable("retrieval typing needs the type-label embedding index")
         self.taxonomy = taxonomy
         self.index = index
         self.gateway = gateway
@@ -208,45 +191,32 @@ class EntityTyper:
         label = rule_type_entity(entity)
         if label is None:
             if self.cfg.typing_mode == "pure":
-                candidates = TypeCandidates(
-                    l1_candidates=[(l1, 0.0) for l1 in self.taxonomy.l1_classes]
-                )
+                l1_candidates = list(self.taxonomy.l1_classes)
             else:
-                candidates = retrieve_type_candidates(
-                    entity, self.taxonomy, self.index, self.cfg
-                )
-            label = self.select_type(entity, candidates, context=context)
+                hits = self.index.top_l1(entity.surface, self.cfg.n_l1_candidates)
+                l1_candidates = [l1 for l1, _ in hits]
+            label = self.select_type(entity, l1_candidates, context=context)
         with self._lock:
             self._memo[entity.surface] = label
         return label
 
-    def type_text(self, text: str, context: Optional[str] = None) -> TaxonomyLabel:
-        return self.type_entity(Entity(text), context=context)
-
     def select_type(
         self,
         entity: Entity,
-        candidates: TypeCandidates,
+        l1_candidates: list[str],
         context: Optional[str] = None,
     ) -> TaxonomyLabel:
         """Two-stage selection: keep first-level labels, then pick the final pair."""
-        if not candidates.l1_candidates:
+        if not l1_candidates:
             raise ValueError("select_type requires non-empty candidates")
-        kept = self._stage1(entity, candidates, context)
-        label = self._stage2(entity, candidates, kept, context)
+        kept = self._stage1(entity, l1_candidates, context)
+        label = self._stage2(entity, kept, context)
         return self.taxonomy.validate_label(label)
 
-    # stage 1: keep up to l1_keep first-level labels
+    # stage 1: keep up to l1_keep first-level labels (pure mode: exactly one)
 
-    def _stage1(
-        self, entity: Entity, candidates: TypeCandidates, context: Optional[str]
-    ) -> list[str]:
-        if self.cfg.typing_mode == "pure":
-            shown = list(self.taxonomy.l1_classes)
-            keep = 1
-        else:
-            shown = [l1 for l1, _ in candidates.l1_candidates]
-            keep = self.cfg.l1_keep
+    def _stage1(self, entity: Entity, shown: list[str], context: Optional[str]) -> list[str]:
+        keep = 1 if self.cfg.typing_mode == "pure" else self.cfg.l1_keep
         prompt = self._l1_template.format(
             keep=keep,
             candidates=", ".join(shown),
@@ -261,7 +231,9 @@ class EntityTyper:
                 break
             labels = parsed.get("labels") if isinstance(parsed, dict) else None
             valid = _dedupe(
-                [l for l in labels if self.taxonomy.has_l1(l)] if isinstance(labels, list) else []
+                [l for l in labels if isinstance(l, str) and self.taxonomy.has_l1(l)]
+                if isinstance(labels, list)
+                else []
             )
             if valid:
                 return valid[:keep]
@@ -272,22 +244,13 @@ class EntityTyper:
 
     # stage 2: retrieve second-level candidates under each kept branch, pick one pair
 
-    def _stage2(
-        self,
-        entity: Entity,
-        candidates: TypeCandidates,
-        kept: list[str],
-        context: Optional[str],
-    ) -> TaxonomyLabel:
+    def _stage2(self, entity: Entity, kept: list[str], context: Optional[str]) -> TaxonomyLabel:
         if self.cfg.typing_mode == "pure":
             union = [(l1, l2, 0.0) for l1 in kept for l2 in self.taxonomy.children[l1]]
         else:
-            if self.index is None:
-                raise IndexUnavailable("type-label embedding index was not built")
             union = []
             for l1 in kept:
                 union.extend(self.index.top_l2(l1, entity.surface, self.cfg.m_l2_candidates))
-        candidates.l2_candidates = list(union)
         offered = {(l1, l2) for l1, l2, _ in union}
         prompt = self._l2_template.format(
             candidates=", ".join(f"{l1}/{l2}" for l1, l2, _ in union),
@@ -302,7 +265,7 @@ class EntityTyper:
                 break
             if isinstance(parsed, dict):
                 pair = (parsed.get("l1"), parsed.get("l2"))
-                if pair in offered:
+                if all(isinstance(part, str) for part in pair) and pair in offered:
                     return TaxonomyLabel(*pair)
             if attempt == 0:
                 prompt += "\n\nOnly use a candidate pair from the list."

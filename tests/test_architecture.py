@@ -1,8 +1,16 @@
-"""Source-level checks: chat traffic flows through the gateway module only."""
+"""Whole-repo guards.
 
+Chat traffic flows through the gateway module only, the demos run, and every
+function the benchmark's traced run wraps still exists under its name.
+"""
+
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "tasr"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "tasr"
 
 
 def _sources():
@@ -20,3 +28,27 @@ def test_requests_import_limited_to_io_modules():
     for name, text in _sources().items():
         if name not in allowed:
             assert "import requests" not in text, name
+
+
+def test_demos_run_to_completion():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    demos = sorted((ROOT / "demos").glob("*.py"))
+    assert demos
+    for demo in demos:
+        done = subprocess.run(
+            [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, f"{demo.name}:\n{done.stderr}"
+
+
+def test_benchmark_tracer_targets_resolve():
+    # the traced benchmark run wraps these names; a renamed one would read 0 silently
+    if str(ROOT) not in sys.path:
+        sys.path.append(str(ROOT))
+    from perfbench.tracing import TARGETS
+
+    for name, owner, attr, _ in TARGETS:
+        assert callable(owner.__dict__.get(attr)), name
+    assert "type_select fallback" in _sources()["taxonomy.py"]

@@ -1,3 +1,9 @@
+import json
+import os
+import sys
+import threading
+import time
+
 import numpy as np
 import pytest
 
@@ -8,16 +14,18 @@ from tasr.embedding import (
     HashEncoderClient,
     VectorIndex,
     dense_retrieve,
-    encode,
-    encode_triple_components,
     encoder_from_url,
     normalize,
-    search,
 )
-from tasr.errors import DimensionMismatch, EmptyIndex
-from tasr.model import Document, Entity, Triple
+from tasr.errors import DimensionMismatch, EmptyIndex, EncoderCacheError, TasrError
+from tasr.matching import component_vectors
+from tasr.model import Document
 
 from conftest import RecordingEncoderClient
+
+
+def _encode(texts, client):
+    return CachingEncoder(client).encode(texts)
 
 
 class TestNormalize:
@@ -32,15 +40,15 @@ class TestNormalize:
 
 class TestEncode:
     def test_single_text_unit_norm(self):
-        vectors = encode(["a"], HashEncoderClient())
+        vectors = _encode(["a"], HashEncoderClient())
         assert len(vectors) == 1
         assert np.linalg.norm(vectors[0]) == pytest.approx(1.0, abs=1e-6)
 
     def test_deterministic(self):
         client = HashEncoderClient()
-        a1, a2 = encode(["same text", "same text"], client)
+        a1, a2 = _encode(["same text", "same text"], client)
         assert np.array_equal(a1, a2)
-        b = encode(["same text"], HashEncoderClient())[0]
+        b = _encode(["same text"], HashEncoderClient())[0]
         assert np.array_equal(a1, b)
 
     def test_distinct_texts_near_orthogonal(self):
@@ -52,13 +60,9 @@ class TestEncode:
             y = f"text {rng.integers(1_000_000)}"
             if x == y:
                 continue
-            vx, vy = encode([x, y], client)
+            vx, vy = _encode([x, y], client)
             assert float(vx @ vx) == pytest.approx(1.0, abs=1e-9)
             assert abs(float(vx @ vy)) < 0.5
-
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError):
-            encode([], HashEncoderClient())
 
     def test_dimension_mismatch_detected(self):
         class BrokenClient:
@@ -66,7 +70,7 @@ class TestEncode:
                 return [np.ones(3) / np.sqrt(3), np.ones(4) / 2.0]
 
         with pytest.raises(DimensionMismatch):
-            encode(["x", "y"], BrokenClient())
+            CachingEncoder(BrokenClient()).encode(["x", "y"])
 
 
 class TestCachingEncoder:
@@ -87,24 +91,100 @@ class TestCachingEncoder:
         assert np.allclose(v1, v2)
         assert recording.seen == []
 
+    def test_cached_dimension_binds_fresh_batches(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        CachingEncoder(HashEncoderClient(dim=8), cache_path=path).encode_one("written at d=8")
+        encoder = CachingEncoder(HashEncoderClient(dim=16), cache_path=path)
+        with pytest.raises(DimensionMismatch):
+            encoder.encode_one("fresh at d=16")
+
+    def test_fresh_batch_must_match_held_dimension(self):
+        class GrowingClient:
+            def __init__(self):
+                self.dim = 4
+
+            def encode(self, texts):
+                self.dim += 1
+                return HashEncoderClient(dim=self.dim).encode(texts)
+
+        encoder = CachingEncoder(GrowingClient())
+        encoder.encode_one("first")
+        encoder.encode_one("first")  # a hit is not checked again
+        with pytest.raises(DimensionMismatch):
+            encoder.encode_one("second")
+
+    def test_short_batch_is_a_typed_error(self):
+        class ShortClient:
+            def encode(self, texts):
+                return HashEncoderClient(dim=4).encode(texts[:-1])
+
+        with pytest.raises(TasrError):
+            CachingEncoder(ShortClient()).encode(["a", "b"])
+
+    def test_truncated_last_line_names_path_and_line(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        CachingEncoder(HashEncoderClient(dim=8), cache_path=path).encode(["a", "b"])
+        text = path.read_text()
+        path.write_text(text[: len(text) - 20])
+        with pytest.raises(EncoderCacheError) as exc:
+            CachingEncoder(HashEncoderClient(dim=8), cache_path=path)
+        assert str(path) in str(exc.value)
+        assert "line 2" in str(exc.value)
+
+    def test_threaded_appends_write_one_whole_line_per_text(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+
+        class YieldingClient:
+            def encode(self, texts):
+                time.sleep(0)  # yield between fetch and store
+                return HashEncoderClient(dim=8).encode(texts)
+
+        encoder = CachingEncoder(YieldingClient(), cache_path=path)
+        n_threads = (os.cpu_count() or 1) + 4
+        per_thread = 40
+        start = threading.Barrier(n_threads)
+
+        def work(i):
+            start.wait()
+            for j in range(per_thread):
+                encoder.encode([f"t{i}-{j}", f"t{i}-{j}-pair"])
+
+        threads = [threading.Thread(target=work, args=(i,), daemon=True) for i in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            deadline = time.monotonic() + 60
+            for t in threads:
+                t.join(timeout=max(0.0, deadline - time.monotonic()))
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads), "stress run exceeded 60 s"
+
+        lines = path.read_text(encoding="utf-8").splitlines()
+        records = [json.loads(line) for line in lines]
+        assert len(lines) == n_threads * per_thread * 2
+        assert len({r["text"] for r in records}) == len(lines)
+        reloaded = CachingEncoder(HashEncoderClient(dim=8), cache_path=path)
+        assert np.array_equal(reloaded.encode_one("t0-0"), encoder.encode_one("t0-0"))
+
 
 class TestEncodeTripleComponents:
+    """Role-prefixed component encoding, as the semantic score uses it."""
+
     def test_role_prefixes_are_bit_exact(self):
         recording = RecordingEncoderClient()
-        triple = Triple(Entity("A"), "r", Entity("A"))
-        encode_triple_components(triple, recording)
+        component_vectors("A", "r", "A", CachingEncoder(recording))
         assert recording.seen == ["S: A", "P: r", "O: A"]
 
     def test_same_surface_differs_across_roles(self):
-        client = HashEncoderClient()
-        v_h, _, v_t = encode_triple_components(Triple(Entity("A"), "r", Entity("A")), client)
+        v_h, _, v_t = component_vectors("A", "r", "A", CachingEncoder(HashEncoderClient()))
         assert not np.allclose(v_h, v_t)
 
     def test_identical_triples_identical_vectors(self):
-        client = HashEncoderClient()
-        t = Triple(Entity("x"), "rel", Entity("y"))
-        first = encode_triple_components(t, client)
-        second = encode_triple_components(t, client)
+        first = component_vectors("x", "rel", "y", CachingEncoder(HashEncoderClient()))
+        second = component_vectors("x", "rel", "y", CachingEncoder(HashEncoderClient()))
         for a, b in zip(first, second):
             assert np.array_equal(a, b)
 
@@ -112,12 +192,12 @@ class TestEncodeTripleComponents:
 class TestVectorIndexSearch:
     def test_singleton(self):
         index = VectorIndex([("only", normalize(np.array([1.0, 0.0])))])
-        assert search(index, normalize(np.array([0.0, 1.0])), 3) == [("only", 0.0)]
+        assert index.search(normalize(np.array([0.0, 1.0])), 3) == [("only", 0.0)]
 
     def test_k_larger_than_index_truncates(self):
         vecs = HashEncoderClient(dim=8).encode(["a", "b", "c"])
         index = VectorIndex(list(zip(["a", "b", "c"], vecs)))
-        assert len(search(index, vecs[0], 10)) == 3
+        assert len(index.search(vecs[0], 10)) == 3
 
     def test_empty_index_rejected(self):
         with pytest.raises(EmptyIndex):
@@ -126,7 +206,7 @@ class TestVectorIndexSearch:
     def test_equal_scores_tie_break_by_key(self):
         v = normalize(np.ones(4))
         index = VectorIndex([("zeta", v), ("alpha", v)])
-        hits = search(index, v, 2)
+        hits = index.search(v, 2)
         assert [key for key, _ in hits] == ["alpha", "zeta"]
 
     def test_matches_exhaustive_argsort_oracle(self):
@@ -139,7 +219,7 @@ class TestVectorIndexSearch:
             index = VectorIndex(list(zip(keys, vectors)))
             query = normalize(rng.standard_normal(dim))
             k = int(rng.integers(1, n + 1))
-            got = search(index, query, k)
+            got = index.search(query, k)
             scores = [float(v @ query) for v in vectors]
             expected = sorted(zip(keys, scores), key=lambda p: (-p[1], p[0]))[:k]
             assert [key for key, _ in got] == [key for key, _ in expected]

@@ -1,7 +1,12 @@
+import copy
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tasr.config import PipelineConfig, validate_config
+from tasr.embedding import CachingEncoder, HashEncoderClient
 from tasr.errors import DatasetParseError
 from tasr.evaluation import (
     QaExample,
@@ -11,8 +16,11 @@ from tasr.evaluation import (
     score_predictions,
     write_trace,
 )
+from tasr.llm import Gateway, ScriptEntry, ScriptedMockBackend, load_script
+from tasr.reasoner import Pipeline
+from tasr.taxonomy import load_default_taxonomy
 
-from conftest import write_jsonl
+from conftest import FIXTURES, write_jsonl
 
 
 class TestLoaders:
@@ -140,3 +148,63 @@ class TestWriteTrace:
             "final_answer",
             "events",
         }
+
+
+# --- malformed LLM output never aborts a batch -------------------------------
+
+_FIELD_NAMES = ["head", "relation", "tail", "triples", "sub_queries", "labels", "l1", "l2", "answer"]
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(_FIELD_NAMES) | st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+_LIST_FIELDS = {"extract": "triples", "decompose": "sub_queries"}
+
+
+@st.composite
+def _mutated_script(draw, entries):
+    """The toy script with a few responses, or items inside them, made malformed."""
+    entries = list(entries)
+    for _ in range(draw(st.integers(1, 4))):
+        i = draw(st.integers(0, len(entries) - 1))
+        entry = entries[i]
+        response = copy.deepcopy(entry.response)
+        items = response.get(_LIST_FIELDS.get(entry.role_tag)) if isinstance(response, dict) else None
+        if items and draw(st.booleans()):
+            j = draw(st.integers(0, len(items) - 1))
+            item = items[j]
+            how = draw(st.sampled_from(["replace", "drop", "retype"]))
+            if how == "replace" or not isinstance(item, dict) or not item:
+                items[j] = draw(_json_values)
+            elif how == "drop":
+                del item[draw(st.sampled_from(sorted(item)))]
+            else:
+                item[draw(st.sampled_from(sorted(item)))] = draw(_json_values)
+        else:
+            response = draw(_json_values)
+        entries[i] = ScriptEntry(entry.role_tag, entry.match, response)
+    return entries
+
+
+class TestMalformedLlmOutput:
+    _toy_entries = load_script(FIXTURES / "llm_script.json").entries
+    _dataset = load_dataset(FIXTURES / "questions.jsonl")
+    _corpus = load_corpus(FIXTURES / "corpus.jsonl")
+    _encoder = CachingEncoder(HashEncoderClient())
+
+    @settings(max_examples=60, deadline=None)
+    @given(entries=_mutated_script(_toy_entries), parallel=st.sampled_from([1, 2]))
+    def test_batch_always_completes_and_counts_errors(self, entries, parallel):
+        pipeline = Pipeline(
+            documents=self._corpus,
+            taxonomy=load_default_taxonomy(),
+            encoder=self._encoder,
+            gateway=Gateway(backend=ScriptedMockBackend(entries), sleep=lambda s: None),
+            cfg=validate_config(PipelineConfig()),
+        )
+        run = run_benchmark(self._dataset, pipeline, parallel=parallel)
+        per_example = run.report.per_example
+        assert [r.id for r in per_example] == [q.id for q in self._dataset]
+        assert run.report.error_count == sum(1 for r in per_example if r.error is not None)
+        assert all(r.em == 0 and r.f1 == 0.0 for r in per_example if r.error is not None)

@@ -11,7 +11,7 @@ import pytest
 
 from tasr.embedding import HttpEncoderClient
 from tasr.errors import EncoderUnavailable, LlmUnavailable
-from tasr.llm import HttpChatBackend, LlmRequest
+from tasr.llm import TRANSPORT_RETRIES, Gateway, HttpChatBackend, LlmRequest
 
 
 class _StubHandler(BaseHTTPRequestHandler):
@@ -22,6 +22,12 @@ class _StubHandler(BaseHTTPRequestHandler):
         body = json.loads(self.rfile.read(length))
         type(self).requests_seen.append({"path": self.path, "body": body, "headers": dict(self.headers)})
 
+        if self.path.startswith("/status/"):
+            # /status/<code>/...: answer every request with that status
+            self.send_response(int(self.path.split("/")[2]))
+            self.send_header("Content-Length", "0")
+            self.end_headers()
+            return
         if self.path == "/embed":
             # one constant-direction vector per text, dimension 4
             payload = {"embeddings": [[1.0, 1.0, 0.0, 0.0] for _ in body["texts"]]}
@@ -48,10 +54,11 @@ class _StubHandler(BaseHTTPRequestHandler):
 def stub_server():
     _StubHandler.requests_seen = []
     server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
+    server.server_close()
 
 
 class TestHttpEncoderClient:
@@ -98,3 +105,22 @@ class TestHttpChatBackend:
         with pytest.raises(LlmUnavailable) as exc:
             backend.complete(req)
         assert exc.value.role_tag == "extract"
+
+
+class TestHttpRetryPolicy:
+    def _call(self, base, status):
+        slept = []
+        backend = HttpChatBackend(f"{base}/status/{status}", model="m")
+        gateway = Gateway(backend=backend, sleep=slept.append)
+        with pytest.raises(LlmUnavailable):
+            gateway.call("answer", "s", "u")
+        return len(_StubHandler.requests_seen), len(slept)
+
+    @pytest.mark.parametrize("status", [400, 401, 404, 422])
+    def test_client_error_fails_on_first_attempt(self, stub_server, status):
+        assert self._call(stub_server, status) == (1, 0)
+
+    @pytest.mark.parametrize("status", [408, 429, 500, 503])
+    def test_transient_errors_keep_the_retry_budget(self, stub_server, status):
+        attempts = 1 + TRANSPORT_RETRIES
+        assert self._call(stub_server, status) == (attempts, attempts - 1)

@@ -6,7 +6,6 @@ from tasr.errors import LlmProtocolError, LlmUnavailable, MockMiss
 from tasr.llm import (
     Gateway,
     LlmRequest,
-    RecordingBackend,
     chat_complete,
     load_script,
     scripted_mock,
@@ -133,9 +132,8 @@ class TestScriptedMock:
 
 class TestGatewayContract:
     def test_every_outbound_request_has_temperature_zero(self, toy_backend):
-        recording = RecordingBackend(toy_backend)
-        gateway = Gateway(backend=recording)
+        gateway = Gateway(backend=toy_backend)
         gateway.call("answer", "sys", "Sub-query: (MySQL database, developed_by, ?Company)")
         gateway.call("extract", "sys", "Document id: doc1")
-        assert recording.requests, "no requests recorded"
-        assert all(req.temperature == 0.0 for req in recording.requests)
+        assert toy_backend.calls, "no requests recorded"
+        assert all(req.temperature == 0.0 for req in toy_backend.calls)

@@ -3,7 +3,7 @@ import pytest
 
 from tasr.config import PipelineConfig, validate_config
 from tasr.errors import AmbiguousBinding, DuplicateBinding, QueryFailure, TasrError
-from tasr.llm import Gateway, RecordingBackend, scripted_mock
+from tasr.llm import Gateway, scripted_mock
 from tasr.matching import aggregate_document_score
 from tasr.model import (
     BindingTable,
@@ -15,7 +15,7 @@ from tasr.model import (
     Triple,
     TypedTriple,
 )
-from tasr.reasoner import Pipeline, answer_subquery, bind, resolve, run_query
+from tasr.reasoner import Pipeline, answer_subquery, bind, resolve
 
 from reference_scoring import brute_force_rank
 
@@ -130,9 +130,7 @@ class TestBind:
 
 class TestAnswerSubquery:
     def test_prompt_contains_subquery_and_ranked_docs(self):
-        backend = RecordingBackend(
-            scripted_mock([("answer", "(a, r, ?V)", {"answer": "value"})])
-        )
+        backend = scripted_mock([("answer", "(a, r, ?V)", {"answer": "value"})])
         docs = [
             Document(id="d2", title="Second", text="second body"),
             Document(id="d1", title="First", text="first body"),
@@ -140,7 +138,7 @@ class TestAnswerSubquery:
         sq = SubQuery(1, Slot.bound("a"), "r", Slot.variable("?V"))
         answer = answer_subquery(sq, docs, Gateway(backend=backend))
         assert answer == "value"
-        prompt = backend.requests[0].user_prompt
+        prompt = backend.calls[0].user_prompt
         assert "Sub-query: (a, r, ?V)" in prompt
         assert 'Give the value of "?V".' in prompt
         assert prompt.index("second body") < prompt.index("first body")  # rank order kept
@@ -223,12 +221,6 @@ class TestRunQueryGolden:
         assert exc.value.trace is not None
         assert exc.value.trace.pool_ids  # retrieval happened before the failure
 
-    def test_run_query_wrapper_checks_config(self, toy_pipeline, default_cfg):
-        answer, _ = run_query(RUNNING_QUESTION, toy_pipeline, default_cfg)
-        assert answer == "MySQL AB"
-        with pytest.raises(ValueError):
-            run_query(RUNNING_QUESTION, toy_pipeline, default_cfg.with_overrides(theta=0.9))
-
 
 class TestHopScope:
     def test_chain_scope_keeps_earlier_hop_documents(
@@ -255,24 +247,38 @@ class TestPreExtract:
     def test_corpus_extracted_once_without_query_context(
         self, toy_corpus, taxonomy, hash_encoder, toy_backend
     ):
-        recording = RecordingBackend(toy_backend)
         pipeline = Pipeline(
             documents=toy_corpus,
             taxonomy=taxonomy,
             encoder=hash_encoder,
-            gateway=Gateway(backend=recording),
+            gateway=Gateway(backend=toy_backend),
             cfg=validate_config(PipelineConfig()),
             pre_extract=True,
         )
-        startup_extracts = [r for r in recording.requests if r.role_tag == "extract"]
+        startup_extracts = [r for r in toy_backend.calls if r.role_tag == "extract"]
         assert len(startup_extracts) == 6
         assert all("Question:" not in r.user_prompt for r in startup_extracts)
-        assert all(doc.triples for doc in toy_corpus)
+        assert all(doc.triples for doc in pipeline.corpus.documents.values())
 
         answer, _ = pipeline.run_query(RUNNING_QUESTION)
         assert answer == "MySQL AB"
         # queries reuse the shared triples: no further extraction calls
-        assert len([r for r in recording.requests if r.role_tag == "extract"]) == 6
+        assert len([r for r in toy_backend.calls if r.role_tag == "extract"]) == 6
+
+    def test_callers_documents_are_left_untouched(
+        self, toy_corpus, taxonomy, hash_encoder, toy_backend
+    ):
+        before = [(d.id, d.title, d.text) for d in toy_corpus]
+        Pipeline(
+            documents=toy_corpus,
+            taxonomy=taxonomy,
+            encoder=hash_encoder,
+            gateway=Gateway(backend=toy_backend),
+            cfg=validate_config(PipelineConfig()),
+            pre_extract=True,
+        )
+        assert [(d.id, d.title, d.text) for d in toy_corpus] == before
+        assert all(d.triples == [] and d.typed_triples == [] for d in toy_corpus)
 
 
 class TestThreeHopChain:

@@ -1,7 +1,7 @@
 import pytest
 
-from tasr.errors import InvalidDecomposition
-from tasr.llm import Gateway, RecordingBackend, scripted_mock
+from tasr.errors import InvalidDecomposition, LlmProtocolError
+from tasr.llm import Gateway, scripted_mock
 from tasr.model import Document, Entity, Slot, SubQuery, TaxonomyLabel, Triple
 from tasr.structurer import (
     decompose_query,
@@ -43,10 +43,10 @@ class TestExtractTriples:
         )
 
     def test_empty_body_returns_empty_without_llm_call(self):
-        backend = RecordingBackend(scripted_mock([]))
+        backend = scripted_mock([])
         doc = Document(id="empty", title="t", text="   ")
         assert extract_triples(doc, "q", Gateway(backend=backend)) == []
-        assert backend.requests == []
+        assert backend.calls == []
 
     def test_duplicates_within_document_collapse(self):
         backend = scripted_mock(
@@ -78,13 +78,32 @@ class TestExtractTriples:
         assert (t1[0].source_doc, t2[0].source_doc) == ("d1", "d2")
 
     def test_query_conditioning_controls_prompt(self):
-        backend = RecordingBackend(scripted_mock([("extract", "Document id:", {"triples": []})]))
+        backend = scripted_mock([("extract", "Document id:", {"triples": []})])
         gateway = Gateway(backend=backend)
         doc = Document(id="d", title="t", text="body")
         extract_triples(doc, "where is it?", gateway)
         extract_triples(doc, None, gateway)
-        assert "where is it?" in backend.requests[0].user_prompt
-        assert "Question:" not in backend.requests[1].user_prompt
+        assert "where is it?" in backend.calls[0].user_prompt
+        assert "Question:" not in backend.calls[1].user_prompt
+
+
+    @pytest.mark.parametrize(
+        "item",
+        [
+            {"relation": "r", "tail": "b"},  # no head
+            {"head": "a", "relation": 3, "tail": "b"},  # non-string field
+            {"head": None, "relation": "r", "tail": "b"},
+            "a r b",  # not an object
+            ["a", "r", "b"],
+        ],
+    )
+    def test_malformed_item_is_a_protocol_error(self, item):
+        response = {"triples": [{"head": "a", "relation": "r", "tail": "b"}, item]}
+        backend = scripted_mock([("extract", "Document id:", response)])
+        doc = Document(id="d", title="t", text="body")
+        with pytest.raises(LlmProtocolError) as exc:
+            extract_triples(doc, "q", Gateway(backend=backend))
+        assert exc.value.role_tag == "extract"
 
 
 class TestTypeDocumentTriples:
@@ -210,6 +229,22 @@ class TestDecomposeQuery:
         assert dec.sub_queries[0].tail.text == "?DatabaseSystem"
         assert dec.sub_queries[1].head.text == "?DatabaseSystem"
         assert dec.type_hints["?DatabaseSystem"] == "storage software"
+
+
+    @pytest.mark.parametrize(
+        "item",
+        [
+            "(x, r, ?Y)",  # a plain string, not an object
+            {"head": "x", "tail": "?Y"},  # no relation
+            {"head": "x", "relation": ["r"], "tail": "?Y"},
+            7,
+        ],
+    )
+    def test_malformed_item_is_a_protocol_error(self, item):
+        backend = scripted_mock([("decompose", "malformed", {"sub_queries": [item]})])
+        with pytest.raises(LlmProtocolError) as exc:
+            decompose_query("malformed question", Gateway(backend=backend))
+        assert exc.value.role_tag == "decompose"
 
 
 class TestValidateChain:

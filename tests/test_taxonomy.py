@@ -7,13 +7,12 @@ import pytest
 from tasr.config import PipelineConfig, validate_config
 from tasr.embedding import CachingEncoder, HashEncoderClient
 from tasr.errors import EmptyBranch, IndexUnavailable, InvalidEntity, TaxonomyParseError
-from tasr.llm import Gateway, RecordingBackend, scripted_mock
+from tasr.llm import Gateway, scripted_mock
 from tasr.model import Entity, TaxonomyLabel
 from tasr.taxonomy import (
     EntityTyper,
     TypeEmbeddingIndex,
     load_taxonomy,
-    retrieve_type_candidates,
     rule_type_entity,
     taxonomy_from_dict,
 )
@@ -28,10 +27,6 @@ class TestLoadTaxonomy:
         assert len(taxonomy.children["PERSON"]) == 12
         assert taxonomy.children["OTHER"] == ("Other",)
         assert taxonomy.has_label("PRODUCT", "Database")
-
-    def test_repo_level_copy_matches_bundled(self, taxonomy):
-        repo_file = FIXTURES.parent.parent / "taxonomy" / "default.json"
-        assert load_taxonomy(repo_file) == taxonomy
 
     def test_minimal_taxonomy(self):
         tax = taxonomy_from_dict({"l1": [{"name": "X", "l2": ["Y"]}]})
@@ -98,28 +93,31 @@ class TestRuleTyping:
 class TestRetrieveCandidates:
     def test_default_width_is_ten(self, taxonomy, hash_encoder, default_cfg):
         index = TypeEmbeddingIndex(taxonomy, hash_encoder)
-        cands = retrieve_type_candidates(Entity("MySQL database"), taxonomy, index, default_cfg)
-        assert len(cands.l1_candidates) == 10
-        sims = [s for _, s in cands.l1_candidates]
+        cands = index.top_l1("MySQL database", default_cfg.n_l1_candidates)
+        assert len(cands) == 10
+        sims = [s for _, s in cands]
         assert sims == sorted(sims, reverse=True)
 
     def test_singleton_taxonomy_returns_its_branch(self, default_cfg):
         tax = taxonomy_from_dict({"l1": [{"name": "X", "l2": ["Y"]}]})
         index = TypeEmbeddingIndex(tax, CachingEncoder(HashEncoderClient()))
-        cands = retrieve_type_candidates(Entity("anything"), tax, index, default_cfg)
-        assert [l1 for l1, _ in cands.l1_candidates] == ["X"]
+        cands = index.top_l1("anything", default_cfg.n_l1_candidates)
+        assert [l1 for l1, _ in cands] == ["X"]
 
     def test_equal_similarity_breaks_ties_lexicographically(self, default_cfg):
         tax = taxonomy_from_dict({"l1": [{"name": "ZZ", "l2": ["z"]}, {"name": "AA", "l2": ["a"]}]})
         same = list(np.eye(4)[0])
         encoder = CachingEncoder(PresetEncoderClient({"ZZ": same, "AA": same, "probe": same}))
         index = TypeEmbeddingIndex(tax, encoder)
-        cands = retrieve_type_candidates(Entity("probe"), tax, index, default_cfg)
-        assert [l1 for l1, _ in cands.l1_candidates] == ["AA", "ZZ"]
+        cands = index.top_l1("probe", default_cfg.n_l1_candidates)
+        assert [l1 for l1, _ in cands] == ["AA", "ZZ"]
 
-    def test_missing_index_rejected(self, taxonomy, default_cfg):
-        with pytest.raises(IndexUnavailable):
-            retrieve_type_candidates(Entity("x"), taxonomy, None, default_cfg)
+    def test_missing_index_rejected(self, taxonomy):
+        cfg = validate_config(PipelineConfig(typing_mode="retrieval"))
+        backend = scripted_mock([])
+        with pytest.raises(IndexUnavailable, match="index"):
+            EntityTyper(taxonomy, None, Gateway(backend=backend), cfg)
+        assert backend.calls == []
 
 
 def _typer(taxonomy, encoder, backend, cfg):
@@ -134,11 +132,11 @@ class TestSelectType:
         assert label == TaxonomyLabel("WORK", "SoftwareProject")
 
     def test_rule_typed_entity_never_calls_gateway(self, taxonomy, hash_encoder, default_cfg):
-        backend = RecordingBackend(scripted_mock([]))
+        backend = scripted_mock([])
         typer = _typer(taxonomy, hash_encoder, backend, default_cfg)
         assert typer.type_entity(Entity("2024")) == TaxonomyLabel("TIME", "Year")
         assert typer.type_entity(Entity("37.5%")) == TaxonomyLabel("QUANTITY", "Percentage")
-        assert backend.requests == []
+        assert backend.calls == []
 
     def test_out_of_vocabulary_label_retries_once_then_falls_back(
         self, taxonomy, hash_encoder, default_cfg
@@ -170,6 +168,18 @@ class TestSelectType:
             [
                 ("type_select", "First-level types", "not json"),
                 ("type_select", "Final two-level type", "also not json"),
+            ]
+        )
+        typer = _typer(taxonomy, hash_encoder, backend, default_cfg)
+        label = typer.type_entity(Entity("Beowulf"))
+        assert taxonomy.has_label(label.l1, label.l2)
+        assert len(typer.events) == 2  # both stages fell back
+
+    def test_non_string_labels_fall_back(self, taxonomy, hash_encoder, default_cfg):
+        backend = scripted_mock(
+            [
+                ("type_select", "First-level types", {"labels": [["WORK"], {"l1": 1}, 3]}),
+                ("type_select", "Final two-level type", {"l1": ["WORK"], "l2": {}}),
             ]
         )
         typer = _typer(taxonomy, hash_encoder, backend, default_cfg)
@@ -212,6 +222,5 @@ class TestSelectType:
             assert l1 in stage1.user_prompt
 
     def test_retrieval_mode_without_index_rejected(self, taxonomy, default_cfg):
-        typer = EntityTyper(taxonomy, None, Gateway(backend=scripted_mock([])), default_cfg)
         with pytest.raises(IndexUnavailable):
-            typer.type_entity(Entity("needs retrieval"))
+            EntityTyper(taxonomy, None, Gateway(backend=scripted_mock([])), default_cfg)
