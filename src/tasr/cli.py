@@ -22,10 +22,16 @@ from pathlib import Path
 
 from tasr.config import PipelineConfig, load_config, validate_config
 from tasr.embedding import CachingEncoder, encoder_from_url
-from tasr.errors import TasrError
-from tasr.evaluation import load_corpus, load_dataset, run_benchmark, score_predictions
+from tasr.errors import DatasetParseError, TasrError
+from tasr.evaluation import (
+    load_corpus,
+    load_dataset,
+    load_predictions,
+    run_benchmark,
+    score_predictions,
+)
 from tasr.llm import Gateway, backend_from_spec
-from tasr.matching import aggregate_document_score, explain_triple
+from tasr.matching import aggregate_document_score, score_triple
 from tasr.model import Entity, Slot, SubQuery, TaxonomyLabel, Triple, TypedTriple
 from tasr.reasoner import Pipeline
 from tasr.taxonomy import (
@@ -149,11 +155,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    predictions = []
-    for line in Path(args.predictions).read_text(encoding="utf-8").splitlines():
-        if line.strip():
-            predictions.append(json.loads(line))
-    report = score_predictions(predictions, load_dataset(args.dataset))
+    report = score_predictions(load_predictions(args.predictions), load_dataset(args.dataset))
     Path(args.out).write_text(json.dumps(report.to_dict(), indent=2) + "\n", encoding="utf-8")
     print(json.dumps(report.to_dict(), indent=2))
     return 0
@@ -181,24 +183,29 @@ def _parse_label(raw) -> TaxonomyLabel:
     raise TasrError(f"expected [l1, l2] or {{'l1','l2'}}, got {raw!r}")
 
 
-def cmd_match(args: argparse.Namespace) -> int:
-    cfg = _config(args.config)
-    encoder = _encoder(args.embed)
+def _read_json(path: str, what: str, parse):
+    """``parse`` of a JSON input file; a missing or malformed file is a DatasetParseError."""
+    try:
+        return parse(json.loads(Path(path).read_text(encoding="utf-8")))
+    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise DatasetParseError(f"cannot read {what} {path}: {exc!r}") from exc
 
-    sq_data = json.loads(Path(args.subquery).read_text(encoding="utf-8"))
-    sub_query = SubQuery(
-        index=int(sq_data.get("index", 1)),
-        head=Slot.parse(str(sq_data["head"])),
-        relation=str(sq_data["relation"]),
-        tail=Slot.parse(str(sq_data["tail"])),
-        head_type=_parse_label(sq_data["head_type"]),
-        tail_type=_parse_label(sq_data["tail_type"]),
+
+def _parse_subquery(data: dict) -> SubQuery:
+    return SubQuery(
+        index=int(data.get("index", 1)),
+        head=Slot.parse(str(data["head"])),
+        relation=str(data["relation"]),
+        tail=Slot.parse(str(data["tail"])),
+        head_type=_parse_label(data["head_type"]),
+        tail_type=_parse_label(data["tail_type"]),
     )
 
-    dt_data = json.loads(Path(args.doc_triples).read_text(encoding="utf-8"))
-    doc_id = str(dt_data.get("doc_id", "doc"))
-    rows = []
-    for item in dt_data["triples"]:
+
+def _parse_doc_triples(data: dict) -> list[tuple[Triple, TypedTriple]]:
+    doc_id = str(data.get("doc_id", "doc"))
+    pairs = []
+    for item in data["triples"]:
         raw = Triple(
             head=Entity(str(item["head"])),
             relation=str(item["relation"]),
@@ -211,7 +218,16 @@ def cmd_match(args: argparse.Namespace) -> int:
             tail_type=_parse_label(item["tail_type"]),
             base=raw,
         )
-        rows.append(explain_triple(sub_query, raw, typed, cfg, encoder))
+        pairs.append((raw, typed))
+    return pairs
+
+
+def cmd_match(args: argparse.Namespace) -> int:
+    cfg = _config(args.config)
+    encoder = _encoder(args.embed)
+    sub_query = _read_json(args.subquery, "sub-query", _parse_subquery)
+    doc_triples = _read_json(args.doc_triples, "document triples", _parse_doc_triples)
+    matches = [score_triple(sub_query, raw, typed, cfg, encoder) for raw, typed in doc_triples]
 
     print(f"sub-query: {sub_query.render()}   "
           f"types: {sub_query.head_type}, {sub_query.tail_type}")
@@ -219,12 +235,13 @@ def cmd_match(args: argparse.Namespace) -> int:
               f"{'St(h)':>6} {'St(t)':>6} {'S_str':>6} {'S_sem':>8} {'S_tri':>8}")
     print(header)
     print("-" * len(header))
-    for row in rows:
-        print(f"{row['doc_triple']:<60} {row['cos_head']:>8.4f} {row['cos_relation']:>8.4f} "
-              f"{row['cos_tail']:>8.4f} {row['s_type_head']:>6.2f} {row['s_type_tail']:>6.2f} "
-              f"{row['s_struct']:>6.2f} {row['s_sem']:>8.4f} {row['s_triple']:>8.4f}")
-    if rows:
-        best = max(r["s_triple"] for r in rows)
+    for (raw, _), m in zip(doc_triples, matches):
+        (cos_h, cos_r, cos_t), (st_h, st_t) = m.cosines, m.type_pairs
+        text = f"({raw.head.surface}, {raw.relation}, {raw.tail.surface})"
+        print(f"{text:<60} {cos_h:>8.4f} {cos_r:>8.4f} {cos_t:>8.4f} {st_h:>6.2f} {st_t:>6.2f} "
+              f"{m.s_struct:>6.2f} {m.s_sem:>8.4f} {m.s_triple:>8.4f}")
+    if matches:
+        best = max(m.s_triple for m in matches)
         doc_score = aggregate_document_score([best], cfg)
         print(f"\nbest triple score: {best:.6f}   document score: {doc_score:.6f} "
               f"(threshold {cfg.theta})")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from tasr.errors import RangeViolation, WeightSumViolation
+from tasr.errors import ConfigError, RangeViolation, WeightSumViolation
 
 WEIGHT_SUM_TOL = 1e-9
 
@@ -64,11 +64,11 @@ def validate_config(cfg: PipelineConfig) -> PipelineConfig:
         if not isinstance(value, int) or isinstance(value, bool) or value < 1:
             raise RangeViolation(name, f"must be a positive integer, got {value!r}")
     for name in _UNIT_FIELDS:
-        value = float(getattr(cfg, name))
+        value = _number(cfg, name)
         if not 0.0 <= value <= 1.0:
             raise RangeViolation(name, f"must lie in [0, 1], got {value!r}")
     for group, fields in _WEIGHT_GROUPS.items():
-        values = [float(getattr(cfg, f)) for f in fields]
+        values = [_number(cfg, f) for f in fields]
         for f, v in zip(fields, values):
             if v < 0.0:
                 raise RangeViolation(f, f"must be non-negative, got {v!r}")
@@ -80,6 +80,13 @@ def validate_config(cfg: PipelineConfig) -> PipelineConfig:
     if cfg.typing_mode not in TYPING_MODES:
         raise RangeViolation("typing_mode", f"must be one of {TYPING_MODES}, got {cfg.typing_mode!r}")
     return cfg
+
+
+def _number(cfg: PipelineConfig, name: str) -> float:
+    value = getattr(cfg, name)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise RangeViolation(name, f"must be a number, got {value!r}")
+    return float(value)
 
 
 def _coerce(name: str, raw: str) -> Any:
@@ -95,7 +102,10 @@ def load_config(path: str | Path) -> PipelineConfig:
 
     Unknown keys are rejected so typos never silently fall back to defaults.
     """
-    text = Path(path).read_text(encoding="utf-8")
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
     known = {f.name for f in dataclasses.fields(PipelineConfig)}
     values: dict[str, Any] = {}
     try:
@@ -114,7 +124,11 @@ def load_config(path: str | Path) -> PipelineConfig:
             if "=" not in line:
                 raise RangeViolation("config", f"line {lineno}: expected key=value, got {line!r}")
             key, _, raw = line.partition("=")
-            values[key.strip()] = _coerce(key.strip(), raw.strip())
+            key, raw = key.strip(), raw.strip()
+            try:
+                values[key] = _coerce(key, raw)
+            except ValueError as exc:
+                raise RangeViolation(key, f"line {lineno}: cannot parse {raw!r}") from exc
     unknown = sorted(set(values) - known)
     if unknown:
         raise RangeViolation("config", f"unknown keys: {', '.join(unknown)}")

@@ -57,14 +57,10 @@ class EvalReport:
 
 def load_corpus(path: str | Path) -> list[Document]:
     """Corpus JSONL: one ``{"id", "title", "text"}`` object per line."""
-    documents = []
-    for record in _read_jsonl(path, "corpus"):
-        try:
-            documents.append(
-                Document(id=str(record["id"]), title=str(record["title"]), text=str(record["text"]))
-            )
-        except KeyError as exc:
-            raise DatasetParseError(f"corpus record missing field {exc}: {record!r}") from exc
+    documents = [
+        Document(id=str(record["id"]), title=str(record["title"]), text=str(record["text"]))
+        for record in _read_jsonl(path, "corpus", {"id": object, "title": object, "text": object})
+    ]
     if not documents:
         raise DatasetParseError(f"corpus {path} is empty")
     return documents
@@ -72,24 +68,30 @@ def load_corpus(path: str | Path) -> list[Document]:
 
 def load_dataset(path: str | Path) -> list[QaExample]:
     """Dataset JSONL: one ``{"id", "question", "answers"}`` object per line."""
-    examples = []
-    for record in _read_jsonl(path, "dataset"):
-        try:
-            examples.append(
-                QaExample(
-                    id=str(record["id"]),
-                    question=str(record["question"]),
-                    answers=tuple(str(a) for a in record["answers"]),
-                )
-            )
-        except KeyError as exc:
-            raise DatasetParseError(f"dataset record missing field {exc}: {record!r}") from exc
+    records = _read_jsonl(path, "dataset", {"id": object, "question": object, "answers": list})
+    examples = [
+        QaExample(
+            id=str(record["id"]),
+            question=str(record["question"]),
+            answers=tuple(str(a) for a in record["answers"]),
+        )
+        for record in records
+    ]
     if not examples:
         raise DatasetParseError(f"dataset {path} is empty")
     return examples
 
 
-def _read_jsonl(path: str | Path, what: str) -> list[dict]:
+def load_predictions(path: str | Path) -> list[dict]:
+    """Predictions JSONL as ``tasr run`` writes it: one ``{"id", "answer"}`` object per line."""
+    records = _read_jsonl(path, "predictions", {"id": object})
+    if not all(isinstance(record.get("answer", ""), str) for record in records):
+        raise DatasetParseError(f"predictions {path}: every answer must be a string")
+    return records
+
+
+def _read_jsonl(path: str | Path, what: str, fields: dict[str, type]) -> list[dict]:
+    """The JSON objects of a JSONL file, each holding ``fields`` of their types (object: any)."""
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as exc:
@@ -104,6 +106,9 @@ def _read_jsonl(path: str | Path, what: str) -> list[dict]:
             raise DatasetParseError(f"{what} {path} line {lineno}: {exc}") from exc
         if not isinstance(record, dict):
             raise DatasetParseError(f"{what} {path} line {lineno}: expected an object")
+        for name, kind in fields.items():
+            if name not in record or not isinstance(record[name], kind):
+                raise DatasetParseError(f"{what} {path} line {lineno}: bad or missing {name!r}")
         records.append(record)
     return records
 

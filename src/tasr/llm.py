@@ -1,14 +1,15 @@
-"""Single choke-point for all LLM calls.
+"""The one request path to the LLM.
 
-Every prompting step (extraction, decomposition, type selection, sub-query
-answering) goes through :func:`chat_complete`, which enforces deterministic
-decoding (temperature 0) and JSON-only outputs, with one format retry and a
-small transport retry budget. Backends are either a chat-completion HTTP
-endpoint or a scripted deterministic mock.
+Extraction, decomposition, type selection and hop answering all call
+:meth:`Gateway.call`, which owns the request policy: transport retries with
+back-off, code-fence stripping, JSON parsing and one format retry.
+:func:`json_field` is the one check on a reply's shape. Backends only move
+text: a chat-completion HTTP endpoint (temperature 0) or a scripted mock.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 import time
@@ -19,13 +20,14 @@ from typing import Any, Callable, Protocol, Sequence
 
 import requests
 
-from tasr.errors import LlmProtocolError, LlmUnavailable, MockMiss
+from tasr.errors import ConfigError, LlmProtocolError, LlmUnavailable, MockMiss
 
 ROLE_TAGS = ("extract", "decompose", "type_select", "answer")
 
 TRANSPORT_RETRIES = 2
 TRANSPORT_BACKOFF_S = 1.0
 RETRYABLE_CLIENT_STATUSES = (408, 429)  # timeout and rate limit: worth another attempt
+FORMAT_RETRY_SUFFIX = "\n\nRespond with valid JSON only, no prose."
 
 _FENCE_RE = re.compile(r"^```[a-zA-Z0-9_-]*\s*\n(.*?)\n?```\s*$", re.DOTALL)
 
@@ -35,19 +37,10 @@ class LlmRequest:
     role_tag: str
     system_prompt: str
     user_prompt: str
-    temperature: float = 0.0
 
     def __post_init__(self) -> None:
         if self.role_tag not in ROLE_TAGS:
             raise ValueError(f"unknown role_tag {self.role_tag!r}")
-        if self.temperature != 0.0:
-            raise ValueError("all LLM calls are deterministic; temperature must be 0")
-
-
-@dataclass(frozen=True)
-class LlmResponse:
-    raw: str
-    parsed: Any
 
 
 class Backend(Protocol):
@@ -59,59 +52,14 @@ class Backend(Protocol):
 def strip_code_fences(text: str) -> str:
     """Drop a single wrapping markdown code fence, if present."""
     match = _FENCE_RE.match(text.strip())
-    if match:
-        return match.group(1).strip()
-    return text.strip()
+    return match.group(1).strip() if match else text.strip()
 
 
-def chat_complete(
-    req: LlmRequest,
-    backend: Backend,
-    sleep: Callable[[float], None] = time.sleep,
-) -> LlmResponse:
-    """Run one request; parse the body as JSON after stripping code fences.
-
-    On a parse failure the request is retried once with an explicit JSON-only
-    instruction appended; a second failure raises :class:`LlmProtocolError`.
-    """
-    raw = _complete_with_transport_retry(req, backend, sleep)
-    parsed = _try_parse(raw)
-    if parsed is not _PARSE_FAILED:
-        return LlmResponse(raw=raw, parsed=parsed)
-
-    retry_req = LlmRequest(
-        role_tag=req.role_tag,
-        system_prompt=req.system_prompt,
-        user_prompt=req.user_prompt + "\n\nRespond with valid JSON only, no prose.",
-    )
-    raw = _complete_with_transport_retry(retry_req, backend, sleep)
-    parsed = _try_parse(raw)
-    if parsed is not _PARSE_FAILED:
-        return LlmResponse(raw=raw, parsed=parsed)
-    raise LlmProtocolError(req.role_tag, f"non-JSON output after retry: {raw[:200]!r}")
-
-
-_PARSE_FAILED = object()
-
-
-def _try_parse(raw: str) -> Any:
-    try:
-        return json.loads(strip_code_fences(raw))
-    except json.JSONDecodeError:
-        return _PARSE_FAILED
-
-
-def _complete_with_transport_retry(
-    req: LlmRequest, backend: Backend, sleep: Callable[[float], None]
-) -> str:
-    for _ in range(TRANSPORT_RETRIES):
-        try:
-            return backend.complete(req)
-        except LlmUnavailable as exc:
-            if not exc.retryable:
-                raise
-            sleep(TRANSPORT_BACKOFF_S)
-    return backend.complete(req)
+def json_field(role_tag: str, parsed: Any, key: str, kind: type) -> Any:
+    """``parsed[key]`` when it holds a ``kind``; any other reply shape is a protocol error."""
+    if isinstance(parsed, dict) and isinstance(parsed.get(key), kind):
+        return parsed[key]
+    raise LlmProtocolError(role_tag, f"expected {{{key!r}: {kind.__name__}}}, got {parsed!r}")
 
 
 class HttpChatBackend:
@@ -136,12 +84,15 @@ class HttpChatBackend:
                 {"role": "system", "content": req.system_prompt},
                 {"role": "user", "content": req.user_prompt},
             ],
-            "temperature": req.temperature,
+            "temperature": 0.0,
         }
         try:
             resp = requests.post(self.url, json=payload, headers=headers, timeout=self.timeout)
             resp.raise_for_status()
-            return resp.json()["choices"][0]["message"]["content"]
+            content = resp.json()["choices"][0]["message"]["content"]
+            if not isinstance(content, str):
+                raise ValueError(f"reply has no text content: {content!r}")
+            return content
         except (requests.RequestException, KeyError, IndexError, ValueError) as exc:
             rejected = isinstance(exc, requests.HTTPError) and _is_rejection(exc.response.status_code)
             raise LlmUnavailable(
@@ -188,11 +139,14 @@ def scripted_mock(script: Sequence[tuple[str, str, Any]] | Sequence[ScriptEntry]
 
 def load_script(path: str | Path) -> ScriptedMockBackend:
     """Load a scripted mock from JSON: ``{"responses": [{"role", "match", "response"}]}``."""
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    entries = [
-        ScriptEntry(role_tag=item["role"], match=item["match"], response=item["response"])
-        for item in data["responses"]
-    ]
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        entries = [
+            ScriptEntry(role_tag=item["role"], match=item["match"], response=item["response"])
+            for item in data["responses"]
+        ]
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ConfigError(f"cannot read mock LLM script {path}: {exc!r}") from exc
     return ScriptedMockBackend(entries)
 
 
@@ -205,16 +159,39 @@ def backend_from_spec(spec: str, model: str = "default", api_key: str = "") -> B
 
 @dataclass
 class Gateway:
-    """Backend plus the call policy; the only object modules talk LLM through."""
+    """Backend plus the request policy; the only object modules talk LLM through."""
 
     backend: Backend
     sleep: Callable[[float], None] = field(default=time.sleep)
 
-    def call(self, role_tag: str, system_prompt: str, user_prompt: str) -> LlmResponse:
-        req = LlmRequest(role_tag=role_tag, system_prompt=system_prompt, user_prompt=user_prompt)
-        return chat_complete(req, self.backend, sleep=self.sleep)
+    def call(self, role_tag: str, system_prompt: str, user_prompt: str) -> Any:
+        """Send one request and return the JSON value of the reply, code fence stripped.
+
+        A reply that does not parse is asked for once more with :data:`FORMAT_RETRY_SUFFIX`
+        appended; a second one raises :class:`LlmProtocolError`.
+        """
+        prompt = user_prompt
+        for _ in range(2):
+            raw = self._send(LlmRequest(role_tag, system_prompt, prompt))
+            try:
+                return json.loads(strip_code_fences(raw))
+            except json.JSONDecodeError:
+                prompt = user_prompt + FORMAT_RETRY_SUFFIX
+        raise LlmProtocolError(role_tag, f"non-JSON output after retry: {raw[:200]!r}")
+
+    def _send(self, req: LlmRequest) -> str:
+        """Completion text; a retryable transport failure is tried again after a back-off."""
+        for _ in range(TRANSPORT_RETRIES):
+            try:
+                return self.backend.complete(req)
+            except LlmUnavailable as exc:
+                if not exc.retryable:
+                    raise
+                self.sleep(TRANSPORT_BACKOFF_S)
+        return self.backend.complete(req)
 
 
+@functools.cache
 def load_prompt(name: str) -> str:
-    """Load a prompt template bundled with the package."""
+    """Load a prompt template bundled with the package (read once per process)."""
     return (resources.files("tasr") / "prompts" / f"{name}.txt").read_text(encoding="utf-8")

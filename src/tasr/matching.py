@@ -214,25 +214,3 @@ def filter_and_rank(
     if kept:
         return RankedPool(documents=tuple(kept), all_scored=tuple(scored), fallback=False)
     return RankedPool(documents=(scored[0],), all_scored=tuple(scored), fallback=True)
-
-
-def explain_triple(
-    qs: SubQuery,
-    dt_raw: Triple,
-    dt_typed: TypedTriple,
-    cfg: PipelineConfig,
-    encoder: CachingEncoder,
-) -> dict:
-    """Full score decomposition for one triple pair (CLI debug output)."""
-    match = score_triple(qs, dt_raw, dt_typed, cfg, encoder)
-    return {
-        "doc_triple": f"({dt_raw.head.surface}, {dt_raw.relation}, {dt_raw.tail.surface})",
-        "cos_head": match.cosines[0],
-        "cos_relation": match.cosines[1],
-        "cos_tail": match.cosines[2],
-        "s_type_head": match.type_pairs[0],
-        "s_type_tail": match.type_pairs[1],
-        "s_struct": match.s_struct,
-        "s_sem": match.s_sem,
-        "s_triple": match.s_triple,
-    }

@@ -13,8 +13,8 @@ from typing import Optional, Sequence
 
 from tasr.config import PipelineConfig
 from tasr.embedding import CachingEncoder, CorpusIndex, dense_retrieve
-from tasr.errors import AmbiguousBinding, LlmProtocolError, TasrError, QueryFailure
-from tasr.llm import Gateway, load_prompt
+from tasr.errors import AmbiguousBinding, TasrError, QueryFailure
+from tasr.llm import Gateway, json_field, load_prompt
 from tasr.matching import RankedPool, filter_and_rank
 from tasr.model import (
     BindingTable,
@@ -81,10 +81,8 @@ def answer_subquery(resolved: SubQuery, docs: Sequence[Document], gateway: Gatew
         question_line=question_line,
         documents=documents_block,
     )
-    parsed = gateway.call("answer", ANSWER_SYSTEM, prompt).parsed
-    if not isinstance(parsed, dict) or not isinstance(parsed.get("answer"), str):
-        raise LlmProtocolError("answer", f"expected {{'answer': str}}, got {parsed!r}")
-    return parsed["answer"].strip()
+    parsed = gateway.call("answer", ANSWER_SYSTEM, prompt)
+    return json_field("answer", parsed, "answer", str).strip()
 
 
 def structure_documents(

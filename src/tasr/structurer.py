@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from tasr.errors import InvalidDecomposition, LlmProtocolError
-from tasr.llm import Gateway, load_prompt
+from tasr.llm import Gateway, json_field, load_prompt
 from tasr.model import (
     Document,
     Entity,
@@ -51,12 +51,10 @@ def extract_triples(doc: Document, query: Optional[str], gateway: Gateway) -> li
         title=doc.title,
         text=doc.text,
     )
-    parsed = gateway.call("extract", EXTRACT_SYSTEM, prompt).parsed
-    if not isinstance(parsed, dict) or not isinstance(parsed.get("triples"), list):
-        raise LlmProtocolError("extract", f"expected {{'triples': [...]}}, got {parsed!r}")
+    parsed = gateway.call("extract", EXTRACT_SYSTEM, prompt)
     triples: list[Triple] = []
     seen: set[tuple[str, str, str]] = set()
-    for item in parsed["triples"]:
+    for item in json_field("extract", parsed, "triples", list):
         head, relation, tail = _triple_fields("extract", item)
         triple = Triple(head=Entity(head), relation=relation, tail=Entity(tail), source_doc=doc.id)
         if triple.key() not in seen:
@@ -98,12 +96,9 @@ def decompose_query(query: str, gateway: Gateway) -> Decomposition:
     if not query.strip():
         raise ValueError("query is empty")
     prompt = load_prompt("decompose").format(question=query)
-    parsed = gateway.call("decompose", DECOMPOSE_SYSTEM, prompt).parsed
-    if not isinstance(parsed, dict) or not isinstance(parsed.get("sub_queries"), list):
-        raise LlmProtocolError("decompose", f"expected {{'sub_queries': [...]}}, got {parsed!r}")
-
+    parsed = gateway.call("decompose", DECOMPOSE_SYSTEM, prompt)
     sub_queries: list[SubQuery] = []
-    for position, item in enumerate(parsed["sub_queries"], start=1):
+    for position, item in enumerate(json_field("decompose", parsed, "sub_queries", list), start=1):
         head, relation, tail = _triple_fields("decompose", item)
         sub_queries.append(
             SubQuery(

@@ -19,7 +19,7 @@ import threading
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Optional
+from typing import Any, Callable, Optional
 
 from tasr.config import PipelineConfig
 from tasr.embedding import CachingEncoder, VectorIndex
@@ -47,11 +47,6 @@ class Taxonomy:
 
     def has_label(self, l1: str, l2: str) -> bool:
         return l2 in self.children.get(l1, ())
-
-    def validate_label(self, label: TaxonomyLabel) -> TaxonomyLabel:
-        if not self.has_label(label.l1, label.l2):
-            raise TaxonomyParseError(f"label {label} is not in the taxonomy")
-        return label
 
     def all_pairs(self) -> list[TaxonomyLabel]:
         return [
@@ -181,8 +176,6 @@ class EntityTyper:
         self.events: list[str] = []
         self._memo: dict[str, TaxonomyLabel] = {}
         self._lock = threading.Lock()
-        self._l1_template = load_prompt("type_select_l1")
-        self._l2_template = load_prompt("type_select_l2")
 
     def type_entity(self, entity: Entity, context: Optional[str] = None) -> TaxonomyLabel:
         cached = self._memo.get(entity.surface)
@@ -209,42 +202,18 @@ class EntityTyper:
         """Two-stage selection: keep first-level labels, then pick the final pair."""
         if not l1_candidates:
             raise ValueError("select_type requires non-empty candidates")
-        kept = self._stage1(entity, l1_candidates, context)
-        label = self._stage2(entity, kept, context)
-        return self.taxonomy.validate_label(label)
-
-    # stage 1: keep up to l1_keep first-level labels (pure mode: exactly one)
-
-    def _stage1(self, entity: Entity, shown: list[str], context: Optional[str]) -> list[str]:
         keep = 1 if self.cfg.typing_mode == "pure" else self.cfg.l1_keep
-        prompt = self._l1_template.format(
+        context_block = f"\nContext: {context}" if context else ""
+        prompt = load_prompt("type_select_l1").format(
             keep=keep,
-            candidates=", ".join(shown),
+            candidates=", ".join(l1_candidates),
             entity=entity.surface,
-            context_block=_context_block(context),
+            context_block=context_block,
         )
-        fallback = shown[:keep]
-        for attempt in range(2):
-            try:
-                parsed = self.gateway.call("type_select", TYPE_SELECT_SYSTEM, prompt).parsed
-            except LlmProtocolError:
-                break
-            labels = parsed.get("labels") if isinstance(parsed, dict) else None
-            valid = _dedupe(
-                [l for l in labels if isinstance(l, str) and self.taxonomy.has_l1(l)]
-                if isinstance(labels, list)
-                else []
-            )
-            if valid:
-                return valid[:keep]
-            if attempt == 0:
-                prompt += "\n\nOnly use labels from the candidate list."
-        self.events.append(f"type_select fallback (stage 1) for entity {entity.surface!r}")
-        return fallback
-
-    # stage 2: retrieve second-level candidates under each kept branch, pick one pair
-
-    def _stage2(self, entity: Entity, kept: list[str], context: Optional[str]) -> TaxonomyLabel:
+        kept = self._ask(
+            entity, 1, prompt, "\n\nOnly use labels from the candidate list.",
+            lambda parsed: self._known_l1(parsed)[:keep],
+        ) or l1_candidates[:keep]
         if self.cfg.typing_mode == "pure":
             union = [(l1, l2, 0.0) for l1 in kept for l2 in self.taxonomy.children[l1]]
         else:
@@ -252,34 +221,44 @@ class EntityTyper:
             for l1 in kept:
                 union.extend(self.index.top_l2(l1, entity.surface, self.cfg.m_l2_candidates))
         offered = {(l1, l2) for l1, l2, _ in union}
-        prompt = self._l2_template.format(
+        prompt = load_prompt("type_select_l2").format(
             candidates=", ".join(f"{l1}/{l2}" for l1, l2, _ in union),
             entity=entity.surface,
-            context_block=_context_block(context),
+            context_block=context_block,
         )
-        fallback = max(union, key=lambda item: item[2], default=None)
+        pair = self._ask(
+            entity, 2, prompt, "\n\nOnly use a candidate pair from the list.",
+            lambda parsed: _offered_pair(parsed, offered),
+        ) or max(union, key=lambda item: item[2])[:2]
+        return TaxonomyLabel(*pair)
+
+    def _ask(self, entity: Entity, stage: int, prompt: str, hint: str, pick: Callable) -> Any:
+        """``pick`` of the reply, asking once more with ``hint`` if empty; None on fallback."""
         for attempt in range(2):
             try:
-                parsed = self.gateway.call("type_select", TYPE_SELECT_SYSTEM, prompt).parsed
+                parsed = self.gateway.call("type_select", TYPE_SELECT_SYSTEM, prompt)
             except LlmProtocolError:
                 break
-            if isinstance(parsed, dict):
-                pair = (parsed.get("l1"), parsed.get("l2"))
-                if all(isinstance(part, str) for part in pair) and pair in offered:
-                    return TaxonomyLabel(*pair)
+            picked = pick(parsed)
+            if picked:
+                return picked
             if attempt == 0:
-                prompt += "\n\nOnly use a candidate pair from the list."
-        self.events.append(f"type_select fallback (stage 2) for entity {entity.surface!r}")
-        if fallback is None:
-            raise ValueError("no second-level candidates to fall back to")
-        return TaxonomyLabel(fallback[0], fallback[1])
+                prompt += hint
+        self.events.append(f"type_select fallback (stage {stage}) for entity {entity.surface!r}")
+        return None
+
+    def _known_l1(self, parsed: Any) -> list[str]:
+        """First-level labels of a stage-1 reply that the taxonomy has, deduplicated in order."""
+        labels = parsed.get("labels") if isinstance(parsed, dict) else None
+        if not isinstance(labels, list):
+            return []
+        known = [l for l in labels if isinstance(l, str) and self.taxonomy.has_l1(l)]
+        return list(dict.fromkeys(known))
 
 
-def _context_block(context: Optional[str]) -> str:
-    if not context:
-        return ""
-    return f"\nContext: {context}"
-
-
-def _dedupe(items: list[str]) -> list[str]:
-    return list(dict.fromkeys(items))
+def _offered_pair(parsed: Any, offered: set[tuple[str, str]]) -> Optional[tuple[str, str]]:
+    """The (l1, l2) of a stage-2 reply when it is one of the offered pairs."""
+    if isinstance(parsed, dict):
+        pair = (parsed.get("l1"), parsed.get("l2"))
+        if all(isinstance(part, str) for part in pair) and pair in offered:
+            return pair

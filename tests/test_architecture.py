@@ -1,9 +1,11 @@
 """Whole-repo guards.
 
-Chat traffic flows through the gateway module only, the demos run, and every
-function the benchmark's traced run wraps still exists under its name.
+Chat traffic flows through the gateway module only, requests are sent and
+parsed by ``Gateway`` alone, the demos run, and every function the
+benchmark's traced run wraps still exists under its name.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -21,6 +23,20 @@ def test_chat_endpoint_only_in_gateway_module():
     for name, text in _sources().items():
         if name != "llm.py":
             assert "chat/completions" not in text, name
+
+
+def test_only_gateway_sends_requests_and_parses_replies():
+    # Gateway.call owns retries and parsing: callers get the parsed value back
+    for name, text in _sources().items():
+        tree = ast.parse(text)
+        for node in ast.walk(tree):
+            assert not (isinstance(node, ast.Attribute) and node.attr == "parsed"), name
+        if name == "llm.py":
+            (gateway,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "Gateway"]
+            tree.body.remove(gateway)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                assert node.func.attr != "complete", f"{name}:{node.lineno} calls .complete("
 
 
 def test_requests_import_limited_to_io_modules():

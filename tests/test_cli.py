@@ -161,3 +161,49 @@ class TestMatchCommand:
         assert "document score" in out
         # full type match on both slots with exact head/relation strings
         assert "1.00" in out
+
+
+def _bad_input_argv(kind, path, tmp_path):
+    if kind == "eval":
+        dataset = str(FIXTURES / "questions.jsonl")
+        return ["eval", "--predictions", path, "--dataset", dataset, "--out", str(tmp_path / "r.json")]
+    if kind == "match":
+        doc_triples = tmp_path / "dt.json"
+        doc_triples.write_text('{"triples": []}')
+        return ["match", "--subquery", path, "--doc-triples", str(doc_triples), "--embed", "mock:"]
+    if kind == "config":
+        return _run_args(tmp_path, ["--config", path])
+    if kind == "dataset":
+        return _run_args(tmp_path, ["--dataset", path])
+    return _run_args(tmp_path, ["--llm", f"mock:{path}"])
+
+
+_NO_TAIL = {"head": "a", "relation": "r", "head_type": ["X", "Y"], "tail_type": ["X", "Y"]}
+
+
+@pytest.mark.parametrize(
+    "kind,content",
+    [
+        pytest.param("eval", None, id="eval-missing-file"),
+        pytest.param("eval", '{"id": "q1", "answer": "x"}\nnot json\n', id="eval-non-json-line"),
+        pytest.param("eval", "[1, 2]\n", id="eval-non-object-line"),
+        pytest.param("eval", '{"answer": "x"}\n', id="eval-record-without-id"),
+        pytest.param("eval", '{"id": "q1", "answer": 5}\n', id="eval-non-string-answer"),
+        pytest.param("match", json.dumps(_NO_TAIL), id="match-subquery-without-tail"),
+        pytest.param("match", None, id="match-missing-subquery-file"),
+        pytest.param("config", None, id="config-missing-file"),
+        pytest.param("config", "k0=abc\n", id="config-unparsable-int"),
+        pytest.param("config", '{"theta": "abc"}', id="config-non-number-json-value"),
+        pytest.param("dataset", '{"id": "q1", "question": "q?", "answers": 5}\n',
+                     id="dataset-answers-not-a-list"),
+        pytest.param("script", None, id="mock-script-missing-file"),
+        pytest.param("script", '{"responses": [{"role": "answer", "response": {}}]}',
+                     id="mock-script-entry-without-match"),
+    ],
+)
+def test_bad_input_file_fails_cleanly(tmp_path, capsys, kind, content):
+    path = tmp_path / "input"
+    if content is not None:
+        path.write_text(content)
+    assert main(_bad_input_argv(kind, str(path), tmp_path)) == 1
+    assert capsys.readouterr().err.startswith("error: ")

@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 
 import pytest
@@ -20,7 +21,7 @@ from tasr.llm import Gateway, ScriptEntry, ScriptedMockBackend, load_script
 from tasr.reasoner import Pipeline
 from tasr.taxonomy import load_default_taxonomy
 
-from conftest import FIXTURES, write_jsonl
+from conftest import DATA, FIXTURES, write_jsonl
 
 
 class TestLoaders:
@@ -102,6 +103,22 @@ class TestRunBenchmark:
         second = run_benchmark(toy_dataset, toy_pipeline)
         assert first.report.to_dict() == second.report.to_dict()
         assert first.predictions == second.predictions
+
+    @pytest.mark.parametrize("mode", ["plain", "pre_extract"])
+    def test_request_stream_matches_golden(
+        self, mode, toy_corpus, taxonomy, hash_encoder, toy_backend, default_cfg, toy_dataset
+    ):
+        # every request the toy run sends, in order: its role and a sha256 of both prompts
+        pipeline = Pipeline(
+            toy_corpus, taxonomy, hash_encoder, Gateway(backend=toy_backend), default_cfg,
+            pre_extract=mode == "pre_extract",
+        )
+        run_benchmark(toy_dataset, pipeline)
+        stream = [
+            [req.role_tag, hashlib.sha256(f"{req.system_prompt}\0{req.user_prompt}".encode()).hexdigest()]
+            for req in toy_backend.calls
+        ]
+        assert stream == json.loads((DATA / "request_stream.json").read_text())[mode]
 
     def test_traces_written_per_question(self, toy_pipeline, toy_dataset, tmp_path):
         run_benchmark(toy_dataset, toy_pipeline, trace_dir=tmp_path)

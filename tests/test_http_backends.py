@@ -11,7 +11,7 @@ import pytest
 
 from tasr.embedding import HttpEncoderClient
 from tasr.errors import EncoderUnavailable, LlmUnavailable
-from tasr.llm import TRANSPORT_RETRIES, Gateway, HttpChatBackend, LlmRequest
+from tasr.llm import ROLE_TAGS, TRANSPORT_RETRIES, Gateway, HttpChatBackend, LlmRequest
 
 
 class _StubHandler(BaseHTTPRequestHandler):
@@ -31,10 +31,10 @@ class _StubHandler(BaseHTTPRequestHandler):
         if self.path == "/embed":
             # one constant-direction vector per text, dimension 4
             payload = {"embeddings": [[1.0, 1.0, 0.0, 0.0] for _ in body["texts"]]}
-        elif self.path == "/v1/chat/completions":
-            payload = {
-                "choices": [{"message": {"role": "assistant", "content": '{"answer": "pong"}'}}]
-            }
+        elif self.path.endswith("/v1/chat/completions"):
+            # /null-content/...: a well-formed body whose message carries no text
+            content = None if self.path.startswith("/null-content/") else '{"answer": "pong"}'
+            payload = {"choices": [{"message": {"role": "assistant", "content": content}}]}
         else:
             self.send_response(404)
             self.end_headers()
@@ -92,6 +92,24 @@ class TestHttpChatBackend:
             {"role": "user", "content": "ping"},
         ]
         assert sent["headers"]["Authorization"] == "Bearer secret"
+
+    def test_every_chat_body_has_temperature_zero(self, stub_server):
+        # every role, and the transport retries of a failing endpoint, decode deterministically
+        gateway = Gateway(backend=HttpChatBackend(stub_server, model="m"))
+        for role in ROLE_TAGS:
+            gateway.call(role, "sys", "ping")
+        retried = Gateway(HttpChatBackend(f"{stub_server}/status/503", model="m"), lambda s: None)
+        with pytest.raises(LlmUnavailable):
+            retried.call("answer", "sys", "ping")
+        bodies = [seen["body"] for seen in _StubHandler.requests_seen]
+        assert len(bodies) == len(ROLE_TAGS) + 1 + TRANSPORT_RETRIES
+        assert all(body["temperature"] == 0 for body in bodies)
+
+    def test_reply_without_text_content_is_unavailable(self, stub_server):
+        backend = HttpChatBackend(f"{stub_server}/null-content", model="m")
+        with pytest.raises(LlmUnavailable, match="no text content"):
+            Gateway(backend, sleep=lambda s: None).call("answer", "sys", "ping")
+        assert len(_StubHandler.requests_seen) == 1 + TRANSPORT_RETRIES
 
     def test_explicit_completions_path_not_doubled(self, stub_server):
         backend = HttpChatBackend(f"{stub_server}/v1/chat/completions", model="m")

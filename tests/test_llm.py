@@ -1,12 +1,15 @@
 import json
 
 import pytest
+from hypothesis import given, strategies as st
 
 from tasr.errors import LlmProtocolError, LlmUnavailable, MockMiss
 from tasr.llm import (
+    FORMAT_RETRY_SUFFIX,
+    TRANSPORT_BACKOFF_S,
+    TRANSPORT_RETRIES,
     Gateway,
     LlmRequest,
-    chat_complete,
     load_script,
     scripted_mock,
     strip_code_fences,
@@ -20,10 +23,6 @@ def _req(role="extract", prompt="hello"):
 
 
 class TestLlmRequest:
-    def test_temperature_must_be_zero(self):
-        with pytest.raises(ValueError):
-            LlmRequest(role_tag="extract", system_prompt="s", user_prompt="u", temperature=0.7)
-
     def test_unknown_role_rejected(self):
         with pytest.raises(ValueError):
             LlmRequest(role_tag="summarize", system_prompt="s", user_prompt="u")
@@ -40,29 +39,33 @@ class TestStripCodeFences:
         assert strip_code_fences(' {"a": 1} ') == '{"a": 1}'
 
 
+def _call(backend, sleep=lambda s: None):
+    return Gateway(backend=backend, sleep=sleep).call("extract", "sys", "hello")
+
+
 class TestChatComplete:
+    """``Gateway.call``: one request, parsed, with its format and transport retries."""
+
     def test_passthrough(self):
         backend = scripted_mock([("extract", "hello", {"triples": []})])
-        resp = chat_complete(_req(), backend)
-        assert resp.parsed == {"triples": []}
+        assert _call(backend) == {"triples": []}
 
     def test_fenced_response_parses(self):
         backend = scripted_mock([("extract", "hello", '```json\n{"ok": true}\n```')])
-        resp = chat_complete(_req(), backend)
-        assert resp.parsed == {"ok": True}
+        assert _call(backend) == {"ok": True}
 
     def test_two_non_json_responses_raise_with_role(self):
         backend = scripted_mock([("extract", "hello", "not json at all")])
         with pytest.raises(LlmProtocolError) as exc:
-            chat_complete(_req(), backend)
+            _call(backend)
         assert exc.value.role_tag == "extract"
         assert len(backend.calls) == 2  # exactly one format retry
 
     def test_format_retry_appends_json_instruction(self):
         backend = scripted_mock([("extract", "hello", "nope")])
         with pytest.raises(LlmProtocolError):
-            chat_complete(_req(), backend)
-        assert "JSON only" in backend.calls[1].user_prompt
+            _call(backend)
+        assert backend.calls[1].user_prompt == "hello\n\nRespond with valid JSON only, no prose."
 
     def test_recovers_when_retry_parses(self):
         class FlakyFormat:
@@ -73,8 +76,7 @@ class TestChatComplete:
                 self.n += 1
                 return "garbage" if self.n == 1 else '{"fixed": 1}'
 
-        resp = chat_complete(_req(), FlakyFormat())
-        assert resp.parsed == {"fixed": 1}
+        assert _call(FlakyFormat()) == {"fixed": 1}
 
     def test_transport_retry_then_success(self):
         class FlakyTransport:
@@ -88,8 +90,7 @@ class TestChatComplete:
                 return '{"up": true}'
 
         slept = []
-        resp = chat_complete(_req(), FlakyTransport(), sleep=slept.append)
-        assert resp.parsed == {"up": True}
+        assert _call(FlakyTransport(), sleep=slept.append) == {"up": True}
         assert slept == [1.0, 1.0]
 
     def test_transport_gives_up_after_two_retries(self):
@@ -98,7 +99,65 @@ class TestChatComplete:
                 raise LlmUnavailable(req.role_tag, "down")
 
         with pytest.raises(LlmUnavailable):
-            chat_complete(_req(), Dead(), sleep=lambda s: None)
+            _call(Dead())
+
+
+OUTCOMES = ("json", "fenced", "prose", "retryable", "fatal")
+
+
+class _PlayedBackend:
+    """Answers the n-th request with the n-th drawn outcome."""
+
+    def __init__(self, outcomes):
+        self.outcomes = outcomes
+        self.calls = []
+
+    def complete(self, req):
+        self.calls.append(req)
+        outcome = self.outcomes[len(self.calls) - 1]
+        if outcome == "json":
+            return '{"n": [1, 2]}'
+        if outcome == "fenced":
+            return '```json\n{"n": [1, 2]}\n```'
+        if outcome == "prose":
+            return "Sure! The answer is n = [1, 2]."
+        raise LlmUnavailable(req.role_tag, "down", retryable=outcome == "retryable")
+
+
+def _expected(outcomes):
+    """What one call does with these outcomes: (user prompts sent, sleeps, result or error type)."""
+    prompts, sleeps = [], []
+    format_retried, failures = False, 0
+    for outcome in outcomes:
+        prompts.append("u" + (FORMAT_RETRY_SUFFIX if format_retried else ""))
+        if outcome == "fatal" or (outcome == "retryable" and failures == TRANSPORT_RETRIES):
+            return prompts, sleeps, LlmUnavailable
+        if outcome == "retryable":
+            failures += 1
+            sleeps.append(TRANSPORT_BACKOFF_S)
+        elif outcome != "prose":
+            return prompts, sleeps, {"n": [1, 2]}
+        elif format_retried:
+            return prompts, sleeps, LlmProtocolError
+        else:
+            format_retried, failures = True, 0
+    raise AssertionError("a call makes at most 2 * (1 + TRANSPORT_RETRIES) requests")
+
+
+class TestRequestPolicy:
+    @given(st.lists(st.sampled_from(OUTCOMES), min_size=6, max_size=6))
+    def test_requests_sleeps_and_result_follow_the_model(self, outcomes):
+        prompts, sleeps, expected = _expected(outcomes)
+        backend = _PlayedBackend(outcomes)
+        slept = []
+        try:
+            result = Gateway(backend=backend, sleep=slept.append).call("decompose", "s", "u")
+        except (LlmUnavailable, LlmProtocolError) as exc:
+            result = type(exc)
+        assert result == expected
+        assert [req.user_prompt for req in backend.calls] == prompts
+        assert {(req.role_tag, req.system_prompt) for req in backend.calls} == {("decompose", "s")}
+        assert slept == sleeps
 
 
 class TestScriptedMock:
@@ -129,11 +188,3 @@ class TestScriptedMock:
         req = _req(role="answer", prompt="Sub-query: (Science Activity Planner, uses, ?Database)")
         assert json.loads(backend.complete(req)) == {"answer": "MySQL database"}
 
-
-class TestGatewayContract:
-    def test_every_outbound_request_has_temperature_zero(self, toy_backend):
-        gateway = Gateway(backend=toy_backend)
-        gateway.call("answer", "sys", "Sub-query: (MySQL database, developed_by, ?Company)")
-        gateway.call("extract", "sys", "Document id: doc1")
-        assert toy_backend.calls, "no requests recorded"
-        assert all(req.temperature == 0.0 for req in toy_backend.calls)
