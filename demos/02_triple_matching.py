@@ -18,7 +18,6 @@ from tasr import (
     SubQuery,
     TaxonomyLabel,
     Triple,
-    TypedTriple,
     filter_and_rank,
     score_triple,
     validate_config,
@@ -34,12 +33,12 @@ CONCEPT_TECH = TaxonomyLabel("CONCEPT", "Technology")
 
 
 def make_doc(doc_id, rows):
-    doc = Document(id=doc_id, title=doc_id, text="")
-    for head, relation, tail, head_type, tail_type in rows:
-        raw = Triple(Entity(head), relation, Entity(tail), doc_id)
-        doc.triples.append(raw)
-        doc.typed_triples.append(TypedTriple(head_type, relation, tail_type, raw))
-    return doc
+    # a document triple carries its entity types, just as the sub-query does
+    triples = [
+        Triple(Entity(head), relation, Entity(tail), doc_id, head_type, tail_type)
+        for head, relation, tail, head_type, tail_type in rows
+    ]
+    return Document(id=doc_id, title=doc_id, text="", triples=triples)
 
 
 # one first-hop sub-query: the tail is still unknown, but its TYPE is known
@@ -63,10 +62,10 @@ distractor = make_doc(
 empty = make_doc("doc-empty", [])
 
 print("per-triple score decomposition against the supporting document:")
-for i, (raw, typed) in enumerate(zip(supporting.triples, supporting.typed_triples)):
-    match = score_triple(sub_query, raw, typed, cfg, encoder, i)
+for i, triple in enumerate(supporting.triples):
+    match = score_triple(sub_query, triple, cfg, encoder, i)
     print(
-        f"  ({raw.head.surface}, {raw.relation}, {raw.tail.surface})"
+        f"  ({triple.head.surface}, {triple.relation}, {triple.tail.surface})"
         f"  struct={match.s_struct:.3f} sem={match.s_sem:.3f} -> triple={match.s_triple:.3f}"
     )
 print()

@@ -16,7 +16,7 @@ from tasr.evaluation import load_corpus, load_dataset, run_benchmark
 from tasr.llm import Gateway, load_script
 from tasr.matching import filter_and_rank, score_triple
 from tasr.metrics import exact_match, normalize_answer, token_f1
-from tasr.model import Document, Entity, Slot, SubQuery, TaxonomyLabel, Triple, TypedTriple
+from tasr.model import Document, Entity, Slot, SubQuery, TaxonomyLabel, Triple
 from tasr.reasoner import Pipeline
 from tasr.taxonomy import EntityTyper, TypeEmbeddingIndex, load_default_taxonomy, rule_type_entity
 

@@ -32,7 +32,7 @@ from tasr.evaluation import (
 )
 from tasr.llm import Gateway, backend_from_spec
 from tasr.matching import aggregate_document_score, score_triple
-from tasr.model import Entity, Slot, SubQuery, TaxonomyLabel, Triple, TypedTriple
+from tasr.model import Entity, Slot, SubQuery, TaxonomyLabel, Triple
 from tasr.reasoner import Pipeline
 from tasr.taxonomy import (
     EntityTyper,
@@ -202,24 +202,19 @@ def _parse_subquery(data: dict) -> SubQuery:
     )
 
 
-def _parse_doc_triples(data: dict) -> list[tuple[Triple, TypedTriple]]:
+def _parse_doc_triples(data: dict) -> list[Triple]:
     doc_id = str(data.get("doc_id", "doc"))
-    pairs = []
-    for item in data["triples"]:
-        raw = Triple(
+    return [
+        Triple(
             head=Entity(str(item["head"])),
             relation=str(item["relation"]),
             tail=Entity(str(item["tail"])),
             source_doc=doc_id,
-        )
-        typed = TypedTriple(
             head_type=_parse_label(item["head_type"]),
-            relation=raw.relation,
             tail_type=_parse_label(item["tail_type"]),
-            base=raw,
         )
-        pairs.append((raw, typed))
-    return pairs
+        for item in data["triples"]
+    ]
 
 
 def cmd_match(args: argparse.Namespace) -> int:
@@ -227,7 +222,7 @@ def cmd_match(args: argparse.Namespace) -> int:
     encoder = _encoder(args.embed)
     sub_query = _read_json(args.subquery, "sub-query", _parse_subquery)
     doc_triples = _read_json(args.doc_triples, "document triples", _parse_doc_triples)
-    matches = [score_triple(sub_query, raw, typed, cfg, encoder) for raw, typed in doc_triples]
+    matches = [score_triple(sub_query, triple, cfg, encoder) for triple in doc_triples]
 
     print(f"sub-query: {sub_query.render()}   "
           f"types: {sub_query.head_type}, {sub_query.tail_type}")
@@ -235,9 +230,9 @@ def cmd_match(args: argparse.Namespace) -> int:
               f"{'St(h)':>6} {'St(t)':>6} {'S_str':>6} {'S_sem':>8} {'S_tri':>8}")
     print(header)
     print("-" * len(header))
-    for (raw, _), m in zip(doc_triples, matches):
+    for triple, m in zip(doc_triples, matches):
         (cos_h, cos_r, cos_t), (st_h, st_t) = m.cosines, m.type_pairs
-        text = f"({raw.head.surface}, {raw.relation}, {raw.tail.surface})"
+        text = f"({triple.head.surface}, {triple.relation}, {triple.tail.surface})"
         print(f"{text:<60} {cos_h:>8.4f} {cos_r:>8.4f} {cos_t:>8.4f} {st_h:>6.2f} {st_t:>6.2f} "
               f"{m.s_struct:>6.2f} {m.s_sem:>8.4f} {m.s_triple:>8.4f}")
     if matches:

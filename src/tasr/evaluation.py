@@ -16,11 +16,15 @@ from tasr.reasoner import Pipeline
 
 @dataclass(frozen=True)
 class QaExample:
-    id: str
+    id: str  # also the trace file name and the join key of predictions
     question: str
     answers: tuple[str, ...]
 
     def __post_init__(self) -> None:
+        if not self.id.strip() or "/" in self.id or "\0" in self.id:
+            raise DatasetParseError(f"example id {self.id!r} is blank or holds '/' or NUL")
+        if not self.question.strip():
+            raise DatasetParseError(f"example {self.id}: question is blank")
         if not self.answers:
             raise DatasetParseError(f"example {self.id}: no gold answers")
 
@@ -41,6 +45,7 @@ class EvalReport:
     f1_avg: float
     fallback_count: int
     error_count: int
+    startup_events: list[str] = field(default_factory=list)  # typing fallbacks of pre-extraction
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -48,6 +53,7 @@ class EvalReport:
             "f1_avg": self.f1_avg,
             "fallback_count": self.fallback_count,
             "error_count": self.error_count,
+            "startup_events": self.startup_events,
             "per_example": [
                 {"id": r.id, "answer": r.answer, "em": r.em, "f1": r.f1, "error": r.error}
                 for r in self.per_example
@@ -67,16 +73,20 @@ def load_corpus(path: str | Path) -> list[Document]:
 
 
 def load_dataset(path: str | Path) -> list[QaExample]:
-    """Dataset JSONL: one ``{"id", "question", "answers"}`` object per line."""
-    records = _read_jsonl(path, "dataset", {"id": object, "question": object, "answers": list})
-    examples = [
-        QaExample(
-            id=str(record["id"]),
-            question=str(record["question"]),
-            answers=tuple(str(a) for a in record["answers"]),
-        )
-        for record in records
-    ]
+    """Dataset JSONL: one ``{"id", "question", "answers"}`` object per line; ids are unique."""
+    seen: set[str] = set()
+
+    def example(record: dict) -> QaExample:
+        question_id = str(record["id"])
+        if question_id in seen:
+            raise DatasetParseError(f"duplicate id {question_id!r}")
+        seen.add(question_id)
+        answers = tuple(str(a) for a in record["answers"])
+        return QaExample(id=question_id, question=str(record["question"]), answers=answers)
+
+    examples = _read_jsonl(
+        path, "dataset", {"id": object, "question": object, "answers": list}, example
+    )
     if not examples:
         raise DatasetParseError(f"dataset {path} is empty")
     return examples
@@ -90,8 +100,9 @@ def load_predictions(path: str | Path) -> list[dict]:
     return records
 
 
-def _read_jsonl(path: str | Path, what: str, fields: dict[str, type]) -> list[dict]:
-    """The JSON objects of a JSONL file, each holding ``fields`` of their types (object: any)."""
+def _read_jsonl(path: str | Path, what: str, fields: dict[str, type], make=lambda r: r) -> list:
+    """``make`` of each JSON object of a JSONL file, which holds ``fields`` of their types
+    (object: any); a DatasetParseError, here or from ``make``, names the line."""
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as exc:
@@ -109,7 +120,10 @@ def _read_jsonl(path: str | Path, what: str, fields: dict[str, type]) -> list[di
         for name, kind in fields.items():
             if name not in record or not isinstance(record[name], kind):
                 raise DatasetParseError(f"{what} {path} line {lineno}: bad or missing {name!r}")
-        records.append(record)
+        try:
+            records.append(make(record))
+        except DatasetParseError as exc:
+            raise DatasetParseError(f"{what} {path} line {lineno}: {exc}") from exc
     return records
 
 
@@ -161,7 +175,7 @@ def run_benchmark(
         outcomes = [run_one(example) for example in dataset]
 
     results = [result for result, _ in outcomes]
-    report = _report(results, fallback_count=sum(count for _, count in outcomes))
+    report = _report(results, sum(count for _, count in outcomes), pipeline.startup_events)
     predictions = [{"id": r.id, "answer": r.answer} for r in results]
     return BenchmarkRun(report=report, predictions=predictions)
 
@@ -191,7 +205,7 @@ def _score_example(
     )
 
 
-def _report(results: list[ExampleResult], fallback_count: int) -> EvalReport:
+def _report(results: list[ExampleResult], fallback_count: int, startup_events=()) -> EvalReport:
     """Averages over every example: errored ones stay in the denominator."""
     return EvalReport(
         per_example=results,
@@ -199,4 +213,5 @@ def _report(results: list[ExampleResult], fallback_count: int) -> EvalReport:
         f1_avg=sum(r.f1 for r in results) / len(results),
         fallback_count=fallback_count,
         error_count=sum(1 for r in results if r.error is not None),
+        startup_events=list(startup_events),
     )

@@ -24,7 +24,7 @@ import numpy as np
 from tasr.config import PipelineConfig
 from tasr.embedding import CachingEncoder
 from tasr.errors import EmptyPool
-from tasr.model import Document, SubQuery, TaxonomyLabel, Triple, TypedTriple
+from tasr.model import Document, SubQuery, TaxonomyLabel, Triple
 
 # role prefixes: the same surface embeds differently as head, relation and tail
 HEAD_PREFIX = "S: "
@@ -65,9 +65,11 @@ def score_type_pair(tq: TaxonomyLabel, td: TaxonomyLabel, cfg: PipelineConfig) -
     return cfg.w1 * float(tq.l1 == td.l1) + cfg.w2 * float(tq.l2 == td.l2)
 
 
-def _type_pairs(qs: SubQuery, dt: TypedTriple, cfg: PipelineConfig) -> tuple[float, float]:
+def _type_pairs(qs: SubQuery, dt: Triple, cfg: PipelineConfig) -> tuple[float, float]:
     if qs.head_type is None or qs.tail_type is None:
         raise ValueError(f"sub-query {qs.index} is untyped")
+    if dt.head_type is None or dt.tail_type is None:
+        raise ValueError(f"document triple {dt.key()} is untyped")
     return (
         score_type_pair(qs.head_type, dt.head_type, cfg),
         score_type_pair(qs.tail_type, dt.tail_type, cfg),
@@ -79,7 +81,7 @@ def _structural(type_pairs: tuple[float, float], cfg: PipelineConfig) -> float:
     return cfg.wh * s_head + cfg.wt * s_tail
 
 
-def score_structural(qs: SubQuery, dt: TypedTriple, cfg: PipelineConfig) -> float:
+def score_structural(qs: SubQuery, dt: Triple, cfg: PipelineConfig) -> float:
     """Type compatibility of the head and tail slots; the relation is ignored."""
     return _structural(_type_pairs(qs, dt, cfg), cfg)
 
@@ -111,20 +113,19 @@ def score_semantic(
 
 def score_triple(
     qs: SubQuery,
-    dt_raw: Triple,
-    dt_typed: TypedTriple,
+    triple: Triple,
     cfg: PipelineConfig,
     encoder: CachingEncoder,
     doc_triple_index: Optional[int] = None,
 ) -> TripleMatch:
     """Alpha-mix of the structural and semantic scores for one triple pair."""
-    type_pairs = _type_pairs(qs, dt_typed, cfg)
-    cosines = component_cosines(qs, dt_raw, encoder)
+    type_pairs = _type_pairs(qs, triple, cfg)
+    cosines = component_cosines(qs, triple, encoder)
     s_struct = _structural(type_pairs, cfg)
     s_sem = _semantic(cosines, cfg)
     return TripleMatch(
         query_index=qs.index,
-        doc_id=dt_raw.source_doc or "",
+        doc_id=triple.source_doc or "",
         doc_triple_index=doc_triple_index,
         s_struct=s_struct,
         s_sem=s_sem,
@@ -141,10 +142,9 @@ def best_triple_score(
 
     A document with no triples carries no matchable structure and scores 0.
     """
-    doc.check_aligned()
     best: Optional[TripleMatch] = None
-    for i, (raw, typed) in enumerate(zip(doc.triples, doc.typed_triples)):
-        match = score_triple(qs, raw, typed, cfg, encoder, doc_triple_index=i)
+    for i, triple in enumerate(doc.triples):
+        match = score_triple(qs, triple, cfg, encoder, doc_triple_index=i)
         if best is None or match.s_triple > best.s_triple:
             best = match
     if best is None:

@@ -40,12 +40,14 @@ class TaxonomyLabel:
 
 @dataclass(frozen=True)
 class Triple:
-    """A (head, relation, tail) fact; the relation keeps its surface form."""
+    """A (head, relation, tail) fact with optional entity types, carried as on a SubQuery."""
 
     head: Entity
     relation: str
     tail: Entity
     source_doc: Optional[str] = None
+    head_type: Optional[TaxonomyLabel] = None
+    tail_type: Optional[TaxonomyLabel] = None
 
     def __post_init__(self) -> None:
         if not self.relation.strip():
@@ -54,22 +56,6 @@ class Triple:
 
     def key(self) -> tuple[str, str, str]:
         return (self.head.surface, self.relation, self.tail.surface)
-
-
-@dataclass(frozen=True)
-class TypedTriple:
-    """A triple with taxonomy labels on both entities; relation untouched."""
-
-    head_type: TaxonomyLabel
-    relation: str
-    tail_type: TaxonomyLabel
-    base: Triple
-
-    def __post_init__(self) -> None:
-        if self.relation != self.base.relation:
-            raise ValueError(
-                f"typed relation {self.relation!r} differs from base {self.base.relation!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -162,20 +148,12 @@ class BindingTable:
 
 @dataclass
 class Document:
-    """A corpus document, plus its extracted and typed triples once populated."""
+    """A corpus document, plus its extracted (and typed) triples once populated."""
 
     id: str
     title: str
     text: str
     triples: list[Triple] = field(default_factory=list)
-    typed_triples: list[TypedTriple] = field(default_factory=list)
-
-    def check_aligned(self) -> None:
-        if self.typed_triples and len(self.typed_triples) != len(self.triples):
-            raise ValueError(
-                f"document {self.id}: {len(self.typed_triples)} typed triples "
-                f"for {len(self.triples)} raw triples"
-            )
 
     def embedding_text(self) -> str:
         return f"{self.title}\n\n{self.text}"

@@ -88,16 +88,15 @@ def answer_subquery(resolved: SubQuery, docs: Sequence[Document], gateway: Gatew
 def structure_documents(
     docs: Sequence[Document], query: Optional[str], gateway: Gateway, typer: EntityTyper
 ) -> list[Document]:
-    """Structured copies of the documents: extracted triples plus their typed forms.
+    """Structured copies of the documents, each holding its extracted, typed triples.
 
     ``query`` conditions extraction on the question; None pre-extracts without it.
     The caller's documents are left untouched.
     """
     structured = []
     for doc in docs:
-        triples = extract_triples(doc, query, gateway)
-        typed = type_document_triples(triples, typer, context=doc.title)
-        structured.append(dataclasses.replace(doc, triples=triples, typed_triples=typed))
+        triples = type_document_triples(extract_triples(doc, query, gateway), typer, doc.title)
+        structured.append(dataclasses.replace(doc, triples=triples))
     return structured
 
 

@@ -1,4 +1,4 @@
-"""Turn documents into (typed) triples and queries into typed sub-query chains."""
+"""Turn documents into typed triples and queries into typed sub-query chains."""
 
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from tasr.model import (
     Slot,
     SubQuery,
     Triple,
-    TypedTriple,
     normalize_variable_name,
 )
 from tasr.taxonomy import EntityTyper
@@ -76,19 +75,16 @@ def _triple_fields(role_tag: str, item: object) -> tuple[str, str, str]:
 
 def type_document_triples(
     triples: list[Triple], typer: EntityTyper, context: Optional[str] = None
-) -> list[TypedTriple]:
-    """Type every entity of every triple; relations keep their surface form."""
-    typed = []
-    for triple in triples:
-        typed.append(
-            TypedTriple(
-                head_type=typer.type_entity(triple.head, context=context),
-                relation=triple.relation,
-                tail_type=typer.type_entity(triple.tail, context=context),
-                base=triple,
-            )
+) -> list[Triple]:
+    """Typed copies of the triples: both entities get labels, relations are untouched."""
+    return [
+        dataclasses.replace(
+            triple,
+            head_type=typer.type_entity(triple.head, context=context),
+            tail_type=typer.type_entity(triple.tail, context=context),
         )
-    return typed
+        for triple in triples
+    ]
 
 
 def decompose_query(query: str, gateway: Gateway) -> Decomposition:

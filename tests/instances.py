@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from tasr.config import PipelineConfig, validate_config
-from tasr.model import Document, Entity, Slot, SubQuery, TaxonomyLabel, Triple, TypedTriple
+from tasr.model import Document, Entity, Slot, SubQuery, TaxonomyLabel, Triple
 from tasr.taxonomy import load_default_taxonomy
 
 _TAXONOMY = load_default_taxonomy()
@@ -55,19 +55,14 @@ def random_documents(rng: np.random.Generator, max_docs: int = 10, max_triples: 
     for d in range(int(rng.integers(1, max_docs + 1))):
         doc = Document(id=f"d{d:02d}", title=f"title {d}", text=f"body {d}")
         for i in range(int(rng.integers(0, max_triples + 1))):
-            raw = Triple(
-                head=Entity(_entity(rng)),
-                relation=_relation(rng),
-                tail=Entity(_entity(rng)),
-                source_doc=doc.id,
-            )
-            doc.triples.append(raw)
-            doc.typed_triples.append(
-                TypedTriple(
+            doc.triples.append(
+                Triple(
+                    head=Entity(_entity(rng)),
+                    relation=_relation(rng),
+                    tail=Entity(_entity(rng)),
+                    source_doc=doc.id,
                     head_type=_label(rng),
-                    relation=raw.relation,
                     tail_type=_label(rng),
-                    base=raw,
                 )
             )
         docs.append(doc)

@@ -18,17 +18,17 @@ def brute_force_rank(pool, sub_queries, cfg, encoder, force_index=None):
         best_scores = []
         for sq in sub_queries:
             best = None
-            for raw, typed in zip(doc.triples, doc.typed_triples):
+            for triple in doc.triples:
                 # type-pair scores, both slots
                 s_head = 0.0
-                if sq.head_type.l1 == typed.head_type.l1:
+                if sq.head_type.l1 == triple.head_type.l1:
                     s_head += cfg.w1
-                if sq.head_type.l2 == typed.head_type.l2:
+                if sq.head_type.l2 == triple.head_type.l2:
                     s_head += cfg.w2
                 s_tail = 0.0
-                if sq.tail_type.l1 == typed.tail_type.l1:
+                if sq.tail_type.l1 == triple.tail_type.l1:
                     s_tail += cfg.w1
-                if sq.tail_type.l2 == typed.tail_type.l2:
+                if sq.tail_type.l2 == triple.tail_type.l2:
                     s_tail += cfg.w2
                 s_struct = cfg.wh * s_head + cfg.wt * s_tail
 
@@ -36,9 +36,9 @@ def brute_force_rank(pool, sub_queries, cfg, encoder, force_index=None):
                 q_h = encoder.encode_one("S: " + sq.head.text)
                 q_r = encoder.encode_one("P: " + sq.relation)
                 q_t = encoder.encode_one("O: " + sq.tail.text)
-                d_h = encoder.encode_one("S: " + raw.head.surface)
-                d_r = encoder.encode_one("P: " + raw.relation)
-                d_t = encoder.encode_one("O: " + raw.tail.surface)
+                d_h = encoder.encode_one("S: " + triple.head.surface)
+                d_r = encoder.encode_one("P: " + triple.relation)
+                d_t = encoder.encode_one("O: " + triple.tail.surface)
                 s_sem = (
                     cfg.lh * float(np.dot(q_h, d_h))
                     + cfg.lr * float(np.dot(q_r, d_r))

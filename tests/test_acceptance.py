@@ -90,7 +90,7 @@ def test_criterion_2_matching_oracle_equivalence(hash_encoder):
 def test_criterion_3_score_arithmetic_fixtures(default_cfg):
     with criterion(3, "hand-derived score fixtures hold within 1e-12"):
         from tasr.matching import score_semantic, score_structural, score_type_pair
-        from tasr.model import Triple, TypedTriple
+        from tasr.model import Triple
 
         work_sw = TaxonomyLabel("WORK", "SoftwareProject")
         work_ds = TaxonomyLabel("WORK", "Dataset")
@@ -99,8 +99,7 @@ def test_criterion_3_score_arithmetic_fixtures(default_cfg):
         product_cs = TaxonomyLabel("PRODUCT", "CloudService")
 
         def typed(head_type, tail_type, head="A", relation="r", tail="C"):
-            base = Triple(Entity(head), relation, Entity(tail), "d")
-            return base, TypedTriple(head_type, relation, tail_type, base)
+            return Triple(Entity(head), relation, Entity(tail), "d", head_type, tail_type)
 
         sq = SubQuery(1, Slot.bound("A"), "r", Slot.bound("B"), work_sw, product_db)
 
@@ -108,9 +107,9 @@ def test_criterion_3_score_arithmetic_fixtures(default_cfg):
         assert abs(score_type_pair(work_sw, work_ds, default_cfg) - 0.5) <= 1e-12
 
         # S_struct mixed-slot cases
-        _, full_zero = typed(work_sw, person)
+        full_zero = typed(work_sw, person)
         assert abs(score_structural(sq, full_zero, default_cfg) - 0.5) <= 1e-12
-        _, l1_l1 = typed(work_ds, product_cs)
+        l1_l1 = typed(work_ds, product_cs)
         assert abs(score_structural(sq, l1_l1, default_cfg) - 0.5) <= 1e-12
 
         # S_sem with component cosines (1, 1, 0)
@@ -120,7 +119,7 @@ def test_criterion_3_score_arithmetic_fixtures(default_cfg):
                 {"S: A": list(e[0]), "P: r": list(e[1]), "O: B": list(e[2]), "O: C": list(e[3])}
             )
         )
-        raw, _ = typed(work_sw, product_db)
+        raw = typed(work_sw, product_db)
         assert abs(score_semantic(sq, raw, encoder, default_cfg) - 0.6) <= 1e-12
 
         # S_triple from struct 0.5 and sem 0.8 at alpha 0.5
@@ -130,8 +129,8 @@ def test_criterion_3_score_arithmetic_fixtures(default_cfg):
                 {"S: A": list(e[0]), "P: r": list(e[1]), "O: B": list(e[2]), "O: C": half}
             )
         )
-        raw2, typed2 = typed(work_sw, person)
-        match = score_triple(sq, raw2, typed2, default_cfg, encoder2)
+        triple2 = typed(work_sw, person)
+        match = score_triple(sq, triple2, default_cfg, encoder2)
         assert abs(match.s_struct - 0.5) <= 1e-12
         assert abs(match.s_sem - 0.8) <= 1e-12
         assert abs(match.s_triple - 0.65) <= 1e-12
@@ -148,8 +147,8 @@ def _rank_with_scores(docs, sub_queries, cfg, encoder, score_fn):
         bests = []
         for sq in sub_queries:
             best = None
-            for raw, typed in zip(doc.triples, doc.typed_triples):
-                s = score_fn(sq, raw, typed)
+            for triple in doc.triples:
+                s = score_fn(sq, triple)
                 if best is None or s > best:
                     best = s
             bests.append(0.0 if best is None else best)
@@ -166,23 +165,23 @@ def test_criterion_4_ablation_reductions(hash_encoder):
         for seed in range(50):
             docs, sub_queries, cfg, _ = random_instance(seed)
 
-            def structural(sq, raw, typed, cfg=cfg):
-                s_head = cfg.w1 * (sq.head_type.l1 == typed.head_type.l1) + cfg.w2 * (
-                    sq.head_type.l2 == typed.head_type.l2
+            def structural(sq, triple, cfg=cfg):
+                s_head = cfg.w1 * (sq.head_type.l1 == triple.head_type.l1) + cfg.w2 * (
+                    sq.head_type.l2 == triple.head_type.l2
                 )
-                s_tail = cfg.w1 * (sq.tail_type.l1 == typed.tail_type.l1) + cfg.w2 * (
-                    sq.tail_type.l2 == typed.tail_type.l2
+                s_tail = cfg.w1 * (sq.tail_type.l1 == triple.tail_type.l1) + cfg.w2 * (
+                    sq.tail_type.l2 == triple.tail_type.l2
                 )
                 return cfg.wh * s_head + cfg.wt * s_tail
 
-            def semantic(sq, raw, typed, cfg=cfg):
+            def semantic(sq, triple, cfg=cfg):
                 cos = lambda a, b: float(
                     hash_encoder.encode_one(a) @ hash_encoder.encode_one(b)
                 )
                 return (
-                    cfg.lh * cos("S: " + sq.head.text, "S: " + raw.head.surface)
-                    + cfg.lr * cos("P: " + sq.relation, "P: " + raw.relation)
-                    + cfg.lt * cos("O: " + sq.tail.text, "O: " + raw.tail.surface)
+                    cfg.lh * cos("S: " + sq.head.text, "S: " + triple.head.surface)
+                    + cfg.lr * cos("P: " + sq.relation, "P: " + triple.relation)
+                    + cfg.lt * cos("O: " + sq.tail.text, "O: " + triple.tail.surface)
                 )
 
             for alpha, score_fn in ((1.0, structural), (0.0, semantic)):

@@ -178,6 +178,10 @@ def _bad_input_argv(kind, path, tmp_path):
     return _run_args(tmp_path, ["--llm", f"mock:{path}"])
 
 
+def _dataset_line(question_id):
+    return json.dumps({"id": question_id, "question": "Who?", "answers": ["x"]}) + "\n"
+
+
 _NO_TAIL = {"head": "a", "relation": "r", "head_type": ["X", "Y"], "tail_type": ["X", "Y"]}
 
 
@@ -196,6 +200,14 @@ _NO_TAIL = {"head": "a", "relation": "r", "head_type": ["X", "Y"], "tail_type": 
         pytest.param("config", '{"theta": "abc"}', id="config-non-number-json-value"),
         pytest.param("dataset", '{"id": "q1", "question": "q?", "answers": 5}\n',
                      id="dataset-answers-not-a-list"),
+        pytest.param("dataset", '{"id": "q1", "question": "   ", "answers": ["x"]}\n',
+                     id="dataset-blank-question"),
+        pytest.param("dataset", _dataset_line(""), id="dataset-empty-id"),
+        pytest.param("dataset", _dataset_line("a/q1"), id="dataset-id-with-slash"),
+        pytest.param("dataset", _dataset_line("../x"), id="dataset-id-escaping-trace-dir"),
+        pytest.param("dataset", _dataset_line("q\u0000"), id="dataset-id-with-nul"),
+        pytest.param("dataset", _dataset_line("q1") + _dataset_line("q1"),
+                     id="dataset-duplicate-id"),
         pytest.param("script", None, id="mock-script-missing-file"),
         pytest.param("script", '{"responses": [{"role": "answer", "response": {}}]}',
                      id="mock-script-entry-without-match"),
@@ -207,3 +219,26 @@ def test_bad_input_file_fails_cleanly(tmp_path, capsys, kind, content):
         path.write_text(content)
     assert main(_bad_input_argv(kind, str(path), tmp_path)) == 1
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_pre_extract_typing_fallbacks_reach_report(tmp_path):
+    # an out-of-vocabulary stage-1 reply, twice, sends one entity to the fallback
+    script = json.loads((FIXTURES / "llm_script.json").read_text())
+    script["responses"].insert(0, {
+        "role": "type_select",
+        "match": 'First-level types for entity "Mars".',
+        "response": {"labels": ["NOT_A_TYPE"]},
+    })
+    script_path = tmp_path / "script.json"
+    script_path.write_text(json.dumps(script))
+    out = tmp_path / "out"
+    assert main(_run_args(out, ["--pre-extract", "--llm", f"mock:{script_path}"])) == 0
+    report = json.loads((out / "report.json").read_text())
+    # the scripted stage-2 pair is then not among the pairs offered, so stage 2 falls back too
+    assert report["startup_events"] == [
+        "type_select fallback (stage 1) for entity 'Mars'",
+        "type_select fallback (stage 2) for entity 'Mars'",
+    ]
+
+    assert main(_run_args(tmp_path / "plain")) == 0
+    assert json.loads((tmp_path / "plain" / "report.json").read_text())["startup_events"] == []

@@ -54,6 +54,12 @@ class TestLoaders:
         with pytest.raises(DatasetParseError):
             QaExample(id="x", question="q", answers=())
 
+    def test_duplicate_id_error_names_the_line(self, tmp_path):
+        record = {"id": "q1", "question": "q?", "answers": ["x"]}
+        path = write_jsonl(tmp_path / "d.jsonl", [record, {**record, "id": "q2"}, record])
+        with pytest.raises(DatasetParseError, match=r"line 3: duplicate id 'q1'"):
+            load_dataset(path)
+
 
 class TestRunBenchmark:
     def test_toy_benchmark_hand_scored(self, toy_pipeline, toy_dataset):

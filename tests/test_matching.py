@@ -14,7 +14,7 @@ from tasr.matching import (
     score_triple,
     score_type_pair,
 )
-from tasr.model import Document, Entity, Slot, SubQuery, TaxonomyLabel, Triple, TypedTriple
+from tasr.model import Document, Entity, Slot, SubQuery, TaxonomyLabel, Triple
 
 from conftest import PresetEncoderClient
 from instances import random_instance
@@ -33,8 +33,7 @@ def _cfg(**kwargs):
 
 
 def _typed(head_type, tail_type, head="h", relation="r", tail="t", doc="d1"):
-    base = Triple(Entity(head), relation, Entity(tail), doc)
-    return base, TypedTriple(head_type, relation, tail_type, base)
+    return Triple(Entity(head), relation, Entity(tail), doc, head_type, tail_type)
 
 
 def _sq(head="h", relation="r", tail="t", head_type=WORK_SW, tail_type=PRODUCT_DB, index=1):
@@ -65,30 +64,33 @@ class TestScoreTypePair:
 
 class TestScoreStructural:
     def test_both_slots_full_match(self, default_cfg):
-        _, typed = _typed(WORK_SW, PRODUCT_DB)
+        typed = _typed(WORK_SW, PRODUCT_DB)
         assert score_structural(_sq(), typed, default_cfg) == 1.0
 
     def test_head_full_tail_zero(self, default_cfg):
-        _, typed = _typed(WORK_SW, PERSON_SCI)
+        typed = _typed(WORK_SW, PERSON_SCI)
         assert score_structural(_sq(), typed, default_cfg) == pytest.approx(0.5, abs=1e-12)
 
     def test_both_slots_l1_only(self, default_cfg):
-        _, typed = _typed(WORK_DS, TaxonomyLabel("PRODUCT", "CloudService"))
+        typed = _typed(WORK_DS, TaxonomyLabel("PRODUCT", "CloudService"))
         assert score_structural(_sq(), typed, default_cfg) == pytest.approx(0.5, abs=1e-12)
 
     def test_relation_plays_no_role(self, default_cfg):
-        _, typed_a = _typed(WORK_SW, PRODUCT_DB, relation="uses")
-        _, typed_b = _typed(WORK_SW, PRODUCT_DB, relation="completely_different")
+        typed_a = _typed(WORK_SW, PRODUCT_DB, relation="uses")
+        typed_b = _typed(WORK_SW, PRODUCT_DB, relation="completely_different")
         sq = _sq(relation="uses")
         assert score_structural(sq, typed_a, default_cfg) == score_structural(
             sq, typed_b, default_cfg
         )
 
     def test_untyped_subquery_rejected(self, default_cfg):
-        _, typed = _typed(WORK_SW, PRODUCT_DB)
-        bare = SubQuery(1, Slot.bound("h"), "r", Slot.bound("t"))
-        with pytest.raises(ValueError):
-            score_structural(bare, typed, default_cfg)
+        # either side untyped: a sub-query without labels, or a document triple without them
+        typed = _typed(WORK_SW, PRODUCT_DB)
+        bare_sq = SubQuery(1, Slot.bound("h"), "r", Slot.bound("t"))
+        bare_triple = Triple(Entity("h"), "r", Entity("t"), "d1")
+        for sq, triple in ((bare_sq, typed), (_sq(), bare_triple)):
+            with pytest.raises(ValueError):
+                score_structural(sq, triple, default_cfg)
 
 
 def _component_encoder(cos_tail: float) -> CachingEncoder:
@@ -107,13 +109,13 @@ def _component_encoder(cos_tail: float) -> CachingEncoder:
 
 class TestScoreSemantic:
     def test_identical_triples_score_one(self, default_cfg, hash_encoder):
-        raw, _ = _typed(WORK_SW, PRODUCT_DB, head="A", relation="r", tail="B")
+        raw = _typed(WORK_SW, PRODUCT_DB, head="A", relation="r", tail="B")
         sq = _sq(head="A", relation="r", tail="B")
         assert score_semantic(sq, raw, hash_encoder, default_cfg) == pytest.approx(1.0, abs=1e-9)
 
     def test_component_cosines_one_one_zero(self, default_cfg):
         encoder = _component_encoder(0.0)
-        raw, _ = _typed(WORK_SW, PRODUCT_DB, head="A", relation="r", tail="C")
+        raw = _typed(WORK_SW, PRODUCT_DB, head="A", relation="r", tail="C")
         sq = _sq(head="A", relation="r", tail="B")
         assert score_semantic(sq, raw, encoder, default_cfg) == pytest.approx(0.6, abs=1e-12)
 
@@ -121,7 +123,7 @@ class TestScoreSemantic:
         rng = np.random.default_rng(3)
         for _ in range(20):
             head, tail = f"h{rng.integers(100)}", f"t{rng.integers(100)}"
-            raw, _ = _typed(WORK_SW, PRODUCT_DB, head=head, tail=tail)
+            raw = _typed(WORK_SW, PRODUCT_DB, head=head, tail=tail)
             sq = _sq(head=f"qh{rng.integers(100)}", tail=f"qt{rng.integers(100)}")
             got = score_semantic(sq, raw, hash_encoder, default_cfg)
             cos = lambda a, b: float(
@@ -137,48 +139,48 @@ class TestScoreSemantic:
 
 class TestScoreTriple:
     def test_both_ceilings(self, default_cfg, hash_encoder):
-        raw, typed = _typed(WORK_SW, PRODUCT_DB, head="A", relation="r", tail="B")
+        triple = _typed(WORK_SW, PRODUCT_DB, head="A", relation="r", tail="B")
         sq = _sq(head="A", relation="r", tail="B")
-        match = score_triple(sq, raw, typed, default_cfg, hash_encoder)
+        match = score_triple(sq, triple, default_cfg, hash_encoder)
         assert match.s_triple == pytest.approx(1.0, abs=1e-9)
 
     def test_half_struct_point_eight_sem(self):
         # struct: head full match, tail zero -> 0.5; sem: cosines (1, 1, 0.5) -> 0.8
         cfg = _cfg()
         encoder = _component_encoder(0.5)
-        raw, typed = _typed(WORK_SW, PERSON_SCI, head="A", relation="r", tail="C")
+        triple = _typed(WORK_SW, PERSON_SCI, head="A", relation="r", tail="C")
         sq = _sq(head="A", relation="r", tail="B")
-        match = score_triple(sq, raw, typed, cfg, encoder)
+        match = score_triple(sq, triple, cfg, encoder)
         assert match.s_struct == pytest.approx(0.5, abs=1e-12)
         assert match.s_sem == pytest.approx(0.8, abs=1e-12)
         assert match.s_triple == pytest.approx(0.65, abs=1e-12)
 
     def test_alpha_one_is_structural_only(self, hash_encoder):
         cfg = _cfg(alpha=1.0)
-        raw, typed = _typed(WORK_SW, PRODUCT_DB, head="x", tail="y")
-        match = score_triple(_sq(), raw, typed, cfg, hash_encoder)
+        triple = _typed(WORK_SW, PRODUCT_DB, head="x", tail="y")
+        match = score_triple(_sq(), triple, cfg, hash_encoder)
         assert match.s_triple == match.s_struct
 
     def test_alpha_zero_is_semantic_only(self, hash_encoder):
         cfg = _cfg(alpha=0.0)
-        raw, typed = _typed(WORK_SW, PRODUCT_DB, head="x", tail="y")
-        match = score_triple(_sq(), raw, typed, cfg, hash_encoder)
+        triple = _typed(WORK_SW, PRODUCT_DB, head="x", tail="y")
+        match = score_triple(_sq(), triple, cfg, hash_encoder)
         assert match.s_triple == match.s_sem
 
     def test_mix_invariant_on_random_instances(self, hash_encoder):
         for seed in range(10):
             docs, sub_queries, cfg, _ = random_instance(seed)
             for doc in docs:
-                for i, (raw, typed) in enumerate(zip(doc.triples, doc.typed_triples)):
-                    match = score_triple(sub_queries[0], raw, typed, cfg, hash_encoder, i)
+                for i, triple in enumerate(doc.triples):
+                    match = score_triple(sub_queries[0], triple, cfg, hash_encoder, i)
                     expected = cfg.alpha * match.s_struct + (1 - cfg.alpha) * match.s_sem
                     assert match.s_triple == pytest.approx(expected, abs=1e-12)
 
 
 class TestBestTripleScore:
     def test_singleton(self, default_cfg, hash_encoder):
-        raw, typed = _typed(WORK_SW, PRODUCT_DB)
-        doc = Document(id="d1", title="", text="x", triples=[raw], typed_triples=[typed])
+        triple = _typed(WORK_SW, PRODUCT_DB)
+        doc = Document(id="d1", title="", text="x", triples=[triple])
         match = best_triple_score(_sq(), doc, default_cfg, hash_encoder)
         assert match.doc_triple_index == 0
 
@@ -187,19 +189,18 @@ class TestBestTripleScore:
         labels = [WORK_SW, PRODUCT_DB, PERSON_SCI, ORG_COMPANY, ORG_UNI]
         doc = Document(id="d1", title="", text="x")
         for i in range(5):
-            raw, typed = _typed(
+            triple = _typed(
                 labels[int(rng.integers(5))],
                 labels[int(rng.integers(5))],
                 head=f"h{i}",
                 tail=f"t{i}",
             )
-            doc.triples.append(raw)
-            doc.typed_triples.append(typed)
+            doc.triples.append(triple)
         sq = _sq()
         best = best_triple_score(sq, doc, default_cfg, hash_encoder)
         scores = [
-            score_triple(sq, raw, typed, default_cfg, hash_encoder, i).s_triple
-            for i, (raw, typed) in enumerate(zip(doc.triples, doc.typed_triples))
+            score_triple(sq, triple, default_cfg, hash_encoder, i).s_triple
+            for i, triple in enumerate(doc.triples)
         ]
         assert best.s_triple == max(scores)
         assert best.doc_triple_index == int(np.argmax(scores))
@@ -218,8 +219,8 @@ class TestAggregateDocumentScore:
         assert got == pytest.approx(0.80, abs=1e-12)
 
     def test_single_subquery_equals_best_for_any_gamma(self, hash_encoder):
-        raw, typed = _typed(WORK_SW, PRODUCT_DB)
-        doc = Document(id="d1", title="", text="x", triples=[raw], typed_triples=[typed])
+        triple = _typed(WORK_SW, PRODUCT_DB)
+        doc = Document(id="d1", title="", text="x", triples=[triple])
         sq = _sq()
         for gamma in (0.0, 0.3, 1.0):
             cfg = _cfg(gamma=gamma)
@@ -271,11 +272,10 @@ class TestFilterAndRank:
             filter_and_rank([], [_sq()], default_cfg, hash_encoder)
 
     def test_tie_break_doc_id_ascending(self, default_cfg, hash_encoder):
-        raw1, typed1 = _typed(WORK_SW, PRODUCT_DB, doc="zz")
-        raw2 = Triple(raw1.head, raw1.relation, raw1.tail, "aa")
-        typed2 = TypedTriple(WORK_SW, raw1.relation, PRODUCT_DB, raw2)
-        doc_z = Document(id="zz", title="", text="x", triples=[raw1], typed_triples=[typed1])
-        doc_a = Document(id="aa", title="", text="x", triples=[raw2], typed_triples=[typed2])
+        triple_z = _typed(WORK_SW, PRODUCT_DB, doc="zz")
+        triple_a = _typed(WORK_SW, PRODUCT_DB, doc="aa")
+        doc_z = Document(id="zz", title="", text="x", triples=[triple_z])
+        doc_a = Document(id="aa", title="", text="x", triples=[triple_a])
         ranked = filter_and_rank([doc_z, doc_a], [_sq()], default_cfg, hash_encoder)
         assert [d.doc_id for d in ranked.documents] == ["aa", "zz"]
 

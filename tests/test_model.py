@@ -1,15 +1,15 @@
+import dataclasses
+
 import pytest
 
 from tasr.errors import DuplicateBinding, InvalidEntity
 from tasr.model import (
     BindingTable,
-    Document,
     Entity,
     Slot,
     SubQuery,
     TaxonomyLabel,
     Triple,
-    TypedTriple,
     normalize_variable_name,
 )
 
@@ -29,17 +29,16 @@ class TestTriple:
         triple = Triple(Entity("a"), "developed_by", Entity("b"))
         assert triple.relation == "developed_by"
 
-    def test_typed_triple_requires_matching_relation(self):
-        base = Triple(Entity("a"), "uses", Entity("b"))
-        label = TaxonomyLabel("OTHER", "Other")
-        with pytest.raises(ValueError):
-            TypedTriple(head_type=label, relation="used_by", tail_type=label, base=base)
+    def test_types_carried_as_on_subquery(self):
+        def type_fields(cls):
+            return {f.name: (f.type, f.default) for f in dataclasses.fields(cls) if "type" in f.name}
 
-    def test_typed_triple_preserves_relation(self):
-        base = Triple(Entity("a"), "uses", Entity("b"))
+        assert type_fields(Triple) == type_fields(SubQuery)
+        assert set(type_fields(Triple)) == {"head_type", "tail_type"}
         label = TaxonomyLabel("OTHER", "Other")
-        typed = TypedTriple(head_type=label, relation="uses", tail_type=label, base=base)
-        assert typed.relation == base.relation
+        triple = Triple(Entity("a"), "r", Entity("b"), head_type=label, tail_type=label)
+        assert triple.key() == ("a", "r", "b")
+
 
 
 class TestSlot:
@@ -87,33 +86,6 @@ class TestBindingTable:
         table.insert("?B", "2")
         table.insert("?A", "1")
         assert list(table.as_dict()) == ["?B", "?A"]
-
-
-class TestDocument:
-    def test_aligned_check_passes_when_equal(self):
-        base = Triple(Entity("a"), "r", Entity("b"))
-        label = TaxonomyLabel("OTHER", "Other")
-        doc = Document(
-            id="d",
-            title="t",
-            text="x",
-            triples=[base],
-            typed_triples=[TypedTriple(label, "r", label, base)],
-        )
-        doc.check_aligned()
-
-    def test_misaligned_rejected(self):
-        base = Triple(Entity("a"), "r", Entity("b"))
-        label = TaxonomyLabel("OTHER", "Other")
-        doc = Document(
-            id="d",
-            title="t",
-            text="x",
-            triples=[],
-            typed_triples=[TypedTriple(label, "r", label, base)],
-        )
-        with pytest.raises(ValueError):
-            doc.check_aligned()
 
 
 class TestSubQuery:

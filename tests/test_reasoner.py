@@ -13,7 +13,6 @@ from tasr.model import (
     SubQuery,
     TaxonomyLabel,
     Triple,
-    TypedTriple,
 )
 from tasr.reasoner import Pipeline, answer_subquery, bind, resolve
 
@@ -278,7 +277,7 @@ class TestPreExtract:
             pre_extract=True,
         )
         assert [(d.id, d.title, d.text) for d in toy_corpus] == before
-        assert all(d.triples == [] and d.typed_triples == [] for d in toy_corpus)
+        assert all(d.triples == [] for d in toy_corpus)
 
 
 class TestThreeHopChain:
@@ -336,16 +335,8 @@ class TestThreeHopChain:
         chain = [("alpha", "beta", "dA"), ("beta", "gamma", "dB"), ("gamma", "delta", "dC")]
         docs = []
         for head, tail, doc_id in chain:
-            raw = Triple(Entity(head), "linked_to", Entity(tail), doc_id)
-            docs.append(
-                Document(
-                    id=doc_id,
-                    title="",
-                    text="",
-                    triples=[raw],
-                    typed_triples=[TypedTriple(label, "linked_to", label, raw)],
-                )
-            )
+            triple = Triple(Entity(head), "linked_to", Entity(tail), doc_id, label, label)
+            docs.append(Document(id=doc_id, title="", text="", triples=[triple]))
         for hop in trace.hops:
             resolved = hop.resolved
             kept, all_ranked, fallback = brute_force_rank(docs, [resolved], cfg, hash_encoder)

@@ -117,13 +117,16 @@ class TestTypeDocumentTriples:
             validate_config(PipelineConfig()),
         )
 
-    def test_relation_preserved_and_aligned(self, taxonomy, hash_encoder):
+    def test_returns_typed_copies_and_leaves_input_untyped(self, taxonomy, hash_encoder):
         typer = self._typer(taxonomy, hash_encoder, EchoSelectBackend())
         triples = [Triple(Entity("alpha"), "uses", Entity("beta"), "d")]
         typed = type_document_triples(triples, typer)
         assert len(typed) == 1
-        assert typed[0].relation == "uses"
-        assert typed[0].base is triples[0]
+        assert typed[0].key() == triples[0].key()
+        assert typed[0].source_doc == "d"
+        assert typed[0].head_type == typer.type_entity(Entity("alpha"))
+        assert typed[0].tail_type == typer.type_entity(Entity("beta"))
+        assert triples[0].head_type is None and triples[0].tail_type is None
 
     def test_empty_list(self, taxonomy, hash_encoder):
         typer = self._typer(taxonomy, hash_encoder, EchoSelectBackend())
