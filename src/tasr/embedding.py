@@ -20,6 +20,7 @@ from tasr.config import PipelineConfig
 from tasr.errors import DimensionMismatch, EmptyIndex, EncoderCacheError, EncoderUnavailable
 from tasr.model import Document
 
+CORPUS_CHUNK = 256  # texts per encoder request while building the corpus matrix
 
 class EncoderClient(Protocol):
     def encode(self, texts: Sequence[str]) -> list[np.ndarray]:
@@ -92,18 +93,25 @@ class CachingEncoder:
         if self._cache_path and self._cache_path.exists():
             self._admit(*_read_cache(self._cache_path), persist=False)
 
-    def encode(self, texts: Sequence[str]) -> list[np.ndarray]:
+    def encode(self, texts: Sequence[str], keep: bool = True) -> list[np.ndarray]:
+        """One vector per text. ``keep=False`` checks and persists fresh vectors but
+        leaves them out of the memo, for texts encoded once (the corpus)."""
         missing = [t for t in dict.fromkeys(texts) if t not in self._cache]
+        fresh: dict[str, np.ndarray] = {}
         if missing:
-            fresh = self.client.encode(missing)
+            vectors = self.client.encode(missing)
             with self._lock:
-                self._admit(missing, fresh, persist=True)
-        return [self._cache[t] for t in texts]
+                self._admit(missing, vectors, persist=True, keep=keep)
+            if not keep:
+                fresh = dict(zip(missing, vectors))
+        return [fresh[t] if t in fresh else self._cache[t] for t in texts]
 
     def encode_one(self, text: str) -> np.ndarray:
         return self.encode([text])[0]
 
-    def _admit(self, texts: list[str], vectors: Sequence[np.ndarray], persist: bool) -> None:
+    def _admit(
+        self, texts: list[str], vectors: Sequence[np.ndarray], persist: bool, keep: bool = True
+    ) -> None:
         """Check a batch against the contract, then store it; the caller holds the lock."""
         if len(vectors) != len(texts):
             raise EncoderUnavailable(
@@ -120,7 +128,8 @@ class CachingEncoder:
         if shapes:
             self._shape = shapes.pop()
         new = [(t, v) for t, v in zip(texts, vectors) if t not in self._cache]
-        self._cache.update(new)
+        if keep:
+            self._cache.update(new)
         if persist and self._cache_path and new:
             with self._cache_path.open("a", encoding="utf-8") as fh:
                 for text, vec in new:
@@ -164,6 +173,13 @@ class VectorIndex:
     def __len__(self) -> int:
         return len(self.keys)
 
+    @classmethod
+    def from_matrix(cls, keys: list[str], matrix: np.ndarray) -> "VectorIndex":
+        """An index over the rows of a float64 ``matrix``, one per key, used without a copy."""
+        index = cls([])
+        index.keys, index._matrix = keys, matrix
+        return index
+
     def search(self, query: np.ndarray, k: int) -> list[tuple[str, float]]:
         """Top-k by inner product, descending; ties broken by key ascending."""
         if not self.keys:
@@ -171,21 +187,33 @@ class VectorIndex:
         if k < 1:
             raise ValueError("k must be positive")
         scores = self._matrix @ np.asarray(query, dtype=np.float64)
-        order = sorted(range(len(self.keys)), key=lambda i: (-scores[i], self.keys[i]))
-        return [(self.keys[i], float(scores[i])) for i in order[: min(k, len(self.keys))]]
+        k = min(k, len(self.keys))
+        # only keys scoring at least the k-th best can place; all keys tied with it compete
+        kth_best = np.partition(scores, -k)[-k]
+        candidates = np.flatnonzero(scores >= kth_best)
+        order = sorted(candidates, key=lambda i: (-scores[i], self.keys[i]))
+        return [(self.keys[i], float(scores[i])) for i in order[:k]]
 
 
 class CorpusIndex:
-    """Dense document index built over ``title\\n\\ntext``."""
+    """Dense document index built over ``title\\n\\ntext``.
+
+    Texts are encoded in chunks of :data:`CORPUS_CHUNK` straight into one
+    float64 matrix; the encoder memo does not keep them, so each vector is
+    held once.
+    """
 
     def __init__(self, documents: Sequence[Document], encoder: CachingEncoder) -> None:
         self.documents = {d.id: d for d in documents}
         self.encoder = encoder
-        if not documents:
-            self.index = VectorIndex([])
-        else:
-            vectors = encoder.encode([d.embedding_text() for d in documents])
-            self.index = VectorIndex(list(zip([d.id for d in documents], vectors)))
+        texts = [d.embedding_text() for d in documents]
+        matrix = np.zeros((0, 0))
+        for start in range(0, len(texts), CORPUS_CHUNK):
+            vectors = encoder.encode(texts[start : start + CORPUS_CHUNK], keep=False)
+            if start == 0:
+                matrix = np.empty((len(texts), len(vectors[0])))
+            matrix[start : start + len(vectors)] = vectors
+        self.index = VectorIndex.from_matrix([d.id for d in documents], matrix)
 
 
 def dense_retrieve(query: str, corpus: CorpusIndex, cfg: PipelineConfig) -> list[Document]:

@@ -77,11 +77,8 @@ def load_dataset(path: str | Path) -> list[QaExample]:
     seen: set[str] = set()
 
     def example(record: dict) -> QaExample:
-        question_id = str(record["id"])
-        if question_id in seen:
-            raise DatasetParseError(f"duplicate id {question_id!r}")
-        seen.add(question_id)
         answers = tuple(str(a) for a in record["answers"])
+        question_id = _new_id(seen, str(record["id"]))
         return QaExample(id=question_id, question=str(record["question"]), answers=answers)
 
     examples = _read_jsonl(
@@ -93,11 +90,25 @@ def load_dataset(path: str | Path) -> list[QaExample]:
 
 
 def load_predictions(path: str | Path) -> list[dict]:
-    """Predictions JSONL as ``tasr run`` writes it: one ``{"id", "answer"}`` object per line."""
-    records = _read_jsonl(path, "predictions", {"id": object})
-    if not all(isinstance(record.get("answer", ""), str) for record in records):
-        raise DatasetParseError(f"predictions {path}: every answer must be a string")
-    return records
+    """Predictions JSONL as ``tasr run`` writes it: one ``{"id", "answer"}`` object per line;
+    ids are unique."""
+    seen: set[str] = set()
+
+    def prediction(record: dict) -> dict:
+        if not isinstance(record.get("answer", ""), str):
+            raise DatasetParseError("answer must be a string")
+        _new_id(seen, record["id"])
+        return record
+
+    return _read_jsonl(path, "predictions", {"id": str}, prediction)
+
+
+def _new_id(seen: set, record_id):
+    """``record_id``, added to ``seen``; an id already there is a DatasetParseError."""
+    if record_id in seen:
+        raise DatasetParseError(f"duplicate id {record_id!r}")
+    seen.add(record_id)
+    return record_id
 
 
 def _read_jsonl(path: str | Path, what: str, fields: dict[str, type], make=lambda r: r) -> list:
@@ -183,8 +194,15 @@ def run_benchmark(
 def score_predictions(
     predictions: Sequence[dict[str, str]], dataset: Sequence[QaExample]
 ) -> EvalReport:
-    """Score an existing predictions list against the dataset golds."""
+    """Score an existing predictions list against the dataset golds.
+
+    Every prediction id must name an example of the dataset.
+    """
     by_id = {p["id"]: p.get("answer", "") for p in predictions}
+    known = {ex.id for ex in dataset}
+    for prediction_id in by_id:
+        if prediction_id not in known:
+            raise DatasetParseError(f"prediction id {prediction_id!r} is not in the dataset")
     return _report(
         [_score_example(ex, by_id.get(ex.id), error="missing prediction") for ex in dataset],
         fallback_count=0,

@@ -1,7 +1,8 @@
 """Sequential multi-hop reasoning with an explicit entity binding table.
 
-One query runs as: dense retrieval, document structuring (triples + types),
-query decomposition (typed sub-queries), then a strictly sequential loop over
+One query runs as: dense retrieval, triple extraction from each document in
+pool order, query decomposition, one typing batch over the entities of the
+document triples and sub-queries, then a strictly sequential loop over
 sub-queries: resolve bound variables, rerank the fixed candidate pool, answer
 the hop, bind its latent variable. The final answer is the last hop's answer.
 """
@@ -28,10 +29,12 @@ from tasr.structurer import (
     Decomposition,
     decompose_query,
     extract_triples,
+    subquery_typing_jobs,
+    triple_typing_jobs,
     type_document_triples,
     type_subqueries,
 )
-from tasr.taxonomy import EntityTyper, Taxonomy, TypeEmbeddingIndex
+from tasr.taxonomy import EntityTyper, Taxonomy, TypeEmbeddingIndex, TypingJob
 
 ANSWER_SYSTEM = "You answer relational sub-queries from the given documents."
 
@@ -85,19 +88,29 @@ def answer_subquery(resolved: SubQuery, docs: Sequence[Document], gateway: Gatew
     return json_field("answer", parsed, "answer", str).strip()
 
 
-def structure_documents(
-    docs: Sequence[Document], query: Optional[str], gateway: Gateway, typer: EntityTyper
+def extract_documents(
+    docs: Sequence[Document], query: Optional[str], gateway: Gateway
 ) -> list[Document]:
-    """Structured copies of the documents, each holding its extracted, typed triples.
+    """Copies of the documents holding their extracted, untyped triples, in doc order.
 
     ``query`` conditions extraction on the question; None pre-extracts without it.
     The caller's documents are left untouched.
     """
-    structured = []
-    for doc in docs:
-        triples = type_document_triples(extract_triples(doc, query, gateway), typer, doc.title)
-        structured.append(dataclasses.replace(doc, triples=triples))
-    return structured
+    return [dataclasses.replace(doc, triples=extract_triples(doc, query, gateway)) for doc in docs]
+
+
+def document_typing_jobs(docs: Sequence[Document]) -> list[TypingJob]:
+    """The typing jobs of every document's triples, in doc order, with the title as context."""
+    return [job for doc in docs for job in triple_typing_jobs(doc.triples, doc.title)]
+
+
+def type_documents(docs: Sequence[Document], typer: EntityTyper) -> list[Document]:
+    """Copies of the documents with every triple typed, in one typing batch."""
+    typer.type_all(document_typing_jobs(docs))
+    return [
+        dataclasses.replace(doc, triples=type_document_triples(doc.triples, typer, doc.title))
+        for doc in docs
+    ]
 
 
 class Pipeline:
@@ -121,7 +134,7 @@ class Pipeline:
         self.startup_events: list[str] = []
         if pre_extract:
             typer = EntityTyper(taxonomy, self.type_index, gateway, cfg)
-            documents = structure_documents(documents, None, gateway, typer)
+            documents = type_documents(extract_documents(documents, None, gateway), typer)
             self.startup_events.extend(typer.events)
         self.corpus = CorpusIndex(documents, encoder)
 
@@ -138,12 +151,17 @@ class Pipeline:
         trace.pool_ids = [d.id for d in pool]
         typer = EntityTyper(self.taxonomy, self.type_index, self.gateway, self.cfg)
 
-        if not self.pre_extract:
+        if self.pre_extract:
+            decomposition = decompose_query(question, self.gateway)
+        else:
             # per-query copies: extraction is query-conditioned
-            pool = structure_documents(pool, question, self.gateway, typer)
+            pool = extract_documents(pool, question, self.gateway)
+            decomposition = decompose_query(question, self.gateway)
+            # one batch types the entities of the documents and of the sub-queries
+            typer.type_all(document_typing_jobs(pool) + subquery_typing_jobs(decomposition))
+            pool = type_documents(pool, typer)
+        decomposition = type_subqueries(decomposition, typer)
         pool_by_id = {d.id: d for d in pool}
-
-        decomposition = type_subqueries(decompose_query(question, self.gateway), typer)
 
         bindings = BindingTable()
         answer = ""

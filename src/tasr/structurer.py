@@ -7,7 +7,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional
 
-from tasr.errors import InvalidDecomposition, LlmProtocolError
+from tasr.errors import InvalidDecomposition, LlmProtocolError, TasrError
 from tasr.llm import Gateway, json_field, load_prompt
 from tasr.model import (
     Document,
@@ -17,7 +17,7 @@ from tasr.model import (
     Triple,
     normalize_variable_name,
 )
-from tasr.taxonomy import EntityTyper
+from tasr.taxonomy import EntityTyper, TypingJob
 
 EXTRACT_SYSTEM = "You extract relational triples from documents."
 DECOMPOSE_SYSTEM = "You decompose questions into ordered relational sub-queries."
@@ -73,15 +73,21 @@ def _triple_fields(role_tag: str, item: object) -> tuple[str, str, str]:
     )
 
 
+def triple_typing_jobs(triples: list[Triple], context: Optional[str] = None) -> list[TypingJob]:
+    """Head then tail of each triple, in order, each shown with ``context``."""
+    return [(entity, context) for triple in triples for entity in (triple.head, triple.tail)]
+
+
 def type_document_triples(
     triples: list[Triple], typer: EntityTyper, context: Optional[str] = None
 ) -> list[Triple]:
     """Typed copies of the triples: both entities get labels, relations are untouched."""
+    typer.type_all(triple_typing_jobs(triples, context))
     return [
         dataclasses.replace(
             triple,
-            head_type=typer.type_entity(triple.head, context=context),
-            tail_type=typer.type_entity(triple.tail, context=context),
+            head_type=typer.type_entity(triple.head),
+            tail_type=typer.type_entity(triple.tail),
         )
         for triple in triples
     ]
@@ -90,7 +96,7 @@ def type_document_triples(
 def decompose_query(query: str, gateway: Gateway) -> Decomposition:
     """Decompose a question into an ordered chain of sub-queries with latent slots."""
     if not query.strip():
-        raise ValueError("query is empty")
+        raise TasrError("query is empty")
     prompt = load_prompt("decompose").format(question=query)
     parsed = gateway.call("decompose", DECOMPOSE_SYSTEM, prompt)
     sub_queries: list[SubQuery] = []
@@ -140,21 +146,30 @@ def validate_chain(sub_queries: list[SubQuery]) -> None:
         produced.update(new)
 
 
-def type_subqueries(dec: Decomposition, typer: EntityTyper) -> Decomposition:
-    """Assign taxonomy labels to every slot of every sub-query.
+def subquery_typing_jobs(dec: Decomposition) -> list[TypingJob]:
+    """Head then tail slot of each sub-query, in order, with no context.
 
     Bound slots are typed from their surface text; latent slots from the
     variable name plus its type hint.
     """
-    typed = []
-    for sq in dec.sub_queries:
-        typed.append(
-            dataclasses.replace(
-                sq,
-                head_type=_slot_label(sq.head, dec.type_hints, typer),
-                tail_type=_slot_label(sq.tail, dec.type_hints, typer),
-            )
+    return [
+        (_slot_entity(slot, dec.type_hints), None)
+        for sq in dec.sub_queries
+        for slot in (sq.head, sq.tail)
+    ]
+
+
+def type_subqueries(dec: Decomposition, typer: EntityTyper) -> Decomposition:
+    """Assign taxonomy labels to every slot of every sub-query."""
+    typer.type_all(subquery_typing_jobs(dec))
+    typed = [
+        dataclasses.replace(
+            sq,
+            head_type=typer.type_entity(_slot_entity(sq.head, dec.type_hints)),
+            tail_type=typer.type_entity(_slot_entity(sq.tail, dec.type_hints)),
         )
+        for sq in dec.sub_queries
+    ]
     return Decomposition(sub_queries=typed, type_hints=dict(dec.type_hints))
 
 
@@ -166,10 +181,10 @@ def variable_description(name: str, hint: Optional[str]) -> str:
     return _humanize_variable(name)
 
 
-def _slot_label(slot: Slot, hints: dict[str, str], typer: EntityTyper):
+def _slot_entity(slot: Slot, hints: dict[str, str]) -> Entity:
     if slot.latent:
-        return typer.type_entity(Entity(variable_description(slot.text, hints.get(slot.text))))
-    return typer.type_entity(Entity(slot.text))
+        return Entity(variable_description(slot.text, hints.get(slot.text)))
+    return Entity(slot.text)
 
 
 def _humanize_variable(name: str) -> str:

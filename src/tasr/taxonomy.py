@@ -8,18 +8,21 @@ Typing an entity takes the cheapest path that fires:
    first-level class and then the (first, second) pair.
 
 Results are memoized per surface string, so an entity recurring across
-document triples and sub-queries is typed once.
+document triples and sub-queries is typed once. :meth:`EntityTyper.type_all`
+types a batch of (entity, context) jobs: the first job of each surface not yet
+memoized is typed, up to :data:`TYPING_WORKERS` at a time on a thread pool, and
+labels and fallback events are recorded in job order on the calling thread.
 """
 
 from __future__ import annotations
 
 import json
 import re
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from tasr.config import PipelineConfig
 from tasr.embedding import CachingEncoder, VectorIndex
@@ -33,6 +36,9 @@ from tasr.llm import Gateway, load_prompt
 from tasr.model import Entity, TaxonomyLabel
 
 TYPE_SELECT_SYSTEM = "You assign entity types from a fixed two-level taxonomy."
+TYPING_WORKERS = 8  # threads one typing batch runs on (per question in flight)
+
+TypingJob = tuple[Entity, Optional[str]]  # an entity and the context its prompt shows
 
 
 @dataclass(frozen=True)
@@ -157,7 +163,8 @@ class EntityTyper:
 
     ``events`` records every fallback taken (LLM protocol failure or
     out-of-vocabulary label), so traces can expose them. Retrieval mode needs
-    the label index; pure mode shows full label lists and needs none.
+    the label index; pure mode shows full label lists and needs none. The memo
+    and ``events`` are written only by the thread that calls :meth:`type_all`.
     """
 
     def __init__(
@@ -175,12 +182,37 @@ class EntityTyper:
         self.cfg = cfg
         self.events: list[str] = []
         self._memo: dict[str, TaxonomyLabel] = {}
-        self._lock = threading.Lock()
+
+    def type_all(self, jobs: Iterable[TypingJob]) -> None:
+        """Memoize a label for every surface of ``jobs``; a surface is typed with the
+        context of its first job.
+
+        New surfaces are typed concurrently, but their labels and fallback events
+        are recorded in job order, so the outcome does not depend on thread
+        timing. When jobs fail, the first failing job in job order raises.
+        """
+        fresh: dict[str, TypingJob] = {}
+        for entity, context in jobs:
+            if entity.surface not in self._memo:
+                fresh.setdefault(entity.surface, (entity, context))
+        if not fresh:
+            return
+        with ThreadPoolExecutor(min(TYPING_WORKERS, len(fresh))) as pool:
+            # map yields in job order; a failure cancels the later jobs not yet started
+            typed = list(pool.map(lambda job: self._type_new(*job), fresh.values()))
+        for surface, (label, events) in zip(fresh, typed):
+            self._memo[surface] = label
+            self.events.extend(events)
 
     def type_entity(self, entity: Entity, context: Optional[str] = None) -> TaxonomyLabel:
-        cached = self._memo.get(entity.surface)
-        if cached is not None:
-            return cached
+        self.type_all([(entity, context)])
+        return self._memo[entity.surface]
+
+    def _type_new(
+        self, entity: Entity, context: Optional[str]
+    ) -> tuple[TaxonomyLabel, list[str]]:
+        """The label of an entity the memo lacks, and the fallback events it took."""
+        events: list[str] = []
         label = rule_type_entity(entity)
         if label is None:
             if self.cfg.typing_mode == "pure":
@@ -188,18 +220,20 @@ class EntityTyper:
             else:
                 hits = self.index.top_l1(entity.surface, self.cfg.n_l1_candidates)
                 l1_candidates = [l1 for l1, _ in hits]
-            label = self.select_type(entity, l1_candidates, context=context)
-        with self._lock:
-            self._memo[entity.surface] = label
-        return label
+            label = self.select_type(entity, l1_candidates, events, context=context)
+        return label, events
 
     def select_type(
         self,
         entity: Entity,
         l1_candidates: list[str],
+        events: list[str],
         context: Optional[str] = None,
     ) -> TaxonomyLabel:
-        """Two-stage selection: keep first-level labels, then pick the final pair."""
+        """Two-stage selection: keep first-level labels, then pick the final pair.
+
+        Each fallback taken is appended to ``events``.
+        """
         if not l1_candidates:
             raise ValueError("select_type requires non-empty candidates")
         keep = 1 if self.cfg.typing_mode == "pure" else self.cfg.l1_keep
@@ -211,7 +245,7 @@ class EntityTyper:
             context_block=context_block,
         )
         kept = self._ask(
-            entity, 1, prompt, "\n\nOnly use labels from the candidate list.",
+            entity, 1, prompt, "\n\nOnly use labels from the candidate list.", events,
             lambda parsed: self._known_l1(parsed)[:keep],
         ) or l1_candidates[:keep]
         if self.cfg.typing_mode == "pure":
@@ -227,12 +261,14 @@ class EntityTyper:
             context_block=context_block,
         )
         pair = self._ask(
-            entity, 2, prompt, "\n\nOnly use a candidate pair from the list.",
+            entity, 2, prompt, "\n\nOnly use a candidate pair from the list.", events,
             lambda parsed: _offered_pair(parsed, offered),
         ) or max(union, key=lambda item: item[2])[:2]
         return TaxonomyLabel(*pair)
 
-    def _ask(self, entity: Entity, stage: int, prompt: str, hint: str, pick: Callable) -> Any:
+    def _ask(
+        self, entity: Entity, stage: int, prompt: str, hint: str, events: list[str], pick: Callable
+    ) -> Any:
         """``pick`` of the reply, asking once more with ``hint`` if empty; None on fallback."""
         for attempt in range(2):
             try:
@@ -244,7 +280,7 @@ class EntityTyper:
                 return picked
             if attempt == 0:
                 prompt += hint
-        self.events.append(f"type_select fallback (stage {stage}) for entity {entity.surface!r}")
+        events.append(f"type_select fallback (stage {stage}) for entity {entity.surface!r}")
         return None
 
     def _known_l1(self, parsed: Any) -> list[str]:

@@ -193,6 +193,10 @@ _NO_TAIL = {"head": "a", "relation": "r", "head_type": ["X", "Y"], "tail_type": 
         pytest.param("eval", "[1, 2]\n", id="eval-non-object-line"),
         pytest.param("eval", '{"answer": "x"}\n', id="eval-record-without-id"),
         pytest.param("eval", '{"id": "q1", "answer": 5}\n', id="eval-non-string-answer"),
+        pytest.param("eval", '{"id": "q1", "answer": "x"}\n{"id": "q1", "answer": "y"}\n',
+                     id="eval-duplicate-id"),
+        pytest.param("eval", '{"id": "q1", "answer": "x"}\n{"id": "zz", "answer": "y"}\n',
+                     id="eval-id-not-in-dataset"),
         pytest.param("match", json.dumps(_NO_TAIL), id="match-subquery-without-tail"),
         pytest.param("match", None, id="match-missing-subquery-file"),
         pytest.param("config", None, id="config-missing-file"),

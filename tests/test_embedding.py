@@ -6,7 +6,10 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from tasr import embedding
 from tasr.config import PipelineConfig
 from tasr.embedding import (
     CachingEncoder,
@@ -225,6 +228,68 @@ class TestVectorIndexSearch:
             assert [key for key, _ in got] == [key for key, _ in expected]
             for (_, a), (_, b) in zip(got, expected):
                 assert a == pytest.approx(b, abs=1e-12)
+
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        rows=st.lists(st.integers(0, 3), min_size=1, max_size=40),
+        k=st.integers(1, 45),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_ties_at_the_cut_break_by_key(self, rows, k, seed):
+        # few distinct vectors, so many keys tie with the k-th score
+        rng = np.random.default_rng(seed)
+        distinct = [normalize(rng.standard_normal(4)) for _ in range(4)]
+        keys = [f"k{i:02d}" for i in rng.permutation(len(rows))]
+        index = VectorIndex([(key, distinct[row]) for key, row in zip(keys, rows)])
+        query = normalize(rng.standard_normal(4))
+        scores = {key: float(distinct[row] @ query) for key, row in zip(keys, rows)}
+        expected = sorted(keys, key=lambda key: (-scores[key], key))[:k]
+        assert [key for key, _ in index.search(query, k)] == expected
+
+
+class Float32Client:
+    """Returns float32 vectors and counts the texts it is asked for."""
+
+    def __init__(self, dim: int = 8) -> None:
+        self.seen: list[str] = []
+        self._inner = HashEncoderClient(dim=dim)
+
+    def encode(self, texts):
+        self.seen.extend(texts)
+        return [v.astype(np.float32) for v in self._inner.encode(texts)]
+
+
+class TestCorpusIndex:
+    _docs = [Document(id=f"d{i}", title=f"title {i}", text=f"body {i}") for i in range(10)]
+
+    @pytest.fixture(autouse=True)
+    def small_chunks(self, monkeypatch):
+        monkeypatch.setattr(embedding, "CORPUS_CHUNK", 4)  # three chunks, the last one short
+
+    def test_matrix_is_one_exact_cast_of_the_vectors(self):
+        corpus = CorpusIndex(self._docs, CachingEncoder(Float32Client()))
+        texts = [d.embedding_text() for d in self._docs]
+        expected = np.array(Float32Client().encode(texts), dtype=np.float64)
+        assert corpus.index._matrix.dtype == np.float64
+        assert corpus.index._matrix.tobytes() == expected.tobytes()
+        assert corpus.index.keys == [d.id for d in self._docs]
+
+    def test_corpus_texts_stay_out_of_the_memo(self):
+        client = Float32Client()
+        encoder = CachingEncoder(client)
+        CorpusIndex(self._docs, encoder)
+        text = self._docs[0].embedding_text()
+        encoder.encode_one(text)
+        assert client.seen.count(text) == 2
+
+    def test_second_build_over_the_disk_cache_calls_no_client(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        first = CorpusIndex(self._docs, CachingEncoder(Float32Client(), cache_path=path))
+        client = Float32Client()
+        second = CorpusIndex(self._docs, CachingEncoder(client, cache_path=path))
+        assert client.seen == []
+        assert np.array_equal(first.index._matrix, second.index._matrix)
 
 
 class TestDenseRetrieve:

@@ -1,6 +1,12 @@
 import copy
+import functools
 import hashlib
 import json
+import tempfile
+import time
+import zlib
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -61,6 +67,11 @@ class TestLoaders:
             load_dataset(path)
 
 
+def _untyped(stream):
+    """The requests of a stream that are not type selections, in order."""
+    return [request for request in stream if request[0] != "type_select"]
+
+
 class TestRunBenchmark:
     def test_toy_benchmark_hand_scored(self, toy_pipeline, toy_dataset):
         run = run_benchmark(toy_dataset, toy_pipeline)
@@ -114,17 +125,29 @@ class TestRunBenchmark:
     def test_request_stream_matches_golden(
         self, mode, toy_corpus, taxonomy, hash_encoder, toy_backend, default_cfg, toy_dataset
     ):
-        # every request the toy run sends, in order: its role and a sha256 of both prompts
+        # every request the toy run sends: its role and a sha256 of both prompts. Typing
+        # requests run concurrently, so only the other requests keep a fixed order.
         pipeline = Pipeline(
             toy_corpus, taxonomy, hash_encoder, Gateway(backend=toy_backend), default_cfg,
             pre_extract=mode == "pre_extract",
         )
         run_benchmark(toy_dataset, pipeline)
         stream = [
-            [req.role_tag, hashlib.sha256(f"{req.system_prompt}\0{req.user_prompt}".encode()).hexdigest()]
+            (req.role_tag, hashlib.sha256(f"{req.system_prompt}\0{req.user_prompt}".encode()).hexdigest())
             for req in toy_backend.calls
         ]
-        assert stream == json.loads((DATA / "request_stream.json").read_text())[mode]
+        golden = [tuple(request) for request in json.loads((DATA / "request_stream.json").read_text())[mode]]
+        assert Counter(stream) == Counter(golden)
+        assert _untyped(stream) == _untyped(golden)
+
+    @pytest.mark.parametrize("mode", ["plain", "pre_extract"])
+    @settings(max_examples=12, deadline=None)
+    @given(
+        delays_ms=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=8),
+        parallel=st.sampled_from([1, 2]),
+    )
+    def test_outputs_do_not_depend_on_request_timing(self, mode, delays_ms, parallel):
+        assert _toy_run(mode, delays_ms, parallel) == _undelayed_toy_run(mode)
 
     def test_traces_written_per_question(self, toy_pipeline, toy_dataset, tmp_path):
         run_benchmark(toy_dataset, toy_pipeline, trace_dir=tmp_path)
@@ -137,6 +160,44 @@ class TestRunBenchmark:
             "?Company": "MySQL AB",
         }
         assert len(trace["sub_queries"]) == 2
+
+
+class DelayedBackend:
+    """The toy script, sleeping a drawn time per request: the prompt's hash picks the delay."""
+
+    def __init__(self, delays_ms):
+        self.inner = load_script(FIXTURES / "llm_script.json")
+        self.delays_s = [ms / 1000.0 for ms in delays_ms]
+
+    def complete(self, req):
+        time.sleep(self.delays_s[zlib.crc32(req.user_prompt.encode()) % len(self.delays_s)])
+        return self.inner.complete(req)
+
+
+def _toy_run(mode, delays_ms, parallel):
+    """Predictions, report, traces and request multiset of one toy run."""
+    backend = DelayedBackend(delays_ms)
+    pipeline = Pipeline(
+        load_corpus(FIXTURES / "corpus.jsonl"),
+        load_default_taxonomy(),
+        CachingEncoder(HashEncoderClient()),
+        Gateway(backend=backend),
+        validate_config(PipelineConfig()),
+        pre_extract=mode == "pre_extract",
+    )
+    with tempfile.TemporaryDirectory() as trace_dir:
+        run = run_benchmark(
+            load_dataset(FIXTURES / "questions.jsonl"), pipeline, trace_dir=trace_dir,
+            parallel=parallel,
+        )
+        traces = {p.name: json.loads(p.read_text()) for p in Path(trace_dir).iterdir()}
+    requests = Counter((r.role_tag, r.system_prompt, r.user_prompt) for r in backend.inner.calls)
+    return run.predictions, run.report.to_dict(), traces, requests
+
+
+@functools.lru_cache(maxsize=None)
+def _undelayed_toy_run(mode):
+    return _toy_run(mode, [0.0], 1)
 
 
 class TestScorePredictions:

@@ -220,6 +220,10 @@ class TestRunQueryGolden:
         assert exc.value.trace is not None
         assert exc.value.trace.pool_ids  # retrieval happened before the failure
 
+    def test_blank_question_is_a_query_failure(self, toy_pipeline):
+        with pytest.raises(QueryFailure, match="query is empty"):
+            toy_pipeline.run_query("   ")
+
 
 class TestHopScope:
     def test_chain_scope_keeps_earlier_hop_documents(

@@ -1,12 +1,19 @@
 import json
 import re
+import threading
 
 import numpy as np
 import pytest
 
 from tasr.config import PipelineConfig, validate_config
 from tasr.embedding import CachingEncoder, HashEncoderClient
-from tasr.errors import EmptyBranch, IndexUnavailable, InvalidEntity, TaxonomyParseError
+from tasr.errors import (
+    EmptyBranch,
+    IndexUnavailable,
+    InvalidEntity,
+    LlmUnavailable,
+    TaxonomyParseError,
+)
 from tasr.llm import Gateway, scripted_mock
 from tasr.model import Entity, TaxonomyLabel
 from tasr.taxonomy import (
@@ -224,3 +231,68 @@ class TestSelectType:
     def test_retrieval_mode_without_index_rejected(self, taxonomy, default_cfg):
         with pytest.raises(IndexUnavailable):
             EntityTyper(taxonomy, None, Gateway(backend=scripted_mock([])), default_cfg)
+
+
+class OovEchoBackend:
+    """Echoes type selections; ``oov`` entities get an out-of-vocabulary stage-1 label,
+    so their stage 1 falls back."""
+
+    def __init__(self, oov=()):
+        self.oov = set(oov)
+        self.echo = EchoSelectBackend()
+
+    def complete(self, req):
+        entity = re.search(r'entity "(.*)"', req.user_prompt).group(1)
+        if entity in self.oov and "First-level types" in req.user_prompt:
+            return json.dumps({"labels": ["NOT_A_TYPE"]})
+        return self.echo.complete(req)
+
+
+class ReverseOrderBackend(OovEchoBackend):
+    """An entity of ``order`` is answered only once the next one is done, so jobs finish
+    in reverse order; ``fail`` entities raise on their first request."""
+
+    def __init__(self, order, fail=(), oov=()):
+        super().__init__(oov)
+        self.order, self.fail = list(order), set(fail)
+        self.done = {name: threading.Event() for name in order}
+
+    def complete(self, req):
+        entity = re.search(r'entity "(.*)"', req.user_prompt).group(1)
+        position = self.order.index(entity)
+        if position + 1 < len(self.order):
+            assert self.done[self.order[position + 1]].wait(timeout=10)
+        if entity in self.fail:
+            self.done[entity].set()
+            raise LlmUnavailable("type_select", f"no answer for {entity}", retryable=False)
+        reply = super().complete(req)
+        if "Final two-level type" in req.user_prompt:
+            self.done[entity].set()
+        return reply
+
+
+class TestTypeAll:
+    def test_first_failing_job_in_job_order_raises(self, taxonomy, hash_encoder, default_cfg):
+        # the later job fails first in time; the earlier one is still the error
+        names = ["fine entity", "slow failure", "fast failure"]
+        backend = ReverseOrderBackend(names, fail=names[1:])
+        typer = _typer(taxonomy, hash_encoder, backend, default_cfg)
+        with pytest.raises(LlmUnavailable, match="no answer for slow failure"):
+            typer.type_all([(Entity(name), None) for name in names])
+
+    def test_labels_and_events_follow_job_order(self, taxonomy, hash_encoder, default_cfg):
+        names = ["alpha entity", "beta entity", "gamma entity"]
+        backend = ReverseOrderBackend(names, oov=names[:2])
+        typer = _typer(taxonomy, hash_encoder, backend, default_cfg)
+        jobs = [(Entity(name), f"title {i}") for i, name in enumerate(names)]
+        typer.type_all(jobs + [(Entity("alpha entity"), "later title")])
+        assert typer.events == [
+            f"type_select fallback (stage 1) for entity {name!r}" for name in names[:2]
+        ]
+        # a surface is typed once, with the context of its first job
+        alpha = [c.user_prompt for c in backend.echo.calls if '"alpha entity"' in c.user_prompt]
+        assert alpha and all("Context: title 0" in prompt for prompt in alpha)
+        serial = _typer(taxonomy, hash_encoder, OovEchoBackend(oov=names[:2]), default_cfg)
+        assert [typer.type_entity(Entity(name)) for name in names] == [
+            serial.type_entity(*job) for job in jobs
+        ]
