@@ -75,65 +75,93 @@ class HttpEncoderClient:
 
 
 class CachingEncoder:
-    """Per-run memo over an encoder client, with an optional JSONL disk cache.
+    """Memo over an encoder client, with an optional JSONL disk cache.
 
-    Distinct calls for the same text always return the same vector, which is
-    what makes reranking scores reproducible within a run. This is the one
-    place that checks vectors: every batch admitted from the client or the
-    disk cache must have one count per text and one dimension, the dimension
-    the encoder already holds. Cache hits are not checked again.
+    Memos come in two lifetimes. The encoder a pipeline is built with keeps
+    what it encodes for the pipeline's lifetime; :meth:`scope` gives a memo
+    for one question, which reads that memo, keeps only the vectors it adds
+    itself and goes with the question. While a vector is held, every call for
+    its text returns it, which is what makes reranking scores reproducible.
+    This is the one place that checks vectors: every batch admitted from the
+    client or the disk cache must have one count per text and one dimension,
+    the dimension the encoder already holds. Cache hits are not checked
+    again. The disk cache receives each text once, whichever memo admits it.
     """
 
     def __init__(self, client: EncoderClient, cache_path: Optional[str | Path] = None) -> None:
         self.client = client
         self._cache: dict[str, np.ndarray] = {}
+        self._base: dict[str, np.ndarray] = {}  # the longer-lived memo this one reads through
+        self._root = self  # holds the vector shape, the lock and the disk cache for its scopes
         self._shape: Optional[tuple[int, ...]] = None  # every held vector has this shape
         self._lock = threading.Lock()
         self._cache_path = Path(cache_path) if cache_path else None
+        self._on_disk: set[str] = set()  # texts the disk cache holds
         if self._cache_path and self._cache_path.exists():
-            self._admit(*_read_cache(self._cache_path), persist=False)
+            texts, vectors = _read_cache(self._cache_path)
+            self._on_disk.update(texts)
+            self._admit(texts, vectors, keep=True)
+
+    def __len__(self) -> int:
+        """Vectors this memo holds, not counting the memo it reads through."""
+        return len(self._cache)
+
+    def scope(self) -> "CachingEncoder":
+        """An empty memo for one question that reads this encoder's memo and shares its
+        client, vector checks and disk cache."""
+        scope = CachingEncoder.__new__(CachingEncoder)
+        scope.client, scope._root = self.client, self._root
+        scope._cache, scope._base = {}, self._root._cache
+        return scope
 
     def encode(self, texts: Sequence[str], keep: bool = True) -> list[np.ndarray]:
         """One vector per text. ``keep=False`` checks and persists fresh vectors but
         leaves them out of the memo, for texts encoded once (the corpus)."""
-        missing = [t for t in dict.fromkeys(texts) if t not in self._cache]
-        fresh: dict[str, np.ndarray] = {}
+        held, base = self._cache, self._base
+        found: dict[str, Optional[np.ndarray]] = {}
+        for text in texts:
+            if text not in found:
+                vector = held.get(text)
+                found[text] = base.get(text) if vector is None else vector
+        missing = [text for text, vector in found.items() if vector is None]
         if missing:
             vectors = self.client.encode(missing)
-            with self._lock:
-                self._admit(missing, vectors, persist=True, keep=keep)
-            if not keep:
-                fresh = dict(zip(missing, vectors))
-        return [fresh[t] if t in fresh else self._cache[t] for t in texts]
+            with self._root._lock:
+                self._admit(missing, vectors, keep=keep)
+            # a text another thread admitted first keeps that thread's vector
+            found.update((text, held.get(text, v)) for text, v in zip(missing, vectors))
+        return [found[text] for text in texts]
 
     def encode_one(self, text: str) -> np.ndarray:
         return self.encode([text])[0]
 
-    def _admit(
-        self, texts: list[str], vectors: Sequence[np.ndarray], persist: bool, keep: bool = True
-    ) -> None:
-        """Check a batch against the contract, then store it; the caller holds the lock."""
+    def _admit(self, texts: list[str], vectors: Sequence[np.ndarray], keep: bool) -> None:
+        """Check a batch against the contract, then store it and append the texts the disk
+        cache lacks; the caller holds the lock."""
+        root = self._root
         if len(vectors) != len(texts):
             raise EncoderUnavailable(
                 f"encoder returned {len(vectors)} vectors for {len(texts)} texts"
             )
         shapes = {np.shape(v) for v in vectors}
-        if self._shape is not None:
-            shapes.add(self._shape)
+        if root._shape is not None:
+            shapes.add(root._shape)
         if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes):
             raise DimensionMismatch(
                 f"vectors must be 1-D and of one length: got shapes {sorted(shapes)}, "
-                f"encoder holds {self._shape}"
+                f"encoder holds {root._shape}"
             )
         if shapes:
-            self._shape = shapes.pop()
-        new = [(t, v) for t, v in zip(texts, vectors) if t not in self._cache]
+            root._shape = shapes.pop()
         if keep:
-            self._cache.update(new)
-        if persist and self._cache_path and new:
-            with self._cache_path.open("a", encoding="utf-8") as fh:
-                for text, vec in new:
-                    fh.write(json.dumps({"text": text, "vector": vec.tolist()}) + "\n")
+            self._cache.update([(t, v) for t, v in zip(texts, vectors) if t not in self._cache])
+        if root._cache_path:
+            new = [(t, v) for t, v in zip(texts, vectors) if t not in root._on_disk]
+            root._on_disk.update(t for t, _ in new)
+            if new:
+                with root._cache_path.open("a", encoding="utf-8") as fh:
+                    for text, vec in new:
+                        fh.write(json.dumps({"text": text, "vector": vec.tolist()}) + "\n")
 
 
 def _read_cache(path: Path) -> tuple[list[str], list[np.ndarray]]:
@@ -205,7 +233,6 @@ class CorpusIndex:
 
     def __init__(self, documents: Sequence[Document], encoder: CachingEncoder) -> None:
         self.documents = {d.id: d for d in documents}
-        self.encoder = encoder
         texts = [d.embedding_text() for d in documents]
         matrix = np.zeros((0, 0))
         for start in range(0, len(texts), CORPUS_CHUNK):
@@ -216,7 +243,9 @@ class CorpusIndex:
         self.index = VectorIndex.from_matrix([d.id for d in documents], matrix)
 
 
-def dense_retrieve(query: str, corpus: CorpusIndex, cfg: PipelineConfig) -> list[Document]:
-    """Top-k0 documents by cosine with the query, best first."""
-    hits = corpus.index.search(corpus.encoder.encode_one(query), cfg.k0)
+def dense_retrieve(
+    query: str, corpus: CorpusIndex, cfg: PipelineConfig, encoder: CachingEncoder
+) -> list[Document]:
+    """Top-k0 documents by cosine with the query, encoded through ``encoder``, best first."""
+    hits = corpus.index.search(encoder.encode_one(query), cfg.k0)
     return [corpus.documents[key] for key, _ in hits]

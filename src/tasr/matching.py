@@ -86,9 +86,13 @@ def score_structural(qs: SubQuery, dt: Triple, cfg: PipelineConfig) -> float:
     return _structural(_type_pairs(qs, dt, cfg), cfg)
 
 
+def component_texts(head: str, relation: str, tail: str) -> list[str]:
+    """Role-prefixed head, relation and tail texts; latent slots embed as their ?Name text."""
+    return [HEAD_PREFIX + head, RELATION_PREFIX + relation, TAIL_PREFIX + tail]
+
+
 def component_vectors(head: str, relation: str, tail: str, encoder: CachingEncoder):
-    """Role-prefixed head, relation and tail vectors; latent slots embed as their ?Name text."""
-    return encoder.encode([HEAD_PREFIX + head, RELATION_PREFIX + relation, TAIL_PREFIX + tail])
+    return encoder.encode(component_texts(head, relation, tail))
 
 
 def component_cosines(

@@ -5,6 +5,12 @@ pool order, query decomposition, one typing batch over the entities of the
 document triples and sub-queries, then a strictly sequential loop over
 sub-queries: resolve bound variables, rerank the fixed candidate pool, answer
 the hop, bind its latent variable. The final answer is the last hop's answer.
+
+A pipeline keeps what it learns at set-up for its lifetime: the taxonomy label
+vectors and, with ``pre_extract``, the typed corpus triples with their
+component vectors. Type selections are shared by every question through one
+:class:`~tasr.taxonomy.LabelMap`. Every other vector a question needs lives in
+an encoder memo scoped to that question and goes when it ends.
 """
 
 from __future__ import annotations
@@ -13,10 +19,10 @@ import dataclasses
 from typing import Optional, Sequence
 
 from tasr.config import PipelineConfig
-from tasr.embedding import CachingEncoder, CorpusIndex, dense_retrieve
+from tasr.embedding import CORPUS_CHUNK, CachingEncoder, CorpusIndex, dense_retrieve
 from tasr.errors import AmbiguousBinding, TasrError, QueryFailure
 from tasr.llm import Gateway, json_field, load_prompt
-from tasr.matching import RankedPool, filter_and_rank
+from tasr.matching import RankedPool, component_texts, filter_and_rank
 from tasr.model import (
     BindingTable,
     Document,
@@ -34,7 +40,7 @@ from tasr.structurer import (
     type_document_triples,
     type_subqueries,
 )
-from tasr.taxonomy import EntityTyper, Taxonomy, TypeEmbeddingIndex, TypingJob
+from tasr.taxonomy import EntityTyper, LabelMap, Taxonomy, TypeEmbeddingIndex, TypingJob
 
 ANSWER_SYSTEM = "You answer relational sub-queries from the given documents."
 
@@ -114,7 +120,8 @@ def type_documents(docs: Sequence[Document], typer: EntityTyper) -> list[Documen
 
 
 class Pipeline:
-    """Everything a query run needs: corpus index, taxonomy indexes, gateway, config."""
+    """Everything a query run needs: corpus index, taxonomy indexes, label map, gateway,
+    config."""
 
     def __init__(
         self,
@@ -130,12 +137,22 @@ class Pipeline:
         self.gateway = gateway
         self.taxonomy = taxonomy
         self.type_index = TypeEmbeddingIndex(taxonomy, encoder)
+        self.labels = LabelMap()
         self.pre_extract = pre_extract
         self.startup_events: list[str] = []
         if pre_extract:
-            typer = EntityTyper(taxonomy, self.type_index, gateway, cfg)
+            typer = self._typer(encoder)
             documents = type_documents(extract_documents(documents, None, gateway), typer)
             self.startup_events.extend(typer.events)
+            # every question reranks these triples: their vectors live as long as the pipeline
+            texts = [
+                text
+                for doc in documents
+                for t in doc.triples
+                for text in component_texts(t.head.surface, t.relation, t.tail.surface)
+            ]
+            for start in range(0, len(texts), CORPUS_CHUNK):
+                encoder.encode(texts[start : start + CORPUS_CHUNK])
         self.corpus = CorpusIndex(documents, encoder)
 
     def run_query(self, question: str) -> tuple[str, ReasoningTrace]:
@@ -146,10 +163,16 @@ class Pipeline:
         except TasrError as exc:
             raise QueryFailure(str(exc), trace=trace) from exc
 
+    def _typer(self, encoder: CachingEncoder) -> EntityTyper:
+        return EntityTyper(
+            self.taxonomy, self.type_index, self.gateway, self.cfg, self.labels, encoder
+        )
+
     def _run(self, question: str, trace: ReasoningTrace) -> tuple[str, ReasoningTrace]:
-        pool = dense_retrieve(question, self.corpus, self.cfg)
+        encoder = self.encoder.scope()  # the question's vectors, dropped when it ends
+        pool = dense_retrieve(question, self.corpus, self.cfg, encoder)
         trace.pool_ids = [d.id for d in pool]
-        typer = EntityTyper(self.taxonomy, self.type_index, self.gateway, self.cfg)
+        typer = self._typer(encoder)
 
         if self.pre_extract:
             decomposition = decompose_query(question, self.gateway)
@@ -167,7 +190,7 @@ class Pipeline:
         answer = ""
         for position, sub_query in enumerate(decomposition.sub_queries):
             resolved = resolve(sub_query, bindings)
-            ranked = self._rerank(pool, decomposition, bindings, resolved, position)
+            ranked = self._rerank(pool, decomposition, bindings, resolved, position, encoder)
             selected = [pool_by_id[s.doc_id] for s in ranked.documents]
             answer = answer_subquery(resolved, selected, self.gateway)
             bind(resolved, answer, bindings)
@@ -197,11 +220,12 @@ class Pipeline:
         bindings: BindingTable,
         resolved: SubQuery,
         position: int,
+        encoder: CachingEncoder,
     ) -> RankedPool:
         if self.cfg.hop_scope == "chain":
             chain = [resolve(sq, bindings) for sq in decomposition.sub_queries]
-            return filter_and_rank(pool, chain, self.cfg, self.encoder, force_index=position)
-        return filter_and_rank(pool, [resolved], self.cfg, self.encoder)
+            return filter_and_rank(pool, chain, self.cfg, encoder, force_index=position)
+        return filter_and_rank(pool, [resolved], self.cfg, encoder)
 
 
 def _score_records(ranked: RankedPool) -> list[dict]:

@@ -7,17 +7,20 @@ Typing an entity takes the cheapest path that fires:
 2. embedding retrieval of candidate labels followed by LLM selection of the
    first-level class and then the (first, second) pair.
 
-Results are memoized per surface string, so an entity recurring across
-document triples and sub-queries is typed once. :meth:`EntityTyper.type_all`
-types a batch of (entity, context) jobs: the first job of each surface not yet
-memoized is typed, up to :data:`TYPING_WORKERS` at a time on a thread pool, and
-labels and fallback events are recorded in job order on the calling thread.
+An :class:`EntityTyper` serves one question and labels each surface once,
+with the context of its first job. :meth:`EntityTyper.type_all` types a batch
+of (entity, context) jobs, up to :data:`TYPING_WORKERS` at a time on a thread
+pool, and records labels and fallback events in job order on the calling
+thread. The selections themselves live in a :class:`LabelMap` by (surface,
+context), shared by every question of a pipeline, so a pair is sent to the
+LLM once however many questions ask for it.
 """
 
 from __future__ import annotations
 
 import json
 import re
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
@@ -39,6 +42,7 @@ TYPE_SELECT_SYSTEM = "You assign entity types from a fixed two-level taxonomy."
 TYPING_WORKERS = 8  # threads one typing batch runs on (per question in flight)
 
 TypingJob = tuple[Entity, Optional[str]]  # an entity and the context its prompt shows
+Typed = tuple[TaxonomyLabel, tuple[str, ...]]  # a label and the fallback events it took
 
 
 @dataclass(frozen=True)
@@ -146,25 +150,77 @@ class TypeEmbeddingIndex:
             vectors = encoder.encode(keys)
             self.l2_indexes[l1] = VectorIndex(list(zip(keys, vectors)))
 
-    def top_l1(self, entity_text: str, n: int) -> list[tuple[str, float]]:
-        query = self.encoder.encode_one(entity_text)
+    def top_l1(
+        self, entity_text: str, n: int, encoder: Optional[CachingEncoder] = None
+    ) -> list[tuple[str, float]]:
+        """The ``n`` nearest first-level labels; ``encoder`` (default: the index's own)
+        is the memo the entity text is encoded through."""
+        query = (encoder or self.encoder).encode_one(entity_text)
         return self.l1_index.search(query, n)
 
-    def top_l2(self, l1: str, entity_text: str, m: int) -> list[tuple[str, str, float]]:
-        query = self.encoder.encode_one(entity_text)
+    def top_l2(
+        self, l1: str, entity_text: str, m: int, encoder: Optional[CachingEncoder] = None
+    ) -> list[tuple[str, str, float]]:
+        query = (encoder or self.encoder).encode_one(entity_text)
         hits = self.l2_indexes[l1].search(query, m)
         return [(l1, key.split("/", 1)[1], score) for key, score in hits]
+
+
+class LabelMap:
+    """Selected labels and their fallback events by (surface, context), for one pipeline.
+
+    Lookups are single-flight: the first thread to ask for a key types it and
+    later askers wait for that thread, so each key reaches the LLM once
+    however many questions race for it. An owner never waits on another key,
+    so waiting cannot deadlock. A failure is not stored: the owner's error
+    goes to its own question, and a waiter asks again on its own thread.
+    """
+
+    def __init__(self) -> None:
+        self._typed: dict[tuple[str, Optional[str]], Typed] = {}
+        self._in_flight: dict[tuple[str, Optional[str]], threading.Event] = {}
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._typed)
+
+    def get(self, key: tuple[str, Optional[str]], type_new: Callable[[], Typed]) -> Typed:
+        """The entry for ``key``, from ``type_new`` on this thread if no one holds it."""
+        while True:
+            with self._lock:
+                if key in self._typed:
+                    return self._typed[key]
+                owner_done = self._in_flight.get(key)
+                if owner_done is None:
+                    owner_done = self._in_flight[key] = threading.Event()
+                    break
+            owner_done.wait()
+        typed = None
+        try:
+            typed = type_new()
+        finally:
+            with self._lock:
+                if typed is not None:
+                    self._typed[key] = typed
+                del self._in_flight[key]
+            owner_done.set()
+        return typed
 
 
 # --- LLM selection ------------------------------------------------------------
 
 class EntityTyper:
-    """Coarse-to-fine entity typing with memoization and fallback accounting.
+    """Coarse-to-fine entity typing for one question, with fallback accounting.
 
-    ``events`` records every fallback taken (LLM protocol failure or
-    out-of-vocabulary label), so traces can expose them. Retrieval mode needs
-    the label index; pure mode shows full label lists and needs none. The memo
-    and ``events`` are written only by the thread that calls :meth:`type_all`.
+    Each surface gets one label, selected with the context of its first job.
+    Selections come from ``labels``, the pipeline's :class:`LabelMap` (a new,
+    empty one by default). ``events`` records every fallback a selection took
+    (LLM protocol failure or out-of-vocabulary label), replayed when the
+    selection is read from the map, so traces can expose them. Retrieval mode
+    needs the label index and encodes entity texts through ``encoder``
+    (default: the index's own); pure mode shows full label lists and needs
+    none. The per-surface labels and ``events`` are written only by the
+    thread that calls :meth:`type_all`.
     """
 
     def __init__(
@@ -173,6 +229,8 @@ class EntityTyper:
         index: Optional[TypeEmbeddingIndex],
         gateway: Gateway,
         cfg: PipelineConfig,
+        labels: Optional[LabelMap] = None,
+        encoder: Optional[CachingEncoder] = None,
     ) -> None:
         if index is None and cfg.typing_mode != "pure":
             raise IndexUnavailable("retrieval typing needs the type-label embedding index")
@@ -180,6 +238,8 @@ class EntityTyper:
         self.index = index
         self.gateway = gateway
         self.cfg = cfg
+        self.labels = LabelMap() if labels is None else labels
+        self.encoder = encoder
         self.events: list[str] = []
         self._memo: dict[str, TaxonomyLabel] = {}
 
@@ -199,7 +259,7 @@ class EntityTyper:
             return
         with ThreadPoolExecutor(min(TYPING_WORKERS, len(fresh))) as pool:
             # map yields in job order; a failure cancels the later jobs not yet started
-            typed = list(pool.map(lambda job: self._type_new(*job), fresh.values()))
+            typed = list(pool.map(self._type_new, fresh.values()))
         for surface, (label, events) in zip(fresh, typed):
             self._memo[surface] = label
             self.events.extend(events)
@@ -208,20 +268,26 @@ class EntityTyper:
         self.type_all([(entity, context)])
         return self._memo[entity.surface]
 
-    def _type_new(
-        self, entity: Entity, context: Optional[str]
-    ) -> tuple[TaxonomyLabel, list[str]]:
-        """The label of an entity the memo lacks, and the fallback events it took."""
-        events: list[str] = []
+    def _type_new(self, job: TypingJob) -> Typed:
+        """The label of a surface this typer lacks, and the fallback events it took:
+        by rule, else the LLM selection for its (surface, context) from the map."""
+        entity, context = job
         label = rule_type_entity(entity)
-        if label is None:
-            if self.cfg.typing_mode == "pure":
-                l1_candidates = list(self.taxonomy.l1_classes)
-            else:
-                hits = self.index.top_l1(entity.surface, self.cfg.n_l1_candidates)
-                l1_candidates = [l1 for l1, _ in hits]
-            label = self.select_type(entity, l1_candidates, events, context=context)
-        return label, events
+        if label is not None:
+            return label, ()
+        # an empty context shows the same prompt as none
+        key = (entity.surface, context or None)
+        return self.labels.get(key, lambda: self._select(entity, context))
+
+    def _select(self, entity: Entity, context: Optional[str]) -> Typed:
+        events: list[str] = []
+        if self.cfg.typing_mode == "pure":
+            l1_candidates = list(self.taxonomy.l1_classes)
+        else:
+            hits = self.index.top_l1(entity.surface, self.cfg.n_l1_candidates, self.encoder)
+            l1_candidates = [l1 for l1, _ in hits]
+        label = self.select_type(entity, l1_candidates, events, context=context)
+        return label, tuple(events)
 
     def select_type(
         self,
@@ -253,7 +319,9 @@ class EntityTyper:
         else:
             union = []
             for l1 in kept:
-                union.extend(self.index.top_l2(l1, entity.surface, self.cfg.m_l2_candidates))
+                union.extend(
+                    self.index.top_l2(l1, entity.surface, self.cfg.m_l2_candidates, self.encoder)
+                )
         offered = {(l1, l2) for l1, l2, _ in union}
         prompt = load_prompt("type_select_l2").format(
             candidates=", ".join(f"{l1}/{l2}" for l1, l2, _ in union),

@@ -293,18 +293,17 @@ class TestCorpusIndex:
 
 
 class TestDenseRetrieve:
-    def _corpus(self, docs):
-        return CorpusIndex(docs, CachingEncoder(HashEncoderClient()))
+    def _retrieve(self, query, docs, cfg):
+        encoder = CachingEncoder(HashEncoderClient())
+        return dense_retrieve(query, CorpusIndex(docs, encoder), cfg, encoder.scope())
 
     def test_pool_smaller_than_k0_returns_all(self, toy_corpus, default_cfg):
-        corpus = self._corpus(toy_corpus)
-        pool = dense_retrieve("any question at all", corpus, default_cfg)
+        pool = self._retrieve("any question at all", toy_corpus, default_cfg)
         assert sorted(d.id for d in pool) == [f"doc{i}" for i in range(1, 7)]
 
     def test_running_example_pool_contains_key_documents(self, toy_corpus, default_cfg):
-        corpus = self._corpus(toy_corpus)
         question = "Which company originally developed the database that the Science Activity Planner uses?"
-        pool_ids = {d.id for d in dense_retrieve(question, corpus, default_cfg)}
+        pool_ids = {d.id for d in self._retrieve(question, toy_corpus, default_cfg)}
         assert {"doc1", "doc3", "doc6"} <= pool_ids
 
     def test_duplicate_documents_tie_break_id_ascending(self, default_cfg):
@@ -312,12 +311,12 @@ class TestDenseRetrieve:
             Document(id="dup2", title="same", text="same body"),
             Document(id="dup1", title="same", text="same body"),
         ]
-        pool = dense_retrieve("same body", self._corpus(docs), default_cfg)
+        pool = self._retrieve("same body", docs, default_cfg)
         assert [d.id for d in pool] == ["dup1", "dup2"]
 
     def test_k0_limits_pool(self, toy_corpus):
         cfg = PipelineConfig(k0=2)
-        pool = dense_retrieve("question", self._corpus(toy_corpus), cfg)
+        pool = self._retrieve("question", toy_corpus, cfg)
         assert len(pool) == 2
 
 

@@ -3,6 +3,7 @@ import functools
 import hashlib
 import json
 import tempfile
+import threading
 import time
 import zlib
 from collections import Counter
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from tasr.config import PipelineConfig, validate_config
 from tasr.embedding import CachingEncoder, HashEncoderClient
-from tasr.errors import DatasetParseError
+from tasr.errors import DatasetParseError, LlmUnavailable
 from tasr.evaluation import (
     QaExample,
     load_corpus,
@@ -125,8 +126,9 @@ class TestRunBenchmark:
     def test_request_stream_matches_golden(
         self, mode, toy_corpus, taxonomy, hash_encoder, toy_backend, default_cfg, toy_dataset
     ):
-        # every request the toy run sends: its role and a sha256 of both prompts. Typing
-        # requests run concurrently, so only the other requests keep a fixed order.
+        # every request the toy run sends: its role and a sha256 of both prompts. The golden
+        # stream repeats type selections that questions share; the pipeline's label map sends
+        # each once. Typing requests run concurrently, so only the others keep a fixed order.
         pipeline = Pipeline(
             toy_corpus, taxonomy, hash_encoder, Gateway(backend=toy_backend), default_cfg,
             pre_extract=mode == "pre_extract",
@@ -137,16 +139,19 @@ class TestRunBenchmark:
             for req in toy_backend.calls
         ]
         golden = [tuple(request) for request in json.loads((DATA / "request_stream.json").read_text())[mode]]
-        assert Counter(stream) == Counter(golden)
+        assert set(stream) == set(golden)
+        typed = [request for request in stream if request[0] == "type_select"]
+        assert len(typed) == len(set(typed))
         assert _untyped(stream) == _untyped(golden)
 
     @pytest.mark.parametrize("mode", ["plain", "pre_extract"])
     @settings(max_examples=12, deadline=None)
     @given(
         delays_ms=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=8),
-        parallel=st.sampled_from([1, 2]),
+        parallel=st.sampled_from([1, 2, 3]),
     )
     def test_outputs_do_not_depend_on_request_timing(self, mode, delays_ms, parallel):
+        # with parallel 3 all three questions race for the type selections they share
         assert _toy_run(mode, delays_ms, parallel) == _undelayed_toy_run(mode)
 
     def test_traces_written_per_question(self, toy_pipeline, toy_dataset, tmp_path):
@@ -198,6 +203,97 @@ def _toy_run(mode, delays_ms, parallel):
 @functools.lru_cache(maxsize=None)
 def _undelayed_toy_run(mode):
     return _toy_run(mode, [0.0], 1)
+
+
+class GatedBackend:
+    """The toy script, holding the first stage-1 type selection for ``entity`` until a
+    second question asks the pipeline's label map for it; the first ``failures`` of
+    those requests raise."""
+
+    def __init__(self, entity, failures=0):
+        self.inner = load_script(FIXTURES / "llm_script.json")
+        self.entity, self.failures = entity, failures
+        self.marker = f'First-level types for entity "{entity}".'
+        self.sent = 0
+        self.second_asker = threading.Event()
+        self._lock = threading.Lock()
+
+    def watch(self, pipeline):
+        lookup, askers = pipeline.labels.get, []
+
+        def counting_lookup(key, type_new):
+            if key[0] == self.entity:
+                askers.append(key)
+                if len(askers) == 2:
+                    self.second_asker.set()
+            return lookup(key, type_new)
+
+        pipeline.labels.get = counting_lookup
+
+    def complete(self, req):
+        if self.marker in req.user_prompt:
+            with self._lock:
+                self.sent += 1
+                sent = self.sent
+            if sent == 1:
+                assert self.second_asker.wait(timeout=10)
+                time.sleep(0.05)  # the second asker is now waiting for this request
+            if sent <= self.failures:
+                raise LlmUnavailable("type_select", f"{self.entity} is down", retryable=False)
+        return self.inner.complete(req)
+
+
+def _within(seconds, run):
+    """``run()``, failing the test instead of hanging when it takes over ``seconds``."""
+    result = []
+    worker = threading.Thread(target=lambda: result.append(run()), daemon=True)
+    worker.start()
+    worker.join(seconds)
+    assert result, f"no result within {seconds} s"
+    return result[0]
+
+
+class TestSharedLabels:
+    """Questions of one pipeline share type selections; each is requested once."""
+
+    QUESTION = "Who developed the MySQL database?"
+
+    def _run(self, backend):
+        """Two questions asking the same, answered at once by a new toy pipeline."""
+        pipeline = Pipeline(
+            load_corpus(FIXTURES / "corpus.jsonl"),
+            load_default_taxonomy(),
+            CachingEncoder(HashEncoderClient()),
+            Gateway(backend=backend),
+            validate_config(PipelineConfig()),
+        )
+        backend.watch(pipeline)
+        dataset = [QaExample(f"same{i}", self.QUESTION, ("MySQL AB",)) for i in range(2)]
+        return pipeline, _within(30, lambda: run_benchmark(dataset, pipeline, parallel=2))
+
+    def test_a_selection_two_questions_race_for_is_requested_once(self):
+        backend = GatedBackend("Mars")
+        _, run = self._run(backend)
+        assert backend.sent == 1
+        assert run.report.error_count == 0
+        assert run.report.em_avg == 1.0
+        typed = Counter(r.user_prompt for r in backend.inner.calls if r.role_tag == "type_select")
+        assert set(typed.values()) == {1}
+
+    def test_an_owner_failure_is_not_shared(self):
+        backend = GatedBackend("Mars", failures=2)
+        pipeline, run = self._run(backend)
+        # the owner's request raised; the waiting question asked again itself, which raised too
+        assert backend.sent == 2
+        assert run.report.error_count == 2
+        assert all(
+            r.error is not None and (r.em, r.f1) == (0, 0.0) for r in run.report.per_example
+        )
+        later = QaExample("later", self.QUESTION, ("MySQL AB",))
+        again = _within(30, lambda: run_benchmark([later], pipeline))
+        assert backend.sent == 3
+        assert again.report.error_count == 0
+        assert again.report.em_avg == 1.0
 
 
 class TestScorePredictions:

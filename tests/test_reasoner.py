@@ -1,10 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 
 from tasr.config import PipelineConfig, validate_config
+from tasr.embedding import CachingEncoder
 from tasr.errors import AmbiguousBinding, DuplicateBinding, QueryFailure, TasrError
 from tasr.llm import Gateway, scripted_mock
-from tasr.matching import aggregate_document_score
+from tasr.matching import aggregate_document_score, component_texts
 from tasr.model import (
     BindingTable,
     Document,
@@ -16,6 +19,7 @@ from tasr.model import (
 )
 from tasr.reasoner import Pipeline, answer_subquery, bind, resolve
 
+from conftest import RecordingEncoderClient
 from reference_scoring import brute_force_rank
 
 RUNNING_QUESTION = (
@@ -282,6 +286,68 @@ class TestPreExtract:
         )
         assert [(d.id, d.title, d.text) for d in toy_corpus] == before
         assert all(d.triples == [] for d in toy_corpus)
+
+
+class TestQuestionScopedMemory:
+    """Vectors a question encodes go with it; the pipeline keeps what it learns at set-up."""
+
+    def _pipeline(self, toy_corpus, taxonomy, toy_backend, encoder, pre_extract=False):
+        return Pipeline(
+            toy_corpus, taxonomy, encoder, Gateway(backend=toy_backend),
+            validate_config(PipelineConfig()), pre_extract=pre_extract,
+        )
+
+    def test_held_memo_does_not_grow_with_distinct_questions(self, toy_pipeline, toy_dataset):
+        toy_pipeline.run_query(toy_dataset[0].question)
+        after_one = len(toy_pipeline.encoder)
+        for example in toy_dataset[1:]:
+            toy_pipeline.run_query(example.question)
+        for i in range(5):
+            with pytest.raises(QueryFailure):
+                toy_pipeline.run_query(f"Unscripted question number {i}?")
+        assert len(toy_pipeline.encoder) == after_one
+
+    def test_disk_cache_records_each_text_once(
+        self, toy_corpus, taxonomy, toy_backend, tmp_path
+    ):
+        path = tmp_path / "vectors.jsonl"
+        client = RecordingEncoderClient()
+        encoder = CachingEncoder(client, cache_path=path)
+        pipeline = self._pipeline(toy_corpus, taxonomy, toy_backend, encoder)
+        pipeline.run_query(RUNNING_QUESTION)
+        pipeline.run_query(RUNNING_QUESTION)
+        assert client.seen.count(RUNNING_QUESTION) == 2  # each question encodes it afresh
+        texts = [json.loads(line)["text"] for line in path.read_text().splitlines()]
+        assert texts.count(RUNNING_QUESTION) == 1
+        assert len(texts) == len(set(texts))
+
+        again = RecordingEncoderClient()
+        encoder = CachingEncoder(again, cache_path=path)
+        answer, _ = self._pipeline(toy_corpus, taxonomy, toy_backend, encoder).run_query(
+            RUNNING_QUESTION
+        )
+        assert answer == "MySQL AB"
+        assert again.seen == []
+
+    def test_pre_extracted_components_are_encoded_at_set_up_only(
+        self, toy_corpus, taxonomy, toy_backend
+    ):
+        client = RecordingEncoderClient()
+        pipeline = self._pipeline(
+            toy_corpus, taxonomy, toy_backend, CachingEncoder(client), pre_extract=True
+        )
+        components = {
+            text
+            for doc in pipeline.corpus.documents.values()
+            for t in doc.triples
+            for text in component_texts(t.head.surface, t.relation, t.tail.surface)
+        }
+        assert components <= set(client.seen)
+        at_set_up = len(client.seen)
+        answer, _ = pipeline.run_query(RUNNING_QUESTION)
+        assert answer == "MySQL AB"
+        assert len(client.seen) > at_set_up
+        assert not components & set(client.seen[at_set_up:])
 
 
 class TestThreeHopChain:

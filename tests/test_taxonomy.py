@@ -1,6 +1,9 @@
 import json
+import os
 import re
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from tasr.llm import Gateway, scripted_mock
 from tasr.model import Entity, TaxonomyLabel
 from tasr.taxonomy import (
     EntityTyper,
+    LabelMap,
     TypeEmbeddingIndex,
     load_taxonomy,
     rule_type_entity,
@@ -296,3 +300,131 @@ class TestTypeAll:
         assert [typer.type_entity(Entity(name)) for name in names] == [
             serial.type_entity(*job) for job in jobs
         ]
+
+
+class TestLabelMap:
+    KEY = ("MySQL", "Open-source relational databases")
+    TYPED = (TaxonomyLabel("PRODUCT", "Database"), ())
+
+    def _down(self):
+        raise LlmUnavailable("type_select", "endpoint down", retryable=False)
+
+    def _start(self, target):
+        thread = threading.Thread(target=target, daemon=True)
+        thread.start()
+        return thread
+
+    def test_concurrent_askers_share_one_selection(self):
+        labels, started, release, calls, results = LabelMap(), threading.Event(), threading.Event(), [], []
+
+        def type_new():
+            calls.append(1)
+            started.set()
+            assert release.wait(timeout=10)
+            return self.TYPED
+
+        threads = [self._start(lambda: results.append(labels.get(self.KEY, type_new)))]
+        assert started.wait(timeout=10)
+        threads += [self._start(lambda: results.append(labels.get(self.KEY, type_new))) for _ in range(3)]
+        time.sleep(0.05)
+        release.set()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert calls == [1]
+        assert results == [self.TYPED] * 4
+        assert len(labels) == 1
+
+    def test_a_waiter_types_again_itself_when_the_owner_fails(self):
+        labels, started, release = LabelMap(), threading.Event(), threading.Event()
+        errors, results, waiter_calls = [], [], []
+
+        def failing():
+            started.set()
+            assert release.wait(timeout=10)
+            self._down()
+
+        def owner():
+            try:
+                labels.get(self.KEY, failing)
+            except LlmUnavailable as exc:
+                errors.append(exc)
+
+        def succeeding():
+            waiter_calls.append(1)
+            return self.TYPED
+
+        first = self._start(owner)
+        assert started.wait(timeout=10)
+        second = self._start(lambda: results.append(labels.get(self.KEY, succeeding)))
+        time.sleep(0.05)
+        assert waiter_calls == []  # the waiter sends nothing while the owner's request is out
+        release.set()
+        first.join(timeout=10)
+        second.join(timeout=10)
+        assert len(errors) == 1
+        assert waiter_calls == [1]
+        assert results == [self.TYPED]
+        assert len(labels) == 1  # the waiter's own result is kept
+
+    def test_each_key_is_typed_once_under_contention(self):
+        labels, lock, typed_keys = LabelMap(), threading.Lock(), []
+        keys = [(f"entity {i}", None) for i in range(20)]
+        n_threads = (os.cpu_count() or 1) + 4
+        start = threading.Barrier(n_threads)
+        results = [[] for _ in range(n_threads)]
+
+        def type_new(key):
+            with lock:
+                typed_keys.append(key)
+            time.sleep(0)
+            return (TaxonomyLabel("OTHER", key[0]), ())
+
+        def work(i):
+            start.wait()
+            for key in keys[i % 5 :] + keys[: i % 5]:
+                results[i].append((key, labels.get(key, lambda: type_new(key))))
+
+        threads = [threading.Thread(target=work, args=(i,), daemon=True) for i in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert sorted(typed_keys) == sorted(keys)
+        expected = {key: (TaxonomyLabel("OTHER", key[0]), ()) for key in keys}
+        assert all(len(r) == len(keys) and all(expected[k] == v for k, v in r) for r in results)
+
+    def test_a_failure_is_not_stored(self):
+        labels, results = LabelMap(), []
+        with pytest.raises(LlmUnavailable):
+            labels.get(self.KEY, self._down)
+        assert len(labels) == 0
+        # a key left in flight would hold a later asker forever
+        self._start(lambda: results.append(labels.get(self.KEY, lambda: self.TYPED))).join(10)
+        assert results == [self.TYPED]
+
+    def test_typers_sharing_a_map_replay_its_events(self, taxonomy, hash_encoder, default_cfg):
+        backend, sent = OovEchoBackend(oov=["alpha entity"]), []
+        complete = backend.complete
+        backend.complete = lambda req: sent.append(req) or complete(req)
+        index = TypeEmbeddingIndex(taxonomy, hash_encoder)
+        labels = LabelMap()
+        first, second = (
+            EntityTyper(taxonomy, index, Gateway(backend=backend), default_cfg, labels)
+            for _ in range(2)
+        )
+        jobs = [(Entity("alpha entity"), "title"), (Entity("1998"), "title")]
+        first.type_all(jobs)
+        assert len(sent) == 3  # stage 1, its retry, stage 2
+        second.type_all(jobs)
+        assert len(sent) == 3
+        assert second.events == first.events == [
+            "type_select fallback (stage 1) for entity 'alpha entity'"
+        ]
+        assert [second.type_entity(e) for e, _ in jobs] == [first.type_entity(e) for e, _ in jobs]
+        assert len(labels) == 1  # rule-typed surfaces never reach the map
