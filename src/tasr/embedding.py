@@ -14,10 +14,10 @@ from pathlib import Path
 from typing import Optional, Protocol, Sequence
 
 import numpy as np
-import requests
 
 from tasr.config import PipelineConfig
 from tasr.errors import DimensionMismatch, EmptyIndex, EncoderCacheError, EncoderUnavailable
+from tasr.llm import post_json
 from tasr.model import Document
 
 CORPUS_CHUNK = 256  # texts per encoder request while building the corpus matrix
@@ -64,14 +64,14 @@ class HttpEncoderClient:
         self.timeout = timeout
 
     def encode(self, texts: Sequence[str]) -> list[np.ndarray]:
+        def unavailable(message: str, retryable: bool = True) -> EncoderUnavailable:
+            return EncoderUnavailable(f"encoder at {message}")
+
+        reply = post_json(f"{self.url}/embed", {"texts": list(texts)}, self.timeout, unavailable)
         try:
-            resp = requests.post(
-                f"{self.url}/embed", json={"texts": list(texts)}, timeout=self.timeout
-            )
-            resp.raise_for_status()
-            return [normalize(np.asarray(e, dtype=np.float64)) for e in resp.json()["embeddings"]]
-        except (requests.RequestException, KeyError, TypeError, ValueError) as exc:
-            raise EncoderUnavailable(f"encoder at {self.url}: {exc}") from exc
+            return [normalize(np.asarray(e, dtype=np.float64)) for e in reply["embeddings"]]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise unavailable(f"{self.url}: {exc}") from exc
 
 
 class CachingEncoder:

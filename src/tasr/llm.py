@@ -5,22 +5,25 @@ Extraction, decomposition, type selection and hop answering all call
 back-off, code-fence stripping, JSON parsing and one format retry.
 :func:`json_field` is the one check on a reply's shape. Backends only move
 text: a chat-completion HTTP endpoint (temperature 0) or a scripted mock.
+:func:`post_json` is the one HTTP request, on the standard library; the HTTP
+encoder client sends through it too.
 """
 
 from __future__ import annotations
 
 import functools
+import http.client
 import json
 import re
 import time
+import urllib.error
+import urllib.request
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Any, Callable, Protocol, Sequence
+from typing import Any, Callable, Optional, Protocol, Sequence
 
-import requests
-
-from tasr.errors import ConfigError, LlmProtocolError, LlmUnavailable, MockMiss
+from tasr.errors import ConfigError, LlmProtocolError, LlmUnavailable, MockMiss, TasrError
 
 ROLE_TAGS = ("extract", "decompose", "type_select", "answer")
 
@@ -62,6 +65,41 @@ def json_field(role_tag: str, parsed: Any, key: str, kind: type) -> Any:
     raise LlmProtocolError(role_tag, f"expected {{{key!r}: {kind.__name__}}}, got {parsed!r}")
 
 
+def post_json(
+    url: str,
+    payload: Any,
+    timeout: float,
+    unavailable: Callable[[str, bool], TasrError],
+    headers: Optional[dict[str, str]] = None,
+) -> Any:
+    """POST ``payload`` as JSON and return the JSON value of the reply.
+
+    Every failure raises ``unavailable(message, retryable)``: a 4xx other than 408
+    and 429 is not retryable; other statuses, connection errors, timeouts and a
+    reply that is not JSON are.
+    """
+    request = urllib.request.Request(
+        url,
+        data=json.dumps(payload).encode("utf-8"),
+        headers={"Content-Type": "application/json", **(headers or {})},
+        method="POST",
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=timeout) as resp:
+            return json.loads(resp.read())
+    except urllib.error.HTTPError as exc:
+        retryable = not _is_rejection(exc.code)
+        raise unavailable(f"{url}: HTTP {exc.code} {exc.reason}", retryable) from exc
+    except (OSError, http.client.HTTPException, ValueError) as exc:
+        # URLError and timeouts are OSErrors; a body that is not JSON is a ValueError
+        raise unavailable(f"{url}: {exc}", True) from exc
+
+
+def _is_rejection(status: int) -> bool:
+    """A 4xx the endpoint will answer the same way again; 408 and 429 are transient."""
+    return 400 <= status < 500 and status not in RETRYABLE_CLIENT_STATUSES
+
+
 class HttpChatBackend:
     """Chat-completion endpoint speaking the common ``/v1/chat/completions`` format."""
 
@@ -75,9 +113,10 @@ class HttpChatBackend:
         self.timeout = timeout
 
     def complete(self, req: LlmRequest) -> str:
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
+        def unavailable(message: str, retryable: bool = True) -> LlmUnavailable:
+            return LlmUnavailable(req.role_tag, f"chat endpoint {message}", retryable=retryable)
+
+        headers = {"Authorization": f"Bearer {self.api_key}"} if self.api_key else {}
         payload = {
             "model": self.model,
             "messages": [
@@ -86,23 +125,14 @@ class HttpChatBackend:
             ],
             "temperature": 0.0,
         }
+        reply = post_json(self.url, payload, self.timeout, unavailable, headers)
         try:
-            resp = requests.post(self.url, json=payload, headers=headers, timeout=self.timeout)
-            resp.raise_for_status()
-            content = resp.json()["choices"][0]["message"]["content"]
-            if not isinstance(content, str):
-                raise ValueError(f"reply has no text content: {content!r}")
-            return content
-        except (requests.RequestException, KeyError, IndexError, ValueError) as exc:
-            rejected = isinstance(exc, requests.HTTPError) and _is_rejection(exc.response.status_code)
-            raise LlmUnavailable(
-                req.role_tag, f"chat endpoint {self.url}: {exc}", retryable=not rejected
-            ) from exc
-
-
-def _is_rejection(status: int) -> bool:
-    """A 4xx the endpoint will answer the same way again; 408 and 429 are transient."""
-    return 400 <= status < 500 and status not in RETRYABLE_CLIENT_STATUSES
+            content = reply["choices"][0]["message"]["content"]
+        except (KeyError, IndexError, TypeError) as exc:
+            raise unavailable(f"{self.url}: unexpected reply shape: {exc!r}") from exc
+        if not isinstance(content, str):
+            raise unavailable(f"{self.url}: reply has no text content: {content!r}")
+        return content
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,11 @@
 """Sequential multi-hop reasoning with an explicit entity binding table.
 
 One query runs as: dense retrieval, triple extraction from each document in
-pool order, query decomposition, one typing batch over the entities of the
-document triples and sub-queries, then a strictly sequential loop over
-sub-queries: resolve bound variables, rerank the fixed candidate pool, answer
-the hop, bind its latent variable. The final answer is the last hop's answer.
+pool order with each document's entities typed in the background as soon as it
+is extracted, query decomposition, typing of the sub-queries, then a strictly
+sequential loop over sub-queries: resolve bound variables, rerank the fixed
+candidate pool, answer the hop, bind its latent variable. The final answer is
+the last hop's answer.
 
 A pipeline keeps what it learns at set-up for its lifetime: the taxonomy label
 vectors and, with ``pre_extract``, the typed corpus triples with their
@@ -16,6 +17,7 @@ an encoder memo scoped to that question and goes when it ends.
 from __future__ import annotations
 
 import dataclasses
+from contextlib import closing
 from typing import Optional, Sequence
 
 from tasr.config import PipelineConfig
@@ -35,12 +37,11 @@ from tasr.structurer import (
     Decomposition,
     decompose_query,
     extract_triples,
-    subquery_typing_jobs,
     triple_typing_jobs,
     type_document_triples,
     type_subqueries,
 )
-from tasr.taxonomy import EntityTyper, LabelMap, Taxonomy, TypeEmbeddingIndex, TypingJob
+from tasr.taxonomy import EntityTyper, LabelMap, Taxonomy, TypeEmbeddingIndex
 
 ANSWER_SYSTEM = "You answer relational sub-queries from the given documents."
 
@@ -94,25 +95,27 @@ def answer_subquery(resolved: SubQuery, docs: Sequence[Document], gateway: Gatew
     return json_field("answer", parsed, "answer", str).strip()
 
 
-def extract_documents(
-    docs: Sequence[Document], query: Optional[str], gateway: Gateway
+def stream_documents(
+    docs: Sequence[Document], query: Optional[str], gateway: Gateway, typer: EntityTyper
 ) -> list[Document]:
     """Copies of the documents holding their extracted, untyped triples, in doc order.
 
-    ``query`` conditions extraction on the question; None pre-extracts without it.
-    The caller's documents are left untouched.
+    Each document is extracted on the calling thread, and its typing jobs (head
+    then tail, with the title as context) go to ``typer`` as soon as it returns,
+    so its entities are typed while the next document is extracted. ``query``
+    conditions extraction on the question; None pre-extracts without it. The
+    caller's documents are left untouched.
     """
-    return [dataclasses.replace(doc, triples=extract_triples(doc, query, gateway)) for doc in docs]
-
-
-def document_typing_jobs(docs: Sequence[Document]) -> list[TypingJob]:
-    """The typing jobs of every document's triples, in doc order, with the title as context."""
-    return [job for doc in docs for job in triple_typing_jobs(doc.triples, doc.title)]
+    extracted = []
+    for doc in docs:
+        doc = dataclasses.replace(doc, triples=extract_triples(doc, query, gateway))
+        typer.submit(triple_typing_jobs(doc.triples, doc.title))
+        extracted.append(doc)
+    return extracted
 
 
 def type_documents(docs: Sequence[Document], typer: EntityTyper) -> list[Document]:
-    """Copies of the documents with every triple typed, in one typing batch."""
-    typer.type_all(document_typing_jobs(docs))
+    """Copies of the documents with every triple typed."""
     return [
         dataclasses.replace(doc, triples=type_document_triples(doc.triples, typer, doc.title))
         for doc in docs
@@ -141,8 +144,9 @@ class Pipeline:
         self.pre_extract = pre_extract
         self.startup_events: list[str] = []
         if pre_extract:
-            typer = self._typer(encoder)
-            documents = type_documents(extract_documents(documents, None, gateway), typer)
+            with closing(self._typer(encoder)) as typer:
+                documents = stream_documents(documents, None, gateway, typer)
+                documents = type_documents(documents, typer)
             self.startup_events.extend(typer.events)
             # every question reranks these triples: their vectors live as long as the pipeline
             texts = [
@@ -172,18 +176,15 @@ class Pipeline:
         encoder = self.encoder.scope()  # the question's vectors, dropped when it ends
         pool = dense_retrieve(question, self.corpus, self.cfg, encoder)
         trace.pool_ids = [d.id for d in pool]
-        typer = self._typer(encoder)
-
-        if self.pre_extract:
-            decomposition = decompose_query(question, self.gateway)
-        else:
-            # per-query copies: extraction is query-conditioned
-            pool = extract_documents(pool, question, self.gateway)
-            decomposition = decompose_query(question, self.gateway)
-            # one batch types the entities of the documents and of the sub-queries
-            typer.type_all(document_typing_jobs(pool) + subquery_typing_jobs(decomposition))
-            pool = type_documents(pool, typer)
-        decomposition = type_subqueries(decomposition, typer)
+        with closing(self._typer(encoder)) as typer:
+            if not self.pre_extract:
+                # per-query copies: extraction is query-conditioned
+                pool = stream_documents(pool, question, self.gateway, typer)
+            # typing the sub-queries collects the documents' jobs too, after every
+            # extraction and the decomposition: their errors come first
+            decomposition = type_subqueries(decompose_query(question, self.gateway), typer)
+            if not self.pre_extract:
+                pool = type_documents(pool, typer)
         pool_by_id = {d.id: d for d in pool}
 
         bindings = BindingTable()

@@ -8,12 +8,14 @@ Typing an entity takes the cheapest path that fires:
    first-level class and then the (first, second) pair.
 
 An :class:`EntityTyper` serves one question and labels each surface once,
-with the context of its first job. :meth:`EntityTyper.type_all` types a batch
-of (entity, context) jobs, up to :data:`TYPING_WORKERS` at a time on a thread
-pool, and records labels and fallback events in job order on the calling
-thread. The selections themselves live in a :class:`LabelMap` by (surface,
-context), shared by every question of a pipeline, so a pair is sent to the
-LLM once however many questions ask for it.
+with the context of its first job. :meth:`EntityTyper.submit` starts typing
+(entity, context) jobs in the background, up to :data:`TYPING_WORKERS` at a
+time on the question's thread pool, and :meth:`EntityTyper.collect` records
+labels and fallback events in job order on the calling thread. The selections
+themselves live in a :class:`LabelMap` by (surface, context), shared by every
+question of a pipeline, so a pair is sent to the LLM once however many
+questions ask for it. Every selected label is the taxonomy's own object for
+its pair.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from __future__ import annotations
 import json
 import re
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -39,7 +41,7 @@ from tasr.llm import Gateway, load_prompt
 from tasr.model import Entity, TaxonomyLabel
 
 TYPE_SELECT_SYSTEM = "You assign entity types from a fixed two-level taxonomy."
-TYPING_WORKERS = 8  # threads one typing batch runs on (per question in flight)
+TYPING_WORKERS = 8  # typing threads per question in flight
 
 TypingJob = tuple[Entity, Optional[str]]  # an entity and the context its prompt shows
 Typed = tuple[TaxonomyLabel, tuple[str, ...]]  # a label and the fallback events it took
@@ -52,6 +54,13 @@ class Taxonomy:
     l1_classes: tuple[str, ...]
     children: dict[str, tuple[str, ...]]
 
+    def __post_init__(self) -> None:
+        # one label object per pair, so every label typed to a pair is that object
+        labels = {
+            (l1, l2): TaxonomyLabel(l1, l2) for l1 in self.l1_classes for l2 in self.children[l1]
+        }
+        object.__setattr__(self, "_labels", labels)
+
     def has_l1(self, l1: str) -> bool:
         return l1 in self.children
 
@@ -59,9 +68,11 @@ class Taxonomy:
         return l2 in self.children.get(l1, ())
 
     def all_pairs(self) -> list[TaxonomyLabel]:
-        return [
-            TaxonomyLabel(l1, l2) for l1 in self.l1_classes for l2 in self.children[l1]
-        ]
+        return list(self._labels.values())
+
+    def label(self, l1: str, l2: str) -> TaxonomyLabel:
+        """The one label object of a pair the taxonomy has."""
+        return self._labels[(l1, l2)]
 
 
 def load_taxonomy(source: str | Path) -> Taxonomy:
@@ -220,7 +231,11 @@ class EntityTyper:
     needs the label index and encodes entity texts through ``encoder``
     (default: the index's own); pure mode shows full label lists and needs
     none. The per-surface labels and ``events`` are written only by the
-    thread that calls :meth:`type_all`.
+    thread that calls :meth:`collect`.
+
+    Jobs run on a pool of at most :data:`TYPING_WORKERS` threads that the
+    typer starts on its first new surface and shuts down in :meth:`collect`
+    or :meth:`close`, so no typing thread outlives the batch it serves.
     """
 
     def __init__(
@@ -242,27 +257,47 @@ class EntityTyper:
         self.encoder = encoder
         self.events: list[str] = []
         self._memo: dict[str, TaxonomyLabel] = {}
+        self._pending: dict[str, Future[Typed]] = {}  # surfaces submitted, not yet collected
+        self._pool: Optional[ThreadPoolExecutor] = None
 
-    def type_all(self, jobs: Iterable[TypingJob]) -> None:
-        """Memoize a label for every surface of ``jobs``; a surface is typed with the
-        context of its first job.
-
-        New surfaces are typed concurrently, but their labels and fallback events
-        are recorded in job order, so the outcome does not depend on thread
-        timing. When jobs fail, the first failing job in job order raises.
-        """
-        fresh: dict[str, TypingJob] = {}
+    def submit(self, jobs: Iterable[TypingJob]) -> None:
+        """Start typing every surface of ``jobs`` this typer has not seen, in the
+        background; a surface is typed with the context of its first job across submits."""
         for entity, context in jobs:
-            if entity.surface not in self._memo:
-                fresh.setdefault(entity.surface, (entity, context))
-        if not fresh:
-            return
-        with ThreadPoolExecutor(min(TYPING_WORKERS, len(fresh))) as pool:
-            # map yields in job order; a failure cancels the later jobs not yet started
-            typed = list(pool.map(self._type_new, fresh.values()))
-        for surface, (label, events) in zip(fresh, typed):
+            if entity.surface in self._memo or entity.surface in self._pending:
+                continue
+            if self._pool is None:
+                self._pool = ThreadPoolExecutor(TYPING_WORKERS, thread_name_prefix="tasr-typing")
+            self._pending[entity.surface] = self._pool.submit(self._type_new, (entity, context))
+
+    def collect(self) -> None:
+        """Wait for the submitted jobs and memoize their labels.
+
+        Labels and fallback events are recorded in job order, so the outcome does
+        not depend on thread timing. When jobs fail, the first failing job in job
+        order raises and the jobs not yet started are cancelled.
+        """
+        pending, self._pending = self._pending, {}
+        try:
+            typed = [future.result() for future in pending.values()]
+        finally:
+            self.close()
+        for surface, (label, events) in zip(pending, typed):
             self._memo[surface] = label
             self.events.extend(events)
+
+    def close(self) -> None:
+        """Drop the uncollected jobs: cancel those not yet started, wait for the running
+        ones and stop the pool's threads."""
+        self._pending = {}
+        if self._pool is not None:
+            self._pool.shutdown(wait=True, cancel_futures=True)
+            self._pool = None
+
+    def type_all(self, jobs: Iterable[TypingJob]) -> None:
+        """Memoize a label for every surface of ``jobs`` and of earlier submits."""
+        self.submit(jobs)
+        self.collect()
 
     def type_entity(self, entity: Entity, context: Optional[str] = None) -> TaxonomyLabel:
         self.type_all([(entity, context)])
@@ -332,7 +367,7 @@ class EntityTyper:
             entity, 2, prompt, "\n\nOnly use a candidate pair from the list.", events,
             lambda parsed: _offered_pair(parsed, offered),
         ) or max(union, key=lambda item: item[2])[:2]
-        return TaxonomyLabel(*pair)
+        return self.taxonomy.label(*pair)
 
     def _ask(
         self, entity: Entity, stage: int, prompt: str, hint: str, events: list[str], pick: Callable

@@ -39,11 +39,14 @@ def test_only_gateway_sends_requests_and_parses_replies():
                 assert node.func.attr != "complete", f"{name}:{node.lineno} calls .complete("
 
 
-def test_requests_import_limited_to_io_modules():
-    allowed = {"llm.py", "embedding.py"}
+def test_no_module_imports_requests():
+    # HTTP goes through the standard library (tasr.llm.post_json)
     for name, text in _sources().items():
-        if name not in allowed:
-            assert "import requests" not in text, name
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Import):
+                assert all(alias.name.split(".")[0] != "requests" for alias in node.names), name
+            elif isinstance(node, ast.ImportFrom):
+                assert (node.module or "").split(".")[0] != "requests", name
 
 
 def test_demos_run_to_completion():

@@ -1,12 +1,27 @@
+import functools
 import json
+import tempfile
+import threading
+import time
+import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tasr.config import PipelineConfig, validate_config
-from tasr.embedding import CachingEncoder
-from tasr.errors import AmbiguousBinding, DuplicateBinding, QueryFailure, TasrError
-from tasr.llm import Gateway, scripted_mock
+from tasr.embedding import CachingEncoder, HashEncoderClient
+from tasr.errors import (
+    AmbiguousBinding,
+    DuplicateBinding,
+    LlmUnavailable,
+    QueryFailure,
+    TasrError,
+)
+from tasr.evaluation import QaExample, load_corpus, load_dataset, run_benchmark
+from tasr.llm import ROLE_TAGS, Gateway, load_script, scripted_mock
 from tasr.matching import aggregate_document_score, component_texts
 from tasr.model import (
     BindingTable,
@@ -18,8 +33,9 @@ from tasr.model import (
     Triple,
 )
 from tasr.reasoner import Pipeline, answer_subquery, bind, resolve
+from tasr.taxonomy import load_default_taxonomy
 
-from conftest import RecordingEncoderClient
+from conftest import FIXTURES, RecordingEncoderClient
 from reference_scoring import brute_force_rank
 
 RUNNING_QUESTION = (
@@ -416,3 +432,121 @@ class TestThreeHopChain:
             for (gid, gscore), (eid, escore) in zip(got, all_ranked):
                 assert gid == eid
                 assert gscore == pytest.approx(escore, abs=1e-9)
+
+
+class ScriptedFaults:
+    """The toy script, with ``fail(req)`` naming the requests that raise; each request
+    sleeps the delay ``delay_ms(req)`` picks first."""
+
+    def __init__(self, fail=lambda req: None, delay_ms=lambda req: 0.0):
+        self.inner = load_script(FIXTURES / "llm_script.json")
+        self.fail, self.delay_ms = fail, delay_ms
+
+    def complete(self, req):
+        time.sleep(self.delay_ms(req) / 1000.0)
+        message = self.fail(req)
+        if message:
+            raise LlmUnavailable(req.role_tag, message, retryable=False)
+        return self.inner.complete(req)
+
+
+def _fresh_pipeline(backend, pre_extract=False):
+    return Pipeline(
+        load_corpus(FIXTURES / "corpus.jsonl"),
+        load_default_taxonomy(),
+        CachingEncoder(HashEncoderClient()),
+        Gateway(backend=backend),
+        validate_config(PipelineConfig()),
+        pre_extract=pre_extract,
+    )
+
+
+class TestStreamedTyping:
+    """Each document's entities are typed while the next document is extracted; the
+    question's outcome is as if typing had waited for the last extraction."""
+
+    def _pool(self):
+        _, trace = _fresh_pipeline(ScriptedFaults()).run_query(RUNNING_QUESTION)
+        titles = {d.id: d.title for d in load_corpus(FIXTURES / "corpus.jsonl")}
+        return [(doc_id, titles[doc_id]) for doc_id in trace.pool_ids]
+
+    @pytest.mark.parametrize("stage", ["extract", "decompose"])
+    def test_a_later_stage_error_wins_over_an_earlier_typing_error(self, stage):
+        # the first document's typing fails, then the last extraction or the decomposition
+        pool = self._pool()
+        first_title, last_id = pool[0][1], pool[-1][0]
+        failing = {"extract": f"Document id: {last_id}", "decompose": ""}[stage]
+        typing_failed = threading.Event()
+
+        def fail(req):
+            if req.role_tag == "type_select" and f"Context: {first_title}" in req.user_prompt:
+                typing_failed.set()
+                return "typing is down"
+            if req.role_tag == stage and failing in req.user_prompt:
+                assert typing_failed.wait(timeout=10)
+                return f"{stage} is down"
+
+        example = QaExample("q1", RUNNING_QUESTION, ("MySQL AB",))
+        run = run_benchmark([example], _fresh_pipeline(ScriptedFaults(fail)))
+        assert run.report.error_count == 1
+        (row,) = run.report.per_example
+        assert (row.em, row.f1) == (0, 0.0)
+        assert f"{stage} is down" in row.error
+
+    @pytest.mark.parametrize("stage", ["extract", "decompose", "type_select"])
+    def test_no_typing_thread_outlives_a_failing_question(self, stage):
+        pool = self._pool()
+        failing = {
+            "extract": f"Document id: {pool[-1][0]}",
+            "decompose": "",
+            "type_select": f"Context: {pool[0][1]}",
+        }[stage]
+
+        def fail(req):
+            if req.role_tag == stage and failing in req.user_prompt:
+                return f"{stage} is down"
+
+        # slow type selections are still running when the question fails
+        pipeline = _fresh_pipeline(
+            ScriptedFaults(fail, lambda req: 20.0 if req.role_tag == "type_select" else 0.0)
+        )
+        baseline = set(threading.enumerate())
+        with pytest.raises(QueryFailure, match=f"{stage} is down"):
+            pipeline.run_query(RUNNING_QUESTION)
+        # compared as sets, so a thread of an earlier test ending meanwhile does not count
+        assert set(threading.enumerate()) <= baseline
+        assert not [t for t in threading.enumerate() if t.name.startswith("tasr-typing")]
+
+    @pytest.mark.parametrize("mode", ["plain", "pre_extract"])
+    @settings(max_examples=8, deadline=None)
+    @given(
+        delays_ms=st.fixed_dictionaries(
+            {role: st.lists(st.floats(0.0, 3.0), min_size=1, max_size=4) for role in ROLE_TAGS}
+        ),
+        parallel=st.sampled_from([1, 2]),
+    )
+    def test_outputs_do_not_depend_on_when_typing_replies_arrive(self, mode, delays_ms, parallel):
+        # type selections finish before or after later extractions, as the draw falls
+        def delay_ms(req):
+            options = delays_ms[req.role_tag]
+            return options[zlib.crc32(req.user_prompt.encode()) % len(options)]
+
+        delayed = _toy_outputs(ScriptedFaults(delay_ms=delay_ms), mode, parallel)
+        assert delayed == _undelayed_outputs(mode)
+
+
+def _toy_outputs(backend, mode, parallel):
+    """Predictions, report and traces of one toy run."""
+    pipeline = _fresh_pipeline(backend, pre_extract=mode == "pre_extract")
+    with tempfile.TemporaryDirectory() as trace_dir:
+        run = run_benchmark(
+            load_dataset(FIXTURES / "questions.jsonl"), pipeline, trace_dir=trace_dir,
+            parallel=parallel,
+        )
+        traces = {p.name: json.loads(p.read_text()) for p in Path(trace_dir).iterdir()}
+    return run.predictions, run.report.to_dict(), traces
+
+
+@functools.lru_cache(maxsize=None)
+def _undelayed_outputs(mode):
+    return _toy_outputs(ScriptedFaults(), mode, 1)

@@ -20,6 +20,7 @@ from tasr.errors import (
 from tasr.llm import Gateway, scripted_mock
 from tasr.model import Entity, TaxonomyLabel
 from tasr.taxonomy import (
+    TYPING_WORKERS,
     EntityTyper,
     LabelMap,
     TypeEmbeddingIndex,
@@ -232,6 +233,20 @@ class TestSelectType:
         for l1 in taxonomy.l1_classes:
             assert l1 in stage1.user_prompt
 
+    def test_keys_typed_to_one_pair_share_its_label_object(self, taxonomy, hash_encoder):
+        backend = scripted_mock(
+            [
+                ("type_select", "First-level types", {"labels": ["PRODUCT"]}),
+                ("type_select", "Final two-level type", {"l1": "PRODUCT", "l2": "Database"}),
+            ]
+        )
+        cfg = validate_config(PipelineConfig(typing_mode="pure"))
+        typer = EntityTyper(taxonomy, None, Gateway(backend=backend), cfg)
+        keys = [("MySQL", "Open-source relational databases"), ("PostgreSQL", None)]
+        typer.type_all([(Entity(surface), context) for surface, context in keys])
+        held = [typer.labels.get(key, lambda: pytest.fail("not held"))[0] for key in keys]
+        assert held[0] is held[1] is taxonomy.label("PRODUCT", "Database")
+
     def test_retrieval_mode_without_index_rejected(self, taxonomy, default_cfg):
         with pytest.raises(IndexUnavailable):
             EntityTyper(taxonomy, None, Gateway(backend=scripted_mock([])), default_cfg)
@@ -300,6 +315,58 @@ class TestTypeAll:
         assert [typer.type_entity(Entity(name)) for name in names] == [
             serial.type_entity(*job) for job in jobs
         ]
+
+
+    def test_two_submits_type_an_overlapping_surface_once(
+        self, taxonomy, hash_encoder, default_cfg
+    ):
+        # the second submit repeats a surface with another context: its first job's context wins
+        first = [(Entity("alpha entity"), "title 0"), (Entity("beta entity"), "title 0")]
+        second = [(Entity("beta entity"), "title 1"), (Entity("gamma entity"), "title 1")]
+        oov = ["beta entity", "gamma entity"]
+        streamed, batched = OovEchoBackend(oov), OovEchoBackend(oov)
+        typer = _typer(taxonomy, hash_encoder, streamed, default_cfg)
+        typer.submit(first)
+        typer.submit(second)
+        typer.collect()
+        once = _typer(taxonomy, hash_encoder, batched, default_cfg)
+        once.type_all(first + second)
+        beta = [c.user_prompt for c in streamed.echo.calls if '"beta entity"' in c.user_prompt]
+        assert beta and all("Context: title 0" in prompt for prompt in beta)
+        assert sorted(c.user_prompt for c in streamed.echo.calls) == sorted(
+            c.user_prompt for c in batched.echo.calls
+        )
+        assert typer.events == once.events and len(typer.events) == 2
+        names = ["alpha entity", "beta entity", "gamma entity"]
+        assert [typer.type_entity(Entity(n)) for n in names] == [
+            once.type_entity(Entity(n)) for n in names
+        ]
+
+    def test_close_cancels_the_jobs_not_started(self, taxonomy, hash_encoder, default_cfg):
+        names = [f"entity {i}" for i in range(TYPING_WORKERS + 4)]
+        release, started, lock = threading.Event(), [], threading.Lock()
+        echo = EchoSelectBackend()
+
+        class HeldBackend:
+            def complete(self, req):
+                with lock:
+                    started.append(req)
+                assert release.wait(timeout=10)
+                return echo.complete(req)
+
+        typer = _typer(taxonomy, hash_encoder, HeldBackend(), default_cfg)
+        typer.submit([(Entity(name), None) for name in names])
+        deadline = time.monotonic() + 10
+        while len(started) < TYPING_WORKERS and time.monotonic() < deadline:
+            time.sleep(0.001)
+        threading.Timer(0.2, release.set).start()
+        typer.close()
+        # the running jobs finished their two stages; the queued ones never started
+        entities = {re.search(r'entity "(.*)"', r.user_prompt).group(1) for r in started}
+        assert len(entities) == TYPING_WORKERS
+        assert not [t for t in threading.enumerate() if t.name.startswith("tasr-typing")]
+        typer.collect()  # nothing is left to collect
+        assert typer.events == []
 
 
 class TestLabelMap:
