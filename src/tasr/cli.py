@@ -39,7 +39,6 @@ from tasr.taxonomy import (
     TypeEmbeddingIndex,
     load_default_taxonomy,
     load_taxonomy,
-    rule_type_entity,
 )
 
 
@@ -164,7 +163,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_type_entity(args: argparse.Namespace) -> int:
     taxonomy = _taxonomy(args.taxonomy)
     entity = Entity(args.text)
-    label = rule_type_entity(entity)
+    label = taxonomy.rule_label(entity)
     if label is None:
         encoder = _encoder(args.embed)
         typer = EntityTyper(

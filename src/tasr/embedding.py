@@ -77,15 +77,15 @@ class HttpEncoderClient:
 class CachingEncoder:
     """Memo over an encoder client, with an optional JSONL disk cache.
 
-    Memos come in two lifetimes. The encoder a pipeline is built with keeps
-    what it encodes for the pipeline's lifetime; :meth:`scope` gives a memo
-    for one question, which reads that memo, keeps only the vectors it adds
-    itself and goes with the question. While a vector is held, every call for
-    its text returns it, which is what makes reranking scores reproducible.
+    Memos come in two lifetimes. The encoder a pipeline is built with keeps what
+    it encodes for the pipeline's lifetime; :meth:`scope` gives a memo for one
+    question or one corpus chunk, which reads that memo, keeps only the vectors
+    it adds itself and goes with its user. While a vector is held, every call
+    for its text returns it, which is what makes reranking scores reproducible.
     This is the one place that checks vectors: every batch admitted from the
-    client or the disk cache must have one count per text and one dimension,
-    the dimension the encoder already holds. Cache hits are not checked
-    again. The disk cache receives each text once, whichever memo admits it.
+    client or the disk cache must have one count per text and one dimension, the
+    dimension the encoder already holds. Cache hits are not checked again. The
+    disk cache receives each text once, whichever memo admits it.
     """
 
     def __init__(self, client: EncoderClient, cache_path: Optional[str | Path] = None) -> None:
@@ -100,23 +100,22 @@ class CachingEncoder:
         if self._cache_path and self._cache_path.exists():
             texts, vectors = _read_cache(self._cache_path)
             self._on_disk.update(texts)
-            self._admit(texts, vectors, keep=True)
+            self._admit(texts, vectors)
 
     def __len__(self) -> int:
         """Vectors this memo holds, not counting the memo it reads through."""
         return len(self._cache)
 
     def scope(self) -> "CachingEncoder":
-        """An empty memo for one question that reads this encoder's memo and shares its
+        """An empty short-lived memo that reads this encoder's memo and shares its
         client, vector checks and disk cache."""
         scope = CachingEncoder.__new__(CachingEncoder)
         scope.client, scope._root = self.client, self._root
         scope._cache, scope._base = {}, self._root._cache
         return scope
 
-    def encode(self, texts: Sequence[str], keep: bool = True) -> list[np.ndarray]:
-        """One vector per text. ``keep=False`` checks and persists fresh vectors but
-        leaves them out of the memo, for texts encoded once (the corpus)."""
+    def encode(self, texts: Sequence[str]) -> list[np.ndarray]:
+        """One vector per text."""
         held, base = self._cache, self._base
         found: dict[str, Optional[np.ndarray]] = {}
         for text in texts:
@@ -127,7 +126,7 @@ class CachingEncoder:
         if missing:
             vectors = self.client.encode(missing)
             with self._root._lock:
-                self._admit(missing, vectors, keep=keep)
+                self._admit(missing, vectors)
             # a text another thread admitted first keeps that thread's vector
             found.update((text, held.get(text, v)) for text, v in zip(missing, vectors))
         return [found[text] for text in texts]
@@ -135,7 +134,7 @@ class CachingEncoder:
     def encode_one(self, text: str) -> np.ndarray:
         return self.encode([text])[0]
 
-    def _admit(self, texts: list[str], vectors: Sequence[np.ndarray], keep: bool) -> None:
+    def _admit(self, texts: list[str], vectors: Sequence[np.ndarray]) -> None:
         """Check a batch against the contract, then store it and append the texts the disk
         cache lacks; the caller holds the lock."""
         root = self._root
@@ -153,8 +152,7 @@ class CachingEncoder:
             )
         if shapes:
             root._shape = shapes.pop()
-        if keep:
-            self._cache.update([(t, v) for t, v in zip(texts, vectors) if t not in self._cache])
+        self._cache.update([(t, v) for t, v in zip(texts, vectors) if t not in self._cache])
         if root._cache_path:
             new = [(t, v) for t, v in zip(texts, vectors) if t not in root._on_disk]
             root._on_disk.update(t for t, _ in new)
@@ -227,8 +225,8 @@ class CorpusIndex:
     """Dense document index built over ``title\\n\\ntext``.
 
     Texts are encoded in chunks of :data:`CORPUS_CHUNK` straight into one
-    float64 matrix; the encoder memo does not keep them, so each vector is
-    held once.
+    float64 matrix, each chunk through a memo of its own that goes with it, so
+    the encoder's memo does not keep them and each vector is held once.
     """
 
     def __init__(self, documents: Sequence[Document], encoder: CachingEncoder) -> None:
@@ -236,7 +234,7 @@ class CorpusIndex:
         texts = [d.embedding_text() for d in documents]
         matrix = np.zeros((0, 0))
         for start in range(0, len(texts), CORPUS_CHUNK):
-            vectors = encoder.encode(texts[start : start + CORPUS_CHUNK], keep=False)
+            vectors = encoder.scope().encode(texts[start : start + CORPUS_CHUNK])
             if start == 0:
                 matrix = np.empty((len(texts), len(vectors[0])))
             matrix[start : start + len(vectors)] = vectors

@@ -1,11 +1,11 @@
 """Sequential multi-hop reasoning with an explicit entity binding table.
 
 One query runs as: dense retrieval, triple extraction from each document in
-pool order with each document's entities typed in the background as soon as it
-is extracted, query decomposition, typing of the sub-queries, then a strictly
-sequential loop over sub-queries: resolve bound variables, rerank the fixed
-candidate pool, answer the hop, bind its latent variable. The final answer is
-the last hop's answer.
+pool order with each document's entities sent to typing as soon as it is
+extracted, query decomposition with its slots sent to typing too, one wait for
+the question's labels, then a strictly sequential loop over sub-queries:
+resolve bound variables, rerank the fixed candidate pool, answer the hop, bind
+its latent variable. The final answer is the last hop's answer.
 
 A pipeline keeps what it learns at set-up for its lifetime: the taxonomy label
 vectors and, with ``pre_extract``, the typed corpus triples with their
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 from contextlib import closing
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from tasr.config import PipelineConfig
 from tasr.embedding import CORPUS_CHUNK, CachingEncoder, CorpusIndex, dense_retrieve
@@ -32,12 +32,13 @@ from tasr.model import (
     ReasoningTrace,
     Slot,
     SubQuery,
+    TaxonomyLabel,
 )
 from tasr.structurer import (
     Decomposition,
     decompose_query,
     extract_triples,
-    triple_typing_jobs,
+    subquery_typing_jobs,
     type_document_triples,
     type_subqueries,
 )
@@ -109,15 +110,17 @@ def stream_documents(
     extracted = []
     for doc in docs:
         doc = dataclasses.replace(doc, triples=extract_triples(doc, query, gateway))
-        typer.submit(triple_typing_jobs(doc.triples, doc.title))
+        typer.submit((entity, doc.title) for t in doc.triples for entity in (t.head, t.tail))
         extracted.append(doc)
     return extracted
 
 
-def type_documents(docs: Sequence[Document], typer: EntityTyper) -> list[Document]:
-    """Copies of the documents with every triple typed."""
+def type_documents(
+    docs: Sequence[Document], labels: Mapping[str, TaxonomyLabel]
+) -> list[Document]:
+    """Copies of the documents with every triple labelled from ``labels``."""
     return [
-        dataclasses.replace(doc, triples=type_document_triples(doc.triples, typer, doc.title))
+        dataclasses.replace(doc, triples=type_document_triples(doc.triples, labels))
         for doc in docs
     ]
 
@@ -146,7 +149,7 @@ class Pipeline:
         if pre_extract:
             with closing(self._typer(encoder)) as typer:
                 documents = stream_documents(documents, None, gateway, typer)
-                documents = type_documents(documents, typer)
+                documents = type_documents(documents, typer.collect())
             self.startup_events.extend(typer.events)
             # every question reranks these triples: their vectors live as long as the pipeline
             texts = [
@@ -180,11 +183,13 @@ class Pipeline:
             if not self.pre_extract:
                 # per-query copies: extraction is query-conditioned
                 pool = stream_documents(pool, question, self.gateway, typer)
-            # typing the sub-queries collects the documents' jobs too, after every
-            # extraction and the decomposition: their errors come first
-            decomposition = type_subqueries(decompose_query(question, self.gateway), typer)
-            if not self.pre_extract:
-                pool = type_documents(pool, typer)
+            decomposition = decompose_query(question, self.gateway)
+            typer.submit(subquery_typing_jobs(decomposition))
+            # collected after every extraction and the decomposition: their errors come first
+            labels = typer.collect()
+        decomposition = type_subqueries(decomposition, labels)
+        if not self.pre_extract:
+            pool = type_documents(pool, labels)
         pool_by_id = {d.id: d for d in pool}
 
         bindings = BindingTable()

@@ -5,7 +5,7 @@ from __future__ import annotations
 import dataclasses
 import re
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Mapping, Optional
 
 from tasr.errors import InvalidDecomposition, LlmProtocolError, TasrError
 from tasr.llm import Gateway, json_field, load_prompt
@@ -14,10 +14,11 @@ from tasr.model import (
     Entity,
     Slot,
     SubQuery,
+    TaxonomyLabel,
     Triple,
     normalize_variable_name,
 )
-from tasr.taxonomy import EntityTyper, TypingJob
+from tasr.taxonomy import TypingJob
 
 EXTRACT_SYSTEM = "You extract relational triples from documents."
 DECOMPOSE_SYSTEM = "You decompose questions into ordered relational sub-queries."
@@ -73,21 +74,14 @@ def _triple_fields(role_tag: str, item: object) -> tuple[str, str, str]:
     )
 
 
-def triple_typing_jobs(triples: list[Triple], context: Optional[str] = None) -> list[TypingJob]:
-    """Head then tail of each triple, in order, each shown with ``context``."""
-    return [(entity, context) for triple in triples for entity in (triple.head, triple.tail)]
-
-
 def type_document_triples(
-    triples: list[Triple], typer: EntityTyper, context: Optional[str] = None
+    triples: list[Triple], labels: Mapping[str, TaxonomyLabel]
 ) -> list[Triple]:
-    """Typed copies of the triples: both entities get labels, relations are untouched."""
-    typer.type_all(triple_typing_jobs(triples, context))
+    """Typed copies of the triples: both entities get the label ``labels`` holds for
+    their surface, relations are untouched."""
     return [
         dataclasses.replace(
-            triple,
-            head_type=typer.type_entity(triple.head),
-            tail_type=typer.type_entity(triple.tail),
+            triple, head_type=labels[triple.head.surface], tail_type=labels[triple.tail.surface]
         )
         for triple in triples
     ]
@@ -159,15 +153,15 @@ def subquery_typing_jobs(dec: Decomposition) -> list[TypingJob]:
     ]
 
 
-def type_subqueries(dec: Decomposition, typer: EntityTyper) -> Decomposition:
-    """Assign taxonomy labels to every slot of every sub-query."""
-    typer.type_all(subquery_typing_jobs(dec))
+def type_subqueries(dec: Decomposition, labels: Mapping[str, TaxonomyLabel]) -> Decomposition:
+    """Assign every slot of every sub-query the label ``labels`` holds for the text
+    :func:`subquery_typing_jobs` types it as."""
+
+    def label(slot: Slot) -> TaxonomyLabel:
+        return labels[_slot_entity(slot, dec.type_hints).surface]
+
     typed = [
-        dataclasses.replace(
-            sq,
-            head_type=typer.type_entity(_slot_entity(sq.head, dec.type_hints)),
-            tail_type=typer.type_entity(_slot_entity(sq.tail, dec.type_hints)),
-        )
+        dataclasses.replace(sq, head_type=label(sq.head), tail_type=label(sq.tail))
         for sq in dec.sub_queries
     ]
     return Decomposition(sub_queries=typed, type_hints=dict(dec.type_hints))

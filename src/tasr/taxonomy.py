@@ -3,7 +3,7 @@
 Typing an entity takes the cheapest path that fires:
 
 1. rule-based patterns for structured strings (years, dates, percentages,
-   money, bare counts);
+   money, bare counts), when the taxonomy has the pair the rule gives;
 2. embedding retrieval of candidate labels followed by LLM selection of the
    first-level class and then the (first, second) pair.
 
@@ -11,11 +11,11 @@ An :class:`EntityTyper` serves one question and labels each surface once,
 with the context of its first job. :meth:`EntityTyper.submit` starts typing
 (entity, context) jobs in the background, up to :data:`TYPING_WORKERS` at a
 time on the question's thread pool, and :meth:`EntityTyper.collect` records
-labels and fallback events in job order on the calling thread. The selections
-themselves live in a :class:`LabelMap` by (surface, context), shared by every
-question of a pipeline, so a pair is sent to the LLM once however many
-questions ask for it. Every selected label is the taxonomy's own object for
-its pair.
+labels and fallback events in job order on the calling thread and returns the
+question's labels by surface. The selections themselves live in a
+:class:`LabelMap` by (surface, context), shared by every question of a
+pipeline, so a pair is sent to the LLM once however many questions ask for
+it. Every label is the taxonomy's own object for its pair.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, Mapping, Optional
 
 from tasr.config import PipelineConfig
 from tasr.embedding import CachingEncoder, VectorIndex
@@ -73,6 +73,12 @@ class Taxonomy:
     def label(self, l1: str, l2: str) -> TaxonomyLabel:
         """The one label object of a pair the taxonomy has."""
         return self._labels[(l1, l2)]
+
+    def rule_label(self, entity: Entity) -> Optional[TaxonomyLabel]:
+        """The label object of the pair :func:`rule_type_entity` gives, when this taxonomy
+        has that pair; None otherwise, and the entity goes to selection."""
+        label = rule_type_entity(entity)
+        return None if label is None else self._labels.get((label.l1, label.l2))
 
 
 def load_taxonomy(source: str | Path) -> Taxonomy:
@@ -270,8 +276,9 @@ class EntityTyper:
                 self._pool = ThreadPoolExecutor(TYPING_WORKERS, thread_name_prefix="tasr-typing")
             self._pending[entity.surface] = self._pool.submit(self._type_new, (entity, context))
 
-    def collect(self) -> None:
-        """Wait for the submitted jobs and memoize their labels.
+    def collect(self) -> Mapping[str, TaxonomyLabel]:
+        """Wait for the submitted jobs; the question's labels by surface, covering every
+        surface submitted so far.
 
         Labels and fallback events are recorded in job order, so the outcome does
         not depend on thread timing. When jobs fail, the first failing job in job
@@ -285,6 +292,7 @@ class EntityTyper:
         for surface, (label, events) in zip(pending, typed):
             self._memo[surface] = label
             self.events.extend(events)
+        return dict(self._memo)
 
     def close(self) -> None:
         """Drop the uncollected jobs: cancel those not yet started, wait for the running
@@ -294,20 +302,16 @@ class EntityTyper:
             self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
 
-    def type_all(self, jobs: Iterable[TypingJob]) -> None:
-        """Memoize a label for every surface of ``jobs`` and of earlier submits."""
-        self.submit(jobs)
-        self.collect()
-
     def type_entity(self, entity: Entity, context: Optional[str] = None) -> TaxonomyLabel:
-        self.type_all([(entity, context)])
-        return self._memo[entity.surface]
+        """The label of one entity; earlier submits are collected with it."""
+        self.submit([(entity, context)])
+        return self.collect()[entity.surface]
 
     def _type_new(self, job: TypingJob) -> Typed:
         """The label of a surface this typer lacks, and the fallback events it took:
         by rule, else the LLM selection for its (surface, context) from the map."""
         entity, context = job
-        label = rule_type_entity(entity)
+        label = self.taxonomy.rule_label(entity)
         if label is not None:
             return label, ()
         # an empty context shows the same prompt as none

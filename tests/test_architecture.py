@@ -1,8 +1,9 @@
 """Whole-repo guards.
 
 Chat traffic flows through the gateway module only, requests are sent and
-parsed by ``Gateway`` alone, the demos run, and every function the
-benchmark's traced run wraps still exists under its name.
+parsed by ``Gateway`` alone, the structurer reads labels without typing, the
+demos run, and every function the benchmark's traced run wraps still exists
+under its name.
 """
 
 import ast
@@ -47,6 +48,11 @@ def test_no_module_imports_requests():
                 assert all(alias.name.split(".")[0] != "requests" for alias in node.names), name
             elif isinstance(node, ast.ImportFrom):
                 assert (node.module or "").split(".")[0] != "requests", name
+
+
+def test_structurer_labels_by_lookup():
+    # typing is one step of the question: the structurer reads labels, it never types
+    assert "EntityTyper" not in _sources()["structurer.py"]
 
 
 def test_demos_run_to_completion():

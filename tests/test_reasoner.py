@@ -33,7 +33,8 @@ from tasr.model import (
     Triple,
 )
 from tasr.reasoner import Pipeline, answer_subquery, bind, resolve
-from tasr.taxonomy import load_default_taxonomy
+from tasr.structurer import decompose_query, extract_triples, subquery_typing_jobs
+from tasr.taxonomy import EntityTyper, load_default_taxonomy
 
 from conftest import FIXTURES, RecordingEncoderClient
 from reference_scoring import brute_force_rank
@@ -533,6 +534,54 @@ class TestStreamedTyping:
 
         delayed = _toy_outputs(ScriptedFaults(delay_ms=delay_ms), mode, parallel)
         assert delayed == _undelayed_outputs(mode)
+
+
+class TestOneTypingStep:
+    """A question sends each typing job once and waits for its labels once."""
+
+    def _record(self, monkeypatch):
+        submitted, collects = [], []
+        submit, collect = EntityTyper.submit, EntityTyper.collect
+
+        def recording_submit(typer, jobs):
+            jobs = list(jobs)
+            submitted.extend((entity.surface, context) for entity, context in jobs)
+            submit(typer, jobs)
+
+        def recording_collect(typer):
+            collects.append(len(submitted))
+            return collect(typer)
+
+        monkeypatch.setattr(EntityTyper, "submit", recording_submit)
+        monkeypatch.setattr(EntityTyper, "collect", recording_collect)
+        return submitted, collects
+
+    @pytest.mark.parametrize("pre_extract", [False, True])
+    def test_one_collect_after_each_job_is_submitted_once(self, monkeypatch, pre_extract):
+        submitted, collects = self._record(monkeypatch)
+        corpus = load_corpus(FIXTURES / "corpus.jsonl")
+        gateway = Gateway(backend=ScriptedFaults())
+        query = None if pre_extract else RUNNING_QUESTION
+
+        def doc_jobs(docs):
+            return [
+                (entity.surface, doc.title)
+                for doc in docs
+                for t in extract_triples(doc, query, gateway)
+                for entity in (t.head, t.tail)
+            ]
+
+        pipeline = _fresh_pipeline(ScriptedFaults(), pre_extract=pre_extract)
+        setup_jobs = doc_jobs(corpus) if pre_extract else []
+        setup_collects = [len(setup_jobs)] if pre_extract else []
+        assert (submitted, collects) == (setup_jobs, setup_collects)
+        _, trace = pipeline.run_query(RUNNING_QUESTION)
+        by_id = {doc.id: doc for doc in corpus}
+        question_jobs = [] if pre_extract else doc_jobs(by_id[i] for i in trace.pool_ids)
+        decomposition = decompose_query(RUNNING_QUESTION, gateway)
+        question_jobs += [(e.surface, c) for e, c in subquery_typing_jobs(decomposition)]
+        assert submitted == setup_jobs + question_jobs
+        assert collects == setup_collects + [len(submitted)]
 
 
 def _toy_outputs(backend, mode, parallel):

@@ -4,8 +4,10 @@ from tasr.errors import InvalidDecomposition, LlmProtocolError
 from tasr.llm import Gateway, scripted_mock
 from tasr.model import Document, Entity, Slot, SubQuery, TaxonomyLabel, Triple
 from tasr.structurer import (
+    Decomposition,
     decompose_query,
     extract_triples,
+    subquery_typing_jobs,
     type_document_triples,
     type_subqueries,
     validate_chain,
@@ -23,6 +25,16 @@ RUNNING_QUESTION = (
 @pytest.fixture()
 def toy_gateway(toy_backend):
     return Gateway(backend=toy_backend)
+
+
+def _type_triples(triples, typer):
+    typer.submit((entity, None) for t in triples for entity in (t.head, t.tail))
+    return type_document_triples(triples, typer.collect())
+
+
+def _type_subqueries(dec, typer):
+    typer.submit(subquery_typing_jobs(dec))
+    return type_subqueries(dec, typer.collect())
 
 
 class TestExtractTriples:
@@ -120,7 +132,7 @@ class TestTypeDocumentTriples:
     def test_returns_typed_copies_and_leaves_input_untyped(self, taxonomy, hash_encoder):
         typer = self._typer(taxonomy, hash_encoder, EchoSelectBackend())
         triples = [Triple(Entity("alpha"), "uses", Entity("beta"), "d")]
-        typed = type_document_triples(triples, typer)
+        typed = _type_triples(triples, typer)
         assert len(typed) == 1
         assert typed[0].key() == triples[0].key()
         assert typed[0].source_doc == "d"
@@ -128,9 +140,21 @@ class TestTypeDocumentTriples:
         assert typed[0].tail_type == typer.type_entity(Entity("beta"))
         assert triples[0].head_type is None and triples[0].tail_type is None
 
+    def test_labels_come_from_a_plain_table(self):
+        # a lookup: no typer and no backend
+        table = {"alpha": TaxonomyLabel("PRODUCT", "Database"), "beta": TaxonomyLabel("X", "Y")}
+        triples = [
+            Triple(Entity("alpha"), "uses", Entity("beta"), "d"),
+            Triple(Entity("beta"), "r", Entity("alpha"), "d"),
+        ]
+        typed = type_document_triples(triples, table)
+        assert [(t.head_type, t.tail_type) for t in typed] == [
+            (table["alpha"], table["beta"]), (table["beta"], table["alpha"])
+        ]
+
     def test_empty_list(self, taxonomy, hash_encoder):
         typer = self._typer(taxonomy, hash_encoder, EchoSelectBackend())
-        assert type_document_triples([], typer) == []
+        assert _type_triples([], typer) == []
 
     def test_shared_entity_typed_once(self, taxonomy, hash_encoder):
         backend = EchoSelectBackend()
@@ -141,7 +165,7 @@ class TestTypeDocumentTriples:
             Triple(Entity(shared), "r2", Entity("other two"), "d"),
             Triple(Entity("other three"), "r3", Entity(shared), "d"),
         ]
-        typed = type_document_triples(triples, typer)
+        typed = _type_triples(triples, typer)
         assert len(typed) == len(triples)
         assert [t.relation for t in typed] == ["r1", "r2", "r3"]
         stage1_for_shared = [
@@ -283,7 +307,7 @@ class TestTypeSubqueries:
         typer = EntityTyper(
             taxonomy, TypeEmbeddingIndex(taxonomy, hash_encoder), toy_gateway, toy_pipeline_cfg()
         )
-        typed = type_subqueries(dec, typer)
+        typed = _type_subqueries(dec, typer)
         s1, s2 = typed.sub_queries
         assert s1.head_type == TaxonomyLabel("WORK", "SoftwareProject")
         assert s1.tail_type == TaxonomyLabel("PRODUCT", "Database")
@@ -293,38 +317,47 @@ class TestTypeSubqueries:
     def test_rule_typable_bound_slot_skips_llm(self, taxonomy, hash_encoder):
         backend = EchoSelectBackend()
         typer = self._typer(taxonomy, hash_encoder, backend)
-        from tasr.structurer import Decomposition
-
         dec = Decomposition(
             sub_queries=[SubQuery(1, Slot.bound("1998"), "occurred_in", Slot.bound("somewhere"))]
         )
-        typed = type_subqueries(dec, typer)
+        typed = _type_subqueries(dec, typer)
         assert typed.sub_queries[0].head_type == TaxonomyLabel("TIME", "Year")
         assert not any('"1998"' in c.user_prompt for c in backend.calls)
 
     def test_idempotent(self, taxonomy, hash_encoder):
         backend = EchoSelectBackend()
         typer = self._typer(taxonomy, hash_encoder, backend)
-        from tasr.structurer import Decomposition
-
         dec = Decomposition(
             sub_queries=[SubQuery(1, Slot.bound("alpha"), "r", Slot.variable("?Thing"))],
             type_hints={"?Thing": "gadget"},
         )
-        once = type_subqueries(dec, typer)
-        twice = type_subqueries(once, typer)
+        typer.submit(subquery_typing_jobs(dec))
+        labels = typer.collect()
+        once = type_subqueries(dec, labels)
+        twice = type_subqueries(once, labels)
         assert once.sub_queries == twice.sub_queries
+
+    def test_labels_come_from_a_plain_table(self):
+        # a bound slot is looked up by its text, a latent one by its description
+        table = {
+            "alpha": TaxonomyLabel("PRODUCT", "Database"),
+            "Thing (gadget)": TaxonomyLabel("OTHER", "Other"),
+        }
+        dec = Decomposition(
+            sub_queries=[SubQuery(1, Slot.bound("alpha"), "r", Slot.variable("?Thing"))],
+            type_hints={"?Thing": "gadget"},
+        )
+        (sq,) = type_subqueries(dec, table).sub_queries
+        assert (sq.head_type, sq.tail_type) == (table["alpha"], table["Thing (gadget)"])
 
     def test_latent_slot_typed_from_hint_description(self, taxonomy, hash_encoder):
         backend = EchoSelectBackend()
         typer = self._typer(taxonomy, hash_encoder, backend)
-        from tasr.structurer import Decomposition
-
         dec = Decomposition(
             sub_queries=[SubQuery(1, Slot.bound("alpha"), "r", Slot.variable("?Thing"))],
             type_hints={"?Thing": "gadget"},
         )
-        type_subqueries(dec, typer)
+        _type_subqueries(dec, typer)
         assert any('entity "Thing (gadget)"' in c.user_prompt for c in backend.calls)
 
 

@@ -150,6 +150,20 @@ class TestSelectType:
         assert typer.type_entity(Entity("37.5%")) == TaxonomyLabel("QUANTITY", "Percentage")
         assert backend.calls == []
 
+    def test_rule_pair_outside_the_taxonomy_goes_to_selection(self, taxonomy, default_cfg):
+        one_class = taxonomy_from_dict({"l1": [{"name": "THING", "l2": ["Item"]}]})
+        backend = scripted_mock(
+            [
+                ("type_select", "First-level types", {"labels": ["THING"]}),
+                ("type_select", "Final two-level type", {"l1": "THING", "l2": "Item"}),
+            ]
+        )
+        typer = _typer(one_class, CachingEncoder(HashEncoderClient()), backend, default_cfg)
+        assert typer.type_entity(Entity("1998")) is one_class.label("THING", "Item")
+        assert len(backend.calls) == 2
+        # a pair the taxonomy has comes back as the taxonomy's own object
+        assert taxonomy.rule_label(Entity("1998")) is taxonomy.label("TIME", "Year")
+
     def test_out_of_vocabulary_label_retries_once_then_falls_back(
         self, taxonomy, hash_encoder, default_cfg
     ):
@@ -243,7 +257,8 @@ class TestSelectType:
         cfg = validate_config(PipelineConfig(typing_mode="pure"))
         typer = EntityTyper(taxonomy, None, Gateway(backend=backend), cfg)
         keys = [("MySQL", "Open-source relational databases"), ("PostgreSQL", None)]
-        typer.type_all([(Entity(surface), context) for surface, context in keys])
+        typer.submit([(Entity(surface), context) for surface, context in keys])
+        typer.collect()
         held = [typer.labels.get(key, lambda: pytest.fail("not held"))[0] for key in keys]
         assert held[0] is held[1] is taxonomy.label("PRODUCT", "Database")
 
@@ -297,14 +312,16 @@ class TestTypeAll:
         backend = ReverseOrderBackend(names, fail=names[1:])
         typer = _typer(taxonomy, hash_encoder, backend, default_cfg)
         with pytest.raises(LlmUnavailable, match="no answer for slow failure"):
-            typer.type_all([(Entity(name), None) for name in names])
+            typer.submit([(Entity(name), None) for name in names])
+            typer.collect()
 
     def test_labels_and_events_follow_job_order(self, taxonomy, hash_encoder, default_cfg):
         names = ["alpha entity", "beta entity", "gamma entity"]
         backend = ReverseOrderBackend(names, oov=names[:2])
         typer = _typer(taxonomy, hash_encoder, backend, default_cfg)
         jobs = [(Entity(name), f"title {i}") for i, name in enumerate(names)]
-        typer.type_all(jobs + [(Entity("alpha entity"), "later title")])
+        typer.submit(jobs + [(Entity("alpha entity"), "later title")])
+        labels = typer.collect()
         assert typer.events == [
             f"type_select fallback (stage 1) for entity {name!r}" for name in names[:2]
         ]
@@ -312,9 +329,7 @@ class TestTypeAll:
         alpha = [c.user_prompt for c in backend.echo.calls if '"alpha entity"' in c.user_prompt]
         assert alpha and all("Context: title 0" in prompt for prompt in alpha)
         serial = _typer(taxonomy, hash_encoder, OovEchoBackend(oov=names[:2]), default_cfg)
-        assert [typer.type_entity(Entity(name)) for name in names] == [
-            serial.type_entity(*job) for job in jobs
-        ]
+        assert [labels[name] for name in names] == [serial.type_entity(*job) for job in jobs]
 
 
     def test_two_submits_type_an_overlapping_surface_once(
@@ -328,19 +343,17 @@ class TestTypeAll:
         typer = _typer(taxonomy, hash_encoder, streamed, default_cfg)
         typer.submit(first)
         typer.submit(second)
-        typer.collect()
+        streamed_labels = typer.collect()
         once = _typer(taxonomy, hash_encoder, batched, default_cfg)
-        once.type_all(first + second)
+        once.submit(first + second)
+        batched_labels = once.collect()
         beta = [c.user_prompt for c in streamed.echo.calls if '"beta entity"' in c.user_prompt]
         assert beta and all("Context: title 0" in prompt for prompt in beta)
         assert sorted(c.user_prompt for c in streamed.echo.calls) == sorted(
             c.user_prompt for c in batched.echo.calls
         )
         assert typer.events == once.events and len(typer.events) == 2
-        names = ["alpha entity", "beta entity", "gamma entity"]
-        assert [typer.type_entity(Entity(n)) for n in names] == [
-            once.type_entity(Entity(n)) for n in names
-        ]
+        assert streamed_labels == batched_labels and len(streamed_labels) == 3
 
     def test_close_cancels_the_jobs_not_started(self, taxonomy, hash_encoder, default_cfg):
         names = [f"entity {i}" for i in range(TYPING_WORKERS + 4)]
@@ -365,7 +378,7 @@ class TestTypeAll:
         entities = {re.search(r'entity "(.*)"', r.user_prompt).group(1) for r in started}
         assert len(entities) == TYPING_WORKERS
         assert not [t for t in threading.enumerate() if t.name.startswith("tasr-typing")]
-        typer.collect()  # nothing is left to collect
+        assert typer.collect() == {}  # nothing is left to collect
         assert typer.events == []
 
 
@@ -486,12 +499,13 @@ class TestLabelMap:
             for _ in range(2)
         )
         jobs = [(Entity("alpha entity"), "title"), (Entity("1998"), "title")]
-        first.type_all(jobs)
+        first.submit(jobs)
+        first_labels = first.collect()
         assert len(sent) == 3  # stage 1, its retry, stage 2
-        second.type_all(jobs)
+        second.submit(jobs)
+        assert second.collect() == first_labels
         assert len(sent) == 3
         assert second.events == first.events == [
             "type_select fallback (stage 1) for entity 'alpha entity'"
         ]
-        assert [second.type_entity(e) for e, _ in jobs] == [first.type_entity(e) for e, _ in jobs]
         assert len(labels) == 1  # rule-typed surfaces never reach the map
