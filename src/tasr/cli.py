@@ -186,7 +186,7 @@ def _read_json(path: str, what: str, parse):
     """``parse`` of a JSON input file; a missing or malformed file is a DatasetParseError."""
     try:
         return parse(json.loads(Path(path).read_text(encoding="utf-8")))
-    except (OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
         raise DatasetParseError(f"cannot read {what} {path}: {exc!r}") from exc
 
 

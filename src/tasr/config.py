@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -84,8 +85,8 @@ def validate_config(cfg: PipelineConfig) -> PipelineConfig:
 
 def _number(cfg: PipelineConfig, name: str) -> float:
     value = getattr(cfg, name)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise RangeViolation(name, f"must be a number, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise RangeViolation(name, f"must be a finite number, got {value!r}")
     return float(value)
 
 
@@ -104,14 +105,13 @@ def load_config(path: str | Path) -> PipelineConfig:
     """
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+        obj = json.loads(text)
+    except json.JSONDecodeError:
+        obj = None  # not JSON: read as key=value lines
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     known = {f.name for f in dataclasses.fields(PipelineConfig)}
     values: dict[str, Any] = {}
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError:
-        obj = None
     if obj is not None:
         if not isinstance(obj, dict):
             raise RangeViolation("config", "JSON config must be an object")

@@ -17,6 +17,7 @@ import numpy as np
 
 from tasr.config import PipelineConfig
 from tasr.errors import DimensionMismatch, EmptyIndex, EncoderCacheError, EncoderUnavailable
+from tasr.errors import NonFiniteVector
 from tasr.llm import post_json
 from tasr.model import Document
 
@@ -83,9 +84,9 @@ class CachingEncoder:
     it adds itself and goes with its user. While a vector is held, every call
     for its text returns it, which is what makes reranking scores reproducible.
     This is the one place that checks vectors: every batch admitted from the
-    client or the disk cache must have one count per text and one dimension, the
-    dimension the encoder already holds. Cache hits are not checked again. The
-    disk cache receives each text once, whichever memo admits it.
+    client or the disk cache must have one count per text, one dimension (the
+    one the encoder already holds) and finite values. Cache hits are not checked
+    again. The disk cache receives each text once, whichever memo admits it.
     """
 
     def __init__(self, client: EncoderClient, cache_path: Optional[str | Path] = None) -> None:
@@ -152,6 +153,11 @@ class CachingEncoder:
             )
         if shapes:
             root._shape = shapes.pop()
+        # one test per batch and no stacked copy: a NaN or inf in any vector reaches the sum
+        if vectors and not np.isfinite(sum(vectors, np.zeros(root._shape))).all():
+            for text, vector in zip(texts, vectors):
+                if not np.isfinite(vector).all():
+                    raise NonFiniteVector(f"vector for {text!r} holds NaN or inf")
         self._cache.update([(t, v) for t, v in zip(texts, vectors) if t not in self._cache])
         if root._cache_path:
             new = [(t, v) for t, v in zip(texts, vectors) if t not in root._on_disk]
@@ -164,12 +170,12 @@ class CachingEncoder:
 
 def _read_cache(path: Path) -> tuple[list[str], list[np.ndarray]]:
     texts, vectors = [], []
-    with path.open(encoding="utf-8") as fh:
+    with path.open("rb") as fh:  # decoded line by line, so a bad byte names its line
         for lineno, line in enumerate(fh, start=1):
             try:
-                record = json.loads(line)
+                record = json.loads(line.decode("utf-8"))
                 text, vector = record["text"], np.asarray(record["vector"], dtype=np.float64)
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError, RecursionError) as exc:
                 raise EncoderCacheError(f"vector cache {path} line {lineno}: {exc!r}") from exc
             if not isinstance(text, str):
                 raise EncoderCacheError(f"vector cache {path} line {lineno}: text is not a string")

@@ -56,6 +56,10 @@ class DimensionMismatch(TasrError):
     """Encoder returned vectors of inconsistent dimension."""
 
 
+class NonFiniteVector(TasrError):
+    """Encoder or vector cache gave a vector holding NaN or inf."""
+
+
 class EmptyIndex(TasrError):
     """Search against an index with no entries."""
 

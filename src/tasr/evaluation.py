@@ -116,7 +116,7 @@ def _read_jsonl(path: str | Path, what: str, fields: dict[str, type], make=lambd
     (object: any); a DatasetParseError, here or from ``make``, names the line."""
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # missing, unreadable or not UTF-8
         raise DatasetParseError(f"cannot read {what} {path}: {exc}") from exc
     records = []
     for lineno, line in enumerate(lines, start=1):
@@ -124,7 +124,7 @@ def _read_jsonl(path: str | Path, what: str, fields: dict[str, type], make=lambd
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise DatasetParseError(f"{what} {path} line {lineno}: {exc}") from exc
         if not isinstance(record, dict):
             raise DatasetParseError(f"{what} {path} line {lineno}: expected an object")

@@ -90,8 +90,8 @@ def post_json(
     except urllib.error.HTTPError as exc:
         retryable = not _is_rejection(exc.code)
         raise unavailable(f"{url}: HTTP {exc.code} {exc.reason}", retryable) from exc
-    except (OSError, http.client.HTTPException, ValueError) as exc:
-        # URLError and timeouts are OSErrors; a body that is not JSON is a ValueError
+    except (OSError, http.client.HTTPException, ValueError, RecursionError) as exc:
+        # URLError and timeouts are OSErrors; a non-JSON body is a ValueError or RecursionError
         raise unavailable(f"{url}: {exc}", True) from exc
 
 
@@ -175,7 +175,7 @@ def load_script(path: str | Path) -> ScriptedMockBackend:
             ScriptEntry(role_tag=item["role"], match=item["match"], response=item["response"])
             for item in data["responses"]
         ]
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         raise ConfigError(f"cannot read mock LLM script {path}: {exc!r}") from exc
     return ScriptedMockBackend(entries)
 
@@ -205,7 +205,7 @@ class Gateway:
             raw = self._send(LlmRequest(role_tag, system_prompt, prompt))
             try:
                 return json.loads(strip_code_fences(raw))
-            except json.JSONDecodeError:
+            except (ValueError, RecursionError):  # not JSON, or nested too deeply to parse
                 prompt = user_prompt + FORMAT_RETRY_SUFFIX
         raise LlmProtocolError(role_tag, f"non-JSON output after retry: {raw[:200]!r}")
 

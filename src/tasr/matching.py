@@ -5,13 +5,16 @@ The scoring stack, bottom up:
 * type-pair score: weighted L1/L2 label equality;
 * structural score: head/tail type-pair scores, weighted; relations play no role;
 * semantic score: weighted cosines between role-prefixed component embeddings;
-* triple score: alpha-mix of structural and semantic;
-* per-document best score per sub-query (max over the document's triples);
-* document score: gamma-mix of the max and the mean over the top-t sub-queries;
+* triple score: alpha-mix of structural and semantic, one formula over vectors
+  for every (sub-query, document triple) pair;
+* document score: per sub-query the best of the document's triples, then a
+  gamma-mix of the max and the mean over the top-t sub-queries;
 * threshold filter and rank, with a top-1 fallback when the filter empties.
 
-All functions are pure; determinism is guaranteed by explicit tie rules
-(doc id ascending, sub-query position ascending).
+A rerank reads the component vectors of its whole chain and pool with one
+encoder call, then scores every pair from them. All functions are pure;
+determinism is guaranteed by explicit tie rules (doc id ascending, sub-query
+position ascending, the first of equally scored triples).
 """
 
 from __future__ import annotations
@@ -91,15 +94,21 @@ def component_texts(head: str, relation: str, tail: str) -> list[str]:
     return [HEAD_PREFIX + head, RELATION_PREFIX + relation, TAIL_PREFIX + tail]
 
 
-def component_vectors(head: str, relation: str, tail: str, encoder: CachingEncoder):
-    return encoder.encode(component_texts(head, relation, tail))
+def triple_texts(triple: Triple | SubQuery) -> list[str]:
+    """Component texts of a document triple or a sub-query, as the semantic score encodes them."""
+    if isinstance(triple, SubQuery):
+        return component_texts(triple.head.text, triple.relation, triple.tail.text)
+    return component_texts(triple.head.surface, triple.relation, triple.tail.surface)
 
 
-def component_cosines(
-    qs: SubQuery, dt: Triple, encoder: CachingEncoder
-) -> tuple[float, float, float]:
-    q_h, q_r, q_t = component_vectors(qs.head.text, qs.relation, qs.tail.text, encoder)
-    d_h, d_r, d_t = component_vectors(dt.head.surface, dt.relation, dt.tail.surface, encoder)
+def _pair_vectors(qs: SubQuery, dt: Triple, encoder: CachingEncoder):
+    """Both sides' component vectors, (head, relation, tail) each, from one encoder call."""
+    vectors = encoder.encode(triple_texts(qs) + triple_texts(dt))
+    return vectors[:3], vectors[3:]
+
+
+def _cosines(q_vectors, d_vectors) -> tuple[float, float, float]:
+    (q_h, q_r, q_t), (d_h, d_r, d_t) = q_vectors, d_vectors
     return (float(np.dot(q_h, d_h)), float(np.dot(q_r, d_r)), float(np.dot(q_t, d_t)))
 
 
@@ -112,7 +121,27 @@ def score_semantic(
     qs: SubQuery, dt: Triple, encoder: CachingEncoder, cfg: PipelineConfig
 ) -> float:
     """Weighted cosine similarity over head, relation and tail components."""
-    return _semantic(component_cosines(qs, dt, encoder), cfg)
+    return _semantic(_cosines(*_pair_vectors(qs, dt, encoder)), cfg)
+
+
+def _match(
+    qs: SubQuery, triple: Triple, q_vectors, d_vectors, cfg: PipelineConfig, index: Optional[int]
+) -> TripleMatch:
+    """The one pair formula: alpha-mix of structural and semantic, from component vectors."""
+    type_pairs = _type_pairs(qs, triple, cfg)
+    cosines = _cosines(q_vectors, d_vectors)
+    s_struct = _structural(type_pairs, cfg)
+    s_sem = _semantic(cosines, cfg)
+    return TripleMatch(
+        query_index=qs.index,
+        doc_id=triple.source_doc or "",
+        doc_triple_index=index,
+        s_struct=s_struct,
+        s_sem=s_sem,
+        s_triple=cfg.alpha * s_struct + (1.0 - cfg.alpha) * s_sem,
+        type_pairs=type_pairs,
+        cosines=cosines,
+    )
 
 
 def score_triple(
@@ -123,44 +152,7 @@ def score_triple(
     doc_triple_index: Optional[int] = None,
 ) -> TripleMatch:
     """Alpha-mix of the structural and semantic scores for one triple pair."""
-    type_pairs = _type_pairs(qs, triple, cfg)
-    cosines = component_cosines(qs, triple, encoder)
-    s_struct = _structural(type_pairs, cfg)
-    s_sem = _semantic(cosines, cfg)
-    return TripleMatch(
-        query_index=qs.index,
-        doc_id=triple.source_doc or "",
-        doc_triple_index=doc_triple_index,
-        s_struct=s_struct,
-        s_sem=s_sem,
-        s_triple=cfg.alpha * s_struct + (1.0 - cfg.alpha) * s_sem,
-        type_pairs=type_pairs,
-        cosines=cosines,
-    )
-
-
-def best_triple_score(
-    qs: SubQuery, doc: Document, cfg: PipelineConfig, encoder: CachingEncoder
-) -> TripleMatch:
-    """Best-scoring triple of the document for this sub-query.
-
-    A document with no triples carries no matchable structure and scores 0.
-    """
-    best: Optional[TripleMatch] = None
-    for i, triple in enumerate(doc.triples):
-        match = score_triple(qs, triple, cfg, encoder, doc_triple_index=i)
-        if best is None or match.s_triple > best.s_triple:
-            best = match
-    if best is None:
-        return TripleMatch(
-            query_index=qs.index,
-            doc_id=doc.id,
-            doc_triple_index=None,
-            s_struct=0.0,
-            s_sem=0.0,
-            s_triple=0.0,
-        )
-    return best
+    return _match(qs, triple, *_pair_vectors(qs, triple, encoder), cfg, doc_triple_index)
 
 
 def aggregate_document_score(
@@ -182,21 +174,6 @@ def aggregate_document_score(
     return cfg.gamma * max(best_scores) + (1.0 - cfg.gamma) * mean_part
 
 
-def score_document(
-    sub_queries: Sequence[SubQuery],
-    doc: Document,
-    cfg: PipelineConfig,
-    encoder: CachingEncoder,
-    force_index: Optional[int] = None,
-) -> ScoredDocument:
-    """Score one document against the sub-query chain."""
-    matches = tuple(best_triple_score(sq, doc, cfg, encoder) for sq in sub_queries)
-    score = aggregate_document_score(
-        [m.s_triple for m in matches], cfg, force_index=force_index
-    )
-    return ScoredDocument(doc_id=doc.id, score=score, best_matches=matches)
-
-
 def filter_and_rank(
     pool: Sequence[Document],
     sub_queries: Sequence[SubQuery],
@@ -212,7 +189,24 @@ def filter_and_rank(
     """
     if not pool:
         raise EmptyPool("cannot rerank an empty candidate pool")
-    scored = [score_document(sub_queries, d, cfg, encoder, force_index=force_index) for d in pool]
+    triples = [t for doc in pool for t in doc.triples]
+    vectors = encoder.encode([text for x in (*sub_queries, *triples) for text in triple_texts(x)])
+    components = zip(vectors[0::3], vectors[1::3], vectors[2::3])  # (head, relation, tail)
+    query_vectors = [next(components) for _ in sub_queries]
+    scored = []
+    for doc in pool:
+        doc_vectors = [next(components) for _ in doc.triples]
+        matches = []
+        for sq, q_vectors in zip(sub_queries, query_vectors):
+            best: Optional[TripleMatch] = None
+            for i, (triple, d_vectors) in enumerate(zip(doc.triples, doc_vectors)):
+                match = _match(sq, triple, q_vectors, d_vectors, cfg, i)
+                if best is None or match.s_triple > best.s_triple:
+                    best = match
+            # a document with no triples carries no matchable structure and scores 0
+            matches.append(best or TripleMatch(sq.index, doc.id, None, 0.0, 0.0, 0.0))
+        score = aggregate_document_score([m.s_triple for m in matches], cfg, force_index)
+        scored.append(ScoredDocument(doc_id=doc.id, score=score, best_matches=tuple(matches)))
     scored.sort(key=lambda s: (-s.score, s.doc_id))
     kept = [s for s in scored if s.score >= cfg.theta]
     if kept:

@@ -24,7 +24,7 @@ from tasr.config import PipelineConfig
 from tasr.embedding import CORPUS_CHUNK, CachingEncoder, CorpusIndex, dense_retrieve
 from tasr.errors import AmbiguousBinding, TasrError, QueryFailure
 from tasr.llm import Gateway, json_field, load_prompt
-from tasr.matching import RankedPool, component_texts, filter_and_rank
+from tasr.matching import RankedPool, filter_and_rank, triple_texts
 from tasr.model import (
     BindingTable,
     Document,
@@ -152,12 +152,7 @@ class Pipeline:
                 documents = type_documents(documents, typer.collect())
             self.startup_events.extend(typer.events)
             # every question reranks these triples: their vectors live as long as the pipeline
-            texts = [
-                text
-                for doc in documents
-                for t in doc.triples
-                for text in component_texts(t.head.surface, t.relation, t.tail.surface)
-            ]
+            texts = [text for doc in documents for t in doc.triples for text in triple_texts(t)]
             for start in range(0, len(texts), CORPUS_CHUNK):
                 encoder.encode(texts[start : start + CORPUS_CHUNK])
         self.corpus = CorpusIndex(documents, encoder)

@@ -85,7 +85,7 @@ def load_taxonomy(source: str | Path) -> Taxonomy:
     """Load a taxonomy file: ``{"l1": [{"name": ..., "l2": [...]}, ...]}``."""
     try:
         data = json.loads(Path(source).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise TaxonomyParseError(f"cannot read taxonomy {source}: {exc}") from exc
     return taxonomy_from_dict(data)
 

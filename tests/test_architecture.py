@@ -1,9 +1,9 @@
 """Whole-repo guards.
 
 Chat traffic flows through the gateway module only, requests are sent and
-parsed by ``Gateway`` alone, the structurer reads labels without typing, the
-demos run, and every function the benchmark's traced run wraps still exists
-under its name.
+parsed by ``Gateway`` alone, the structurer reads labels without typing, only
+the matching module spells a triple's component texts, the demos run, and every
+function the benchmark's traced run wraps still exists under its name.
 """
 
 import ast
@@ -53,6 +53,21 @@ def test_no_module_imports_requests():
 def test_structurer_labels_by_lookup():
     # typing is one step of the question: the structurer reads labels, it never types
     assert "EntityTyper" not in _sources()["structurer.py"]
+
+
+def test_component_texts_named_only_in_matching():
+    # matching.triple_texts is the one place that spells a triple's role-prefixed texts
+    from tasr.matching import HEAD_PREFIX, RELATION_PREFIX, TAIL_PREFIX
+
+    prefixes = (HEAD_PREFIX, RELATION_PREFIX, TAIL_PREFIX)
+    for name, text in _sources().items():
+        if name == "matching.py":
+            continue
+        for word in ("component_texts", "HEAD_PREFIX", "RELATION_PREFIX", "TAIL_PREFIX"):
+            assert word not in text, f"{name} names {word}"
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                assert not node.value.startswith(prefixes), f"{name}:{node.lineno}"
 
 
 def test_demos_run_to_completion():

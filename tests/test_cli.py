@@ -1,4 +1,5 @@
 import json
+from importlib import resources
 
 import pytest
 
@@ -64,6 +65,17 @@ class TestRunCommand:
             "q2.json",
             "q3.json",
         ]
+
+    def test_taxonomy_file_holding_the_bundled_table_changes_nothing(self, tmp_path):
+        table = tmp_path / "taxonomy.json"
+        table.write_bytes((resources.files("tasr") / "data" / "default_taxonomy.json").read_bytes())
+        runs = {}
+        for name, extra in (("default", []), ("file", ["--taxonomy", str(table)])):
+            out = tmp_path / name
+            assert main(_run_args(out, ["--trace-dir", str(out / "traces"), *extra])) == 0
+            runs[name] = {p.relative_to(out): p.read_bytes() for p in out.rglob("*.json*")}
+        assert len(runs["default"]) == 5  # predictions, report and three traces
+        assert runs["file"] == runs["default"]
 
     def test_two_runs_byte_identical(self, tmp_path):
         first, second = tmp_path / "a", tmp_path / "b"
@@ -173,8 +185,8 @@ def _bad_input_argv(kind, path, tmp_path):
         return ["match", "--subquery", path, "--doc-triples", str(doc_triples), "--embed", "mock:"]
     if kind == "config":
         return _run_args(tmp_path, ["--config", path])
-    if kind == "dataset":
-        return _run_args(tmp_path, ["--dataset", path])
+    if kind in ("dataset", "corpus", "taxonomy"):
+        return _run_args(tmp_path, [f"--{kind}", path])
     return _run_args(tmp_path, ["--llm", f"mock:{path}"])
 
 
@@ -183,6 +195,9 @@ def _dataset_line(question_id):
 
 
 _NO_TAIL = {"head": "a", "relation": "r", "head_type": ["X", "Y"], "tail_type": ["X", "Y"]}
+_INPUT_KINDS = ("eval", "match", "config", "dataset", "corpus", "taxonomy", "script")
+_NOT_UTF8 = b'{"id": "q\xff1", "question": "q?", "answers": ["x"]}\n'
+_NESTED_TOO_DEEP = "[" * 100_000 + "]" * 100_000 + "\n"
 
 
 @pytest.mark.parametrize(
@@ -202,6 +217,7 @@ _NO_TAIL = {"head": "a", "relation": "r", "head_type": ["X", "Y"], "tail_type": 
         pytest.param("config", None, id="config-missing-file"),
         pytest.param("config", "k0=abc\n", id="config-unparsable-int"),
         pytest.param("config", '{"theta": "abc"}', id="config-non-number-json-value"),
+        pytest.param("config", '{"w1": NaN, "w2": 0.5}', id="config-nan-weight"),
         pytest.param("dataset", '{"id": "q1", "question": "q?", "answers": 5}\n',
                      id="dataset-answers-not-a-list"),
         pytest.param("dataset", '{"id": "q1", "question": "   ", "answers": ["x"]}\n',
@@ -215,11 +231,16 @@ _NO_TAIL = {"head": "a", "relation": "r", "head_type": ["X", "Y"], "tail_type": 
         pytest.param("script", None, id="mock-script-missing-file"),
         pytest.param("script", '{"responses": [{"role": "answer", "response": {}}]}',
                      id="mock-script-entry-without-match"),
+        *[pytest.param(kind, _NOT_UTF8, id=f"{kind}-not-utf8") for kind in _INPUT_KINDS],
+        *[pytest.param(kind, _NESTED_TOO_DEEP, id=f"{kind}-nested-too-deep")
+          for kind in _INPUT_KINDS],
     ],
 )
 def test_bad_input_file_fails_cleanly(tmp_path, capsys, kind, content):
     path = tmp_path / "input"
-    if content is not None:
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    elif content is not None:
         path.write_text(content)
     assert main(_bad_input_argv(kind, str(path), tmp_path)) == 1
     assert capsys.readouterr().err.startswith("error: ")

@@ -50,6 +50,15 @@ class TestValidateConfig:
             validate_config(PipelineConfig(**kwargs))
         assert exc.value.field == field
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    @pytest.mark.parametrize(
+        "field", ["theta", "alpha", "gamma", "w1", "w2", "wh", "wt", "lh", "lr", "lt"]
+    )
+    def test_non_finite_values_rejected(self, field, value):
+        with pytest.raises(RangeViolation) as exc:
+            validate_config(PipelineConfig(**{field: value}))
+        assert exc.value.field == field
+
     def test_negative_weight_rejected(self):
         with pytest.raises(RangeViolation):
             validate_config(PipelineConfig(w1=-0.5, w2=1.5))
@@ -80,6 +89,20 @@ class TestLoadConfig:
         path.write_text('{"w1": 0.9, "w2": 0.9}')
         with pytest.raises(WeightSumViolation):
             load_config(path)
+
+    @pytest.mark.parametrize(
+        "name,text",
+        [
+            pytest.param("cfg.json", '{"w1": NaN, "w2": 0.5}', id="json"),
+            pytest.param("cfg.txt", "w1=nan\n", id="key-value"),
+        ],
+    )
+    def test_nan_weight_rejected_on_load(self, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(RangeViolation) as exc:
+            load_config(path)
+        assert exc.value.field == "w1"
 
     def test_overrides_take_precedence_and_revalidate(self):
         cfg = validate_config(PipelineConfig()).with_overrides(theta=0.7, k0=None)

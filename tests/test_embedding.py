@@ -20,8 +20,8 @@ from tasr.embedding import (
     encoder_from_url,
     normalize,
 )
-from tasr.errors import DimensionMismatch, EmptyIndex, EncoderCacheError, TasrError
-from tasr.matching import component_vectors
+from tasr.errors import DimensionMismatch, EmptyIndex, EncoderCacheError, NonFiniteVector, TasrError
+from tasr.matching import component_texts
 from tasr.model import Document
 
 from conftest import RecordingEncoderClient
@@ -134,6 +134,43 @@ class TestCachingEncoder:
         assert str(path) in str(exc.value)
         assert "line 2" in str(exc.value)
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            pytest.param(b'{"text": "b\xff", "vector": [1.0, 0.0]}\n', id="not-utf8"),
+            pytest.param(b"[" * 100_000 + b"]" * 100_000 + b"\n", id="nested-too-deep"),
+        ],
+    )
+    def test_unreadable_line_names_path_and_line(self, tmp_path, line):
+        path = tmp_path / "cache.jsonl"
+        CachingEncoder(HashEncoderClient(dim=8), cache_path=path).encode(["a"])
+        with path.open("ab") as fh:
+            fh.write(line)
+        with pytest.raises(EncoderCacheError) as exc:
+            CachingEncoder(HashEncoderClient(dim=8), cache_path=path)
+        assert str(path) in str(exc.value)
+        assert "line 2" in str(exc.value)
+
+    def test_non_finite_cache_line_fails_at_construction(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        path.write_text(
+            '{"text": "a", "vector": [0.6, 0.8]}\n{"text": "b", "vector": [NaN, 1.0]}\n'
+        )
+        with pytest.raises(NonFiniteVector, match="'b'"):
+            CachingEncoder(HashEncoderClient(dim=2), cache_path=path)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_client_vector_is_rejected_and_not_held(self, bad):
+        class NonFiniteClient:
+            def encode(self, texts):
+                return [np.array([bad, 1.0]) if t == "bad" else np.array([0.6, 0.8]) for t in texts]
+
+        encoder = CachingEncoder(NonFiniteClient())
+        with pytest.raises(NonFiniteVector, match="'bad'"):
+            encoder.encode(["good", "bad"])
+        assert len(encoder) == 0
+        assert np.array_equal(encoder.encode_one("good"), [0.6, 0.8])
+
     def test_threaded_appends_write_one_whole_line_per_text(self, tmp_path):
         path = tmp_path / "cache.jsonl"
 
@@ -178,16 +215,16 @@ class TestEncodeTripleComponents:
 
     def test_role_prefixes_are_bit_exact(self):
         recording = RecordingEncoderClient()
-        component_vectors("A", "r", "A", CachingEncoder(recording))
+        CachingEncoder(recording).encode(component_texts("A", "r", "A"))
         assert recording.seen == ["S: A", "P: r", "O: A"]
 
     def test_same_surface_differs_across_roles(self):
-        v_h, _, v_t = component_vectors("A", "r", "A", CachingEncoder(HashEncoderClient()))
+        v_h, _, v_t = CachingEncoder(HashEncoderClient()).encode(component_texts("A", "r", "A"))
         assert not np.allclose(v_h, v_t)
 
     def test_identical_triples_identical_vectors(self):
-        first = component_vectors("x", "rel", "y", CachingEncoder(HashEncoderClient()))
-        second = component_vectors("x", "rel", "y", CachingEncoder(HashEncoderClient()))
+        first = CachingEncoder(HashEncoderClient()).encode(component_texts("x", "rel", "y"))
+        second = CachingEncoder(HashEncoderClient()).encode(component_texts("x", "rel", "y"))
         for a, b in zip(first, second):
             assert np.array_equal(a, b)
 

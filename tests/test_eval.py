@@ -24,7 +24,7 @@ from tasr.evaluation import (
     score_predictions,
     write_trace,
 )
-from tasr.llm import Gateway, ScriptEntry, ScriptedMockBackend, load_script
+from tasr.llm import FORMAT_RETRY_SUFFIX, Gateway, ScriptEntry, ScriptedMockBackend, load_script
 from tasr.reasoner import Pipeline
 from tasr.taxonomy import load_default_taxonomy
 
@@ -165,6 +165,30 @@ class TestRunBenchmark:
             "?Company": "MySQL AB",
         }
         assert len(trace["sub_queries"]) == 2
+
+    def test_failing_question_writes_its_partial_trace(
+        self, toy_corpus, taxonomy, hash_encoder, default_cfg, toy_dataset, tmp_path
+    ):
+        # q1's second hop is the first "developed_by" answer request; q2 asks the same later
+        script = load_script(FIXTURES / "llm_script.json")
+        failed = []
+
+        class FailOnceBackend:
+            def complete(self, req):
+                if req.role_tag == "answer" and "developed_by" in req.user_prompt and not failed:
+                    failed.append(req)
+                    raise LlmUnavailable("answer", "endpoint down", retryable=False)
+                return script.complete(req)
+
+        gateway = Gateway(FailOnceBackend())
+        pipeline = Pipeline(toy_corpus, taxonomy, hash_encoder, gateway, default_cfg)
+        run = run_benchmark(toy_dataset, pipeline, trace_dir=tmp_path)
+        assert [r.error is not None for r in run.report.per_example] == [True, False, False]
+        assert sorted(p.name for p in tmp_path.glob("*.json")) == ["q1.json", "q2.json", "q3.json"]
+        trace = json.loads((tmp_path / "q1.json").read_text())
+        assert [hop["index"] for hop in trace["sub_queries"]] == [1]  # the hop before the failure
+        assert trace["sub_queries"][0]["answer"] == "MySQL database"
+        assert trace["final_answer"] == ""
 
 
 class DelayedBackend:
@@ -340,6 +364,7 @@ _json_values = st.recursive(
     max_leaves=6,
 )
 _LIST_FIELDS = {"extract": "triples", "decompose": "sub_queries"}
+_NESTED_TOO_DEEP = "[" * 100_000 + "]" * 100_000  # a raw reply past the JSON parser's depth
 
 
 @st.composite
@@ -362,7 +387,7 @@ def _mutated_script(draw, entries):
             else:
                 item[draw(st.sampled_from(sorted(item)))] = draw(_json_values)
         else:
-            response = draw(_json_values)
+            response = draw(_json_values | st.just(_NESTED_TOO_DEEP))
         entries[i] = ScriptEntry(entry.role_tag, entry.match, response)
     return entries
 
@@ -388,3 +413,18 @@ class TestMalformedLlmOutput:
         assert [r.id for r in per_example] == [q.id for q in self._dataset]
         assert run.report.error_count == sum(1 for r in per_example if r.error is not None)
         assert all(r.em == 0 and r.f1 == 0.0 for r in per_example if r.error is not None)
+
+    def test_reply_nested_too_deep_fails_only_its_question(self):
+        entries = [ScriptEntry("answer", "acquired", _NESTED_TOO_DEEP), *self._toy_entries]
+        backend = ScriptedMockBackend(entries)
+        pipeline = Pipeline(
+            documents=self._corpus,
+            taxonomy=load_default_taxonomy(),
+            encoder=self._encoder,
+            gateway=Gateway(backend=backend, sleep=lambda s: None),
+            cfg=validate_config(PipelineConfig()),
+        )
+        run = run_benchmark(self._dataset, pipeline)
+        assert [r.error is not None for r in run.report.per_example] == [False, False, True]
+        assert "non-JSON output after retry" in run.report.per_example[2].error
+        assert sum(1 for r in backend.calls if r.user_prompt.endswith(FORMAT_RETRY_SUFFIX)) == 1

@@ -6,9 +6,7 @@ from tasr.embedding import CachingEncoder
 from tasr.errors import EmptyPool
 from tasr.matching import (
     aggregate_document_score,
-    best_triple_score,
     filter_and_rank,
-    score_document,
     score_semantic,
     score_structural,
     score_triple,
@@ -177,11 +175,17 @@ class TestScoreTriple:
                     assert match.s_triple == pytest.approx(expected, abs=1e-12)
 
 
+def _best_match(sq, doc, cfg, encoder):
+    """The document's best match for one sub-query, as a one-document rerank reports it."""
+    (scored,) = filter_and_rank([doc], [sq], cfg, encoder).all_scored
+    return scored.best_matches[0]
+
+
 class TestBestTripleScore:
     def test_singleton(self, default_cfg, hash_encoder):
         triple = _typed(WORK_SW, PRODUCT_DB)
         doc = Document(id="d1", title="", text="x", triples=[triple])
-        match = best_triple_score(_sq(), doc, default_cfg, hash_encoder)
+        match = _best_match(_sq(), doc, default_cfg, hash_encoder)
         assert match.doc_triple_index == 0
 
     def test_matches_exhaustive_max(self, default_cfg, hash_encoder):
@@ -197,7 +201,7 @@ class TestBestTripleScore:
             )
             doc.triples.append(triple)
         sq = _sq()
-        best = best_triple_score(sq, doc, default_cfg, hash_encoder)
+        best = _best_match(sq, doc, default_cfg, hash_encoder)
         scores = [
             score_triple(sq, triple, default_cfg, hash_encoder, i).s_triple
             for i, triple in enumerate(doc.triples)
@@ -205,9 +209,13 @@ class TestBestTripleScore:
         assert best.s_triple == max(scores)
         assert best.doc_triple_index == int(np.argmax(scores))
 
+    def test_tie_keeps_the_first_best_triple(self, default_cfg, hash_encoder):
+        doc = Document(id="d1", title="", text="x", triples=[_typed(WORK_SW, PRODUCT_DB)] * 3)
+        assert _best_match(_sq(), doc, default_cfg, hash_encoder).doc_triple_index == 0
+
     def test_tripleless_document_scores_zero(self, default_cfg, hash_encoder):
         doc = Document(id="d1", title="", text="x")
-        match = best_triple_score(_sq(), doc, default_cfg, hash_encoder)
+        match = _best_match(_sq(), doc, default_cfg, hash_encoder)
         assert match.s_triple == 0.0
         assert match.doc_triple_index is None
 
@@ -224,9 +232,9 @@ class TestAggregateDocumentScore:
         sq = _sq()
         for gamma in (0.0, 0.3, 1.0):
             cfg = _cfg(gamma=gamma)
-            scored = score_document([sq], doc, cfg, hash_encoder)
+            (scored,) = filter_and_rank([doc], [sq], cfg, hash_encoder).all_scored
             assert scored.score == pytest.approx(
-                best_triple_score(sq, doc, cfg, hash_encoder).s_triple, abs=1e-12
+                score_triple(sq, triple, cfg, hash_encoder).s_triple, abs=1e-12
             )
 
     def test_t_at_least_count_means_over_all(self):
@@ -266,6 +274,22 @@ class TestFilterAndRank:
         assert ranked.fallback
         assert len(ranked.documents) == 1
         assert ranked.documents[0].doc_id == ranked.all_scored[0].doc_id
+
+    def test_one_encoder_call_per_rerank(self, monkeypatch, hash_encoder):
+        # the chain's and the pool's component vectors come from one read, not two per pair
+        docs, sub_queries, cfg, force = next(
+            i for i in map(random_instance, range(50))
+            if len(i[1]) >= 2 and sum(1 for d in i[0] if d.triples) >= 2
+        )
+        calls = []
+        encode = hash_encoder.encode
+        monkeypatch.setattr(
+            hash_encoder, "encode", lambda texts: calls.append(texts) or encode(texts)
+        )
+        ranked = filter_and_rank(docs, sub_queries, cfg, hash_encoder, force_index=force)
+        assert len(calls) == 1
+        kept, _, _ = brute_force_rank(docs, sub_queries, cfg, hash_encoder, force_index=force)
+        assert [d.doc_id for d in ranked.documents] == [doc_id for doc_id, _ in kept]
 
     def test_empty_pool_rejected(self, default_cfg, hash_encoder):
         with pytest.raises(EmptyPool):
@@ -332,8 +356,8 @@ class TestScoredDocumentDecomposability:
     def test_score_recomputable_from_best_matches(self, hash_encoder):
         for seed in range(15):
             docs, sub_queries, cfg, force = random_instance(seed)
-            for doc in docs:
-                scored = score_document(sub_queries, doc, cfg, hash_encoder, force_index=force)
+            ranked = filter_and_rank(docs, sub_queries, cfg, hash_encoder, force_index=force)
+            for scored in ranked.all_scored:
                 replayed = aggregate_document_score(
                     [m.s_triple for m in scored.best_matches], cfg, force_index=force
                 )

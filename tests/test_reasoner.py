@@ -22,7 +22,7 @@ from tasr.errors import (
 )
 from tasr.evaluation import QaExample, load_corpus, load_dataset, run_benchmark
 from tasr.llm import ROLE_TAGS, Gateway, load_script, scripted_mock
-from tasr.matching import aggregate_document_score, component_texts
+from tasr.matching import aggregate_document_score, triple_texts
 from tasr.model import (
     BindingTable,
     Document,
@@ -241,6 +241,20 @@ class TestRunQueryGolden:
         assert exc.value.trace is not None
         assert exc.value.trace.pool_ids  # retrieval happened before the failure
 
+    def test_non_finite_question_vector_is_a_query_failure(
+        self, toy_corpus, taxonomy, toy_backend, default_cfg
+    ):
+        class NanForQuestions(HashEncoderClient):
+            def encode(self, texts):
+                vectors = super().encode(texts)
+                return [v * np.nan if t.endswith("?") else v for t, v in zip(texts, vectors)]
+
+        encoder = CachingEncoder(NanForQuestions())
+        pipeline = Pipeline(toy_corpus, taxonomy, encoder, Gateway(toy_backend), default_cfg)
+        with pytest.raises(QueryFailure, match="NaN or inf") as exc:
+            pipeline.run_query(RUNNING_QUESTION)
+        assert exc.value.trace.pool_ids == []  # retrieval could not run
+
     def test_blank_question_is_a_query_failure(self, toy_pipeline):
         with pytest.raises(QueryFailure, match="query is empty"):
             toy_pipeline.run_query("   ")
@@ -357,7 +371,7 @@ class TestQuestionScopedMemory:
             text
             for doc in pipeline.corpus.documents.values()
             for t in doc.triples
-            for text in component_texts(t.head.surface, t.relation, t.tail.surface)
+            for text in triple_texts(t)
         }
         assert components <= set(client.seen)
         at_set_up = len(client.seen)
