@@ -15,14 +15,16 @@ backends are selected with ``mock:<script-file>`` (LLM) and ``mock:`` (encoder).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 from pathlib import Path
+from typing import Any
 
 from tasr.config import PipelineConfig, load_config, validate_config
 from tasr.embedding import CachingEncoder, encoder_from_url
-from tasr.errors import DatasetParseError, TasrError
+from tasr.errors import DatasetParseError, TasrError, json_field, read_json
 from tasr.evaluation import (
     load_corpus,
     load_dataset,
@@ -174,53 +176,45 @@ def cmd_type_entity(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_label(raw) -> TaxonomyLabel:
-    if isinstance(raw, (list, tuple)) and len(raw) == 2:
-        return TaxonomyLabel(str(raw[0]), str(raw[1]))
-    if isinstance(raw, dict):
-        return TaxonomyLabel(str(raw["l1"]), str(raw["l2"]))
-    raise TasrError(f"expected [l1, l2] or {{'l1','l2'}}, got {raw!r}")
+_field = functools.partial(json_field, error=DatasetParseError)
 
 
-def _read_json(path: str, what: str, parse):
-    """``parse`` of a JSON input file; a missing or malformed file is a DatasetParseError."""
-    try:
-        return parse(json.loads(Path(path).read_text(encoding="utf-8")))
-    except (OSError, ValueError, KeyError, TypeError, AttributeError, RecursionError) as exc:
-        raise DatasetParseError(f"cannot read {what} {path}: {exc!r}") from exc
+def _parse_label(item: dict, key: str) -> TaxonomyLabel:
+    """``item[key]`` given as ``["l1", "l2"]`` or ``{"l1": "...", "l2": "..."}``."""
+    raw = item.get(key)
+    pair = [_field(raw, "l1", str), _field(raw, "l2", str)] if isinstance(raw, dict) else raw
+    if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(p, str) for p in pair)):
+        raise DatasetParseError(f"{key} must be [l1, l2] or {{'l1', 'l2'}} strings, got {raw!r}")
+    return TaxonomyLabel(*pair)
 
 
-def _parse_subquery(data: dict) -> SubQuery:
-    return SubQuery(
-        index=int(data.get("index", 1)),
-        head=Slot.parse(str(data["head"])),
-        relation=str(data["relation"]),
-        tail=Slot.parse(str(data["tail"])),
-        head_type=_parse_label(data["head_type"]),
-        tail_type=_parse_label(data["tail_type"]),
-    )
+def _parse_fields(item: Any) -> tuple[str, str, str, TaxonomyLabel, TaxonomyLabel]:
+    """Head, relation, tail, head type and tail type of a sub-query or document triple."""
+    head, relation, tail = (_field(item, name, str) for name in ("head", "relation", "tail"))
+    return head, relation, tail, _parse_label(item, "head_type"), _parse_label(item, "tail_type")
 
 
-def _parse_doc_triples(data: dict) -> list[Triple]:
-    doc_id = str(data.get("doc_id", "doc"))
-    return [
-        Triple(
-            head=Entity(str(item["head"])),
-            relation=str(item["relation"]),
-            tail=Entity(str(item["tail"])),
-            source_doc=doc_id,
-            head_type=_parse_label(item["head_type"]),
-            tail_type=_parse_label(item["tail_type"]),
-        )
-        for item in data["triples"]
-    ]
+def _parse_subquery(data: Any) -> SubQuery:
+    head, relation, tail, head_type, tail_type = _parse_fields(data)
+    index = _field(data, "index", int) if "index" in data else 1
+    return SubQuery(index, Slot.parse(head), relation, Slot.parse(tail), head_type, tail_type)
+
+
+def _parse_doc_triples(data: Any) -> list[Triple]:
+    items = _field(data, "triples", list)
+    doc_id = _field(data, "doc_id", str) if "doc_id" in data else "doc"
+    triples = []
+    for item in items:
+        head, relation, tail, head_type, tail_type = _parse_fields(item)
+        triples.append(Triple(Entity(head), relation, Entity(tail), doc_id, head_type, tail_type))
+    return triples
 
 
 def cmd_match(args: argparse.Namespace) -> int:
     cfg = _config(args.config)
     encoder = _encoder(args.embed)
-    sub_query = _read_json(args.subquery, "sub-query", _parse_subquery)
-    doc_triples = _read_json(args.doc_triples, "document triples", _parse_doc_triples)
+    sub_query = read_json(args.subquery, DatasetParseError, "sub-query", _parse_subquery)
+    doc_triples = read_json(args.doc_triples, DatasetParseError, "doc triples", _parse_doc_triples)
     matches = [score_triple(sub_query, triple, cfg, encoder) for triple in doc_triples]
 
     print(f"sub-query: {sub_query.render()}   "

@@ -8,12 +8,12 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from tasr.errors import ConfigError, RangeViolation, WeightSumViolation
+from tasr.errors import ConfigError, RangeViolation, WeightSumViolation, read_json
 
 WEIGHT_SUM_TOL = 1e-9
 
@@ -85,17 +85,29 @@ def validate_config(cfg: PipelineConfig) -> PipelineConfig:
 
 def _number(cfg: PipelineConfig, name: str) -> float:
     value = getattr(cfg, name)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    # a comparison, unlike math.isfinite, takes any int and is False for NaN
+    if not number or not abs(value) <= sys.float_info.max:
         raise RangeViolation(name, f"must be a finite number, got {value!r}")
     return float(value)
 
 
-def _coerce(name: str, raw: str) -> Any:
-    if name in _INT_FIELDS:
-        return int(raw)
-    if name in ("hop_scope", "typing_mode"):
-        return raw.strip()
-    return float(raw)
+def _key_values(text: str) -> dict[str, Any]:
+    values: dict[str, Any] = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise RangeViolation("config", f"line {lineno}: expected key=value, got {line!r}")
+        key, _, raw = line.partition("=")
+        key, raw = key.strip(), raw.strip()
+        kind = int if key in _INT_FIELDS else str if key in ("hop_scope", "typing_mode") else float
+        try:
+            values[key] = kind(raw)
+        except ValueError as exc:
+            raise RangeViolation(key, f"line {lineno}: cannot parse {raw!r}") from exc
+    return values
 
 
 def load_config(path: str | Path) -> PipelineConfig:
@@ -104,32 +116,14 @@ def load_config(path: str | Path) -> PipelineConfig:
     Unknown keys are rejected so typos never silently fall back to defaults.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
-        obj = json.loads(text)
-    except json.JSONDecodeError:
-        obj = None  # not JSON: read as key=value lines
-    except (OSError, ValueError, RecursionError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    known = {f.name for f in dataclasses.fields(PipelineConfig)}
-    values: dict[str, Any] = {}
-    if obj is not None:
-        if not isinstance(obj, dict):
-            raise RangeViolation("config", "JSON config must be an object")
-        values = dict(obj)
-    else:
-        for lineno, line in enumerate(text.splitlines(), start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise RangeViolation("config", f"line {lineno}: expected key=value, got {line!r}")
-            key, _, raw = line.partition("=")
-            key, raw = key.strip(), raw.strip()
-            try:
-                values[key] = _coerce(key, raw)
-            except ValueError as exc:
-                raise RangeViolation(key, f"line {lineno}: cannot parse {raw!r}") from exc
-    unknown = sorted(set(values) - known)
+        values = read_json(path, ConfigError, "config", lambda value: value)
+    except ConfigError as exc:
+        if not isinstance(exc.__cause__, json.JSONDecodeError):
+            raise
+        values = _key_values(exc.__cause__.doc)  # not JSON: its text as key=value lines
+    if not isinstance(values, dict):
+        raise RangeViolation("config", "JSON config must be an object")
+    unknown = sorted(set(values) - {f.name for f in dataclasses.fields(PipelineConfig)})
     if unknown:
         raise RangeViolation("config", f"unknown keys: {', '.join(unknown)}")
     return validate_config(PipelineConfig(**values))

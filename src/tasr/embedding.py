@@ -11,13 +11,13 @@ import hashlib
 import json
 import threading
 from pathlib import Path
-from typing import Optional, Protocol, Sequence
+from typing import Any, Optional, Protocol, Sequence
 
 import numpy as np
 
 from tasr.config import PipelineConfig
 from tasr.errors import DimensionMismatch, EmptyIndex, EncoderCacheError, EncoderUnavailable
-from tasr.errors import NonFiniteVector
+from tasr.errors import NonFiniteVector, clip, json_field, read_json
 from tasr.llm import post_json
 from tasr.model import Document
 
@@ -50,7 +50,8 @@ class HashEncoderClient:
     def encode(self, texts: Sequence[str]) -> list[np.ndarray]:
         out = []
         for text in texts:
-            digest = hashlib.sha256(text.encode("utf-8")).digest()
+            # surrogatepass: a lone surrogate, as a JSON escape can give, hashes too
+            digest = hashlib.sha256(text.encode("utf-8", "surrogatepass")).digest()
             seed = int.from_bytes(digest[:8], "big")
             rng = np.random.default_rng(seed)
             out.append(normalize(rng.standard_normal(self.dim)))
@@ -71,7 +72,8 @@ class HttpEncoderClient:
         reply = post_json(f"{self.url}/embed", {"texts": list(texts)}, self.timeout, unavailable)
         try:
             return [normalize(np.asarray(e, dtype=np.float64)) for e in reply["embeddings"]]
-        except (KeyError, TypeError, ValueError) as exc:
+        # OverflowError: a reply holds an integer too large for a float64
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise unavailable(f"{self.url}: {exc}") from exc
 
 
@@ -99,9 +101,12 @@ class CachingEncoder:
         self._cache_path = Path(cache_path) if cache_path else None
         self._on_disk: set[str] = set()  # texts the disk cache holds
         if self._cache_path and self._cache_path.exists():
-            texts, vectors = _read_cache(self._cache_path)
+            held = read_json(
+                self._cache_path, EncoderCacheError, "vector cache", _cache_line, lines=True
+            )
+            texts = [text for text, _ in held]
             self._on_disk.update(texts)
-            self._admit(texts, vectors)
+            self._admit(texts, [vector for _, vector in held])
 
     def __len__(self) -> int:
         """Vectors this memo holds, not counting the memo it reads through."""
@@ -147,17 +152,17 @@ class CachingEncoder:
         if root._shape is not None:
             shapes.add(root._shape)
         if len(shapes) > 1 or any(len(shape) != 1 for shape in shapes):
-            raise DimensionMismatch(
+            raise DimensionMismatch(clip(
                 f"vectors must be 1-D and of one length: got shapes {sorted(shapes)}, "
                 f"encoder holds {root._shape}"
-            )
+            ))
         if shapes:
             root._shape = shapes.pop()
         # one test per batch and no stacked copy: a NaN or inf in any vector reaches the sum
         if vectors and not np.isfinite(sum(vectors, np.zeros(root._shape))).all():
             for text, vector in zip(texts, vectors):
                 if not np.isfinite(vector).all():
-                    raise NonFiniteVector(f"vector for {text!r} holds NaN or inf")
+                    raise NonFiniteVector(f"vector for {clip(repr(text))} holds NaN or inf")
         self._cache.update([(t, v) for t, v in zip(texts, vectors) if t not in self._cache])
         if root._cache_path:
             new = [(t, v) for t, v in zip(texts, vectors) if t not in root._on_disk]
@@ -168,20 +173,13 @@ class CachingEncoder:
                         fh.write(json.dumps({"text": text, "vector": vec.tolist()}) + "\n")
 
 
-def _read_cache(path: Path) -> tuple[list[str], list[np.ndarray]]:
-    texts, vectors = [], []
-    with path.open("rb") as fh:  # decoded line by line, so a bad byte names its line
-        for lineno, line in enumerate(fh, start=1):
-            try:
-                record = json.loads(line.decode("utf-8"))
-                text, vector = record["text"], np.asarray(record["vector"], dtype=np.float64)
-            except (KeyError, TypeError, ValueError, RecursionError) as exc:
-                raise EncoderCacheError(f"vector cache {path} line {lineno}: {exc!r}") from exc
-            if not isinstance(text, str):
-                raise EncoderCacheError(f"vector cache {path} line {lineno}: text is not a string")
-            texts.append(text)
-            vectors.append(vector)
-    return texts, vectors
+def _cache_line(record: Any) -> tuple[str, np.ndarray]:
+    """The text and vector of one disk cache line, ``{"text": str, "vector": [number, ...]}``."""
+    text = json_field(record, "text", str, EncoderCacheError)
+    vector = json_field(record, "vector", list, EncoderCacheError)
+    if not all(type(x) in (int, float) for x in vector):
+        raise EncoderCacheError("vector holds a value that is not a number")
+    return text, np.asarray(vector, dtype=np.float64)
 
 
 def encoder_from_url(url: str, dim: int = 384) -> EncoderClient:

@@ -1,6 +1,12 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the one reader of input files."""
 
 from __future__ import annotations
+
+import json
+from pathlib import Path
+from typing import Any, Callable
+
+MESSAGE_REASON_BYTES = 200  # UTF-8 bytes of an outside reason or value an error message keeps
 
 
 class TasrError(Exception):
@@ -25,7 +31,7 @@ class RangeViolation(ConfigError):
 
     def __init__(self, field: str, message: str) -> None:
         self.field = field
-        super().__init__(f"{field}: {message}")
+        super().__init__(clip(f"{field}: {message}"))
 
 
 class InvalidEntity(TasrError):
@@ -114,3 +120,45 @@ class QueryFailure(TasrError):
     def __init__(self, message: str, trace=None) -> None:
         self.trace = trace
         super().__init__(message)
+
+
+def clip(text: str) -> str:
+    """``text`` cut to :data:`MESSAGE_REASON_BYTES`, so outside input gives bounded messages."""
+    encoded = text.encode("utf-8", "backslashreplace")
+    cut = encoded[:MESSAGE_REASON_BYTES].decode("utf-8", "ignore") + "..."
+    return text if len(encoded) <= MESSAGE_REASON_BYTES else cut
+
+
+def json_field(value: Any, key: str, kind: type, error: Callable[[str], TasrError]) -> Any:
+    """``value[key]`` when ``value`` is an object holding a ``kind`` there (JSON true and
+    false are not numbers); any other shape raises ``error(message)``."""
+    if isinstance(value, dict) and isinstance(value.get(key), kind):
+        if kind is bool or not isinstance(value[key], bool):
+            return value[key]
+    raise error(f"expected {{{key!r}: {kind.__name__}}}, got {value!r}")
+
+
+def read_json(
+    path: str | Path, error: Callable[[str], TasrError], what: str, parse: Callable, lines=False
+) -> Any:
+    """``parse`` of the JSON value in file ``path``; with ``lines``, the list of ``parse`` of
+    each non-blank line's value, read one at a time and ending at ``\\n`` alone (JSON strings
+    may hold U+2028). Unreadable, non-UTF-8 or non-JSON input (a ValueError), nesting too
+    deep and numbers too large raise ``error``; a TasrError from ``parse`` keeps its class.
+    Both messages read ``"<what> <path>[ line N]: <reason>"``, the reason clipped."""
+    where = f"{what} {path}"
+    try:
+        with open(path, "rb") as fh:
+            if not lines:
+                return parse(json.loads(fh.read().decode("utf-8")))
+            values = []
+            for lineno, line in enumerate(fh, start=1):
+                if line.strip():
+                    where = f"{what} {path} line {lineno}"
+                    values.append(parse(json.loads(line.decode("utf-8"))))
+            return values
+    except TasrError as exc:
+        exc.args = (f"{where}: {clip(str(exc))}",)  # re-raised as is: subclass and fields stay
+        raise
+    except (OSError, ValueError, RecursionError, OverflowError) as exc:
+        raise error(f"{where}: {clip(str(exc))}") from exc

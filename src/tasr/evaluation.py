@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import functools
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
-from tasr.errors import DatasetParseError, QueryFailure
+from tasr.errors import DatasetParseError, QueryFailure, json_field, read_json
 from tasr.metrics import exact_match, token_f1
 from tasr.model import Document, ReasoningTrace
 from tasr.reasoner import Pipeline
@@ -21,8 +22,9 @@ class QaExample:
     answers: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if not self.id.strip() or "/" in self.id or "\0" in self.id:
-            raise DatasetParseError(f"example id {self.id!r} is blank or holds '/' or NUL")
+        # an id names a trace file: NUL or a lone surrogate (from a JSON escape) cannot
+        if not self.id.strip() or not self.id.isprintable() or "/" in self.id:
+            raise DatasetParseError(f"example id {self.id!r} is blank, unprintable or holds '/'")
         if not self.question.strip():
             raise DatasetParseError(f"example {self.id}: question is blank")
         if not self.answers:
@@ -61,12 +63,16 @@ class EvalReport:
         }
 
 
+_field = functools.partial(json_field, error=DatasetParseError)
+
+
+def _document(record: Any) -> Document:
+    return Document(*(_field(record, name, str) for name in ("id", "title", "text")))
+
+
 def load_corpus(path: str | Path) -> list[Document]:
-    """Corpus JSONL: one ``{"id", "title", "text"}`` object per line."""
-    documents = [
-        Document(id=str(record["id"]), title=str(record["title"]), text=str(record["text"]))
-        for record in _read_jsonl(path, "corpus", {"id": object, "title": object, "text": object})
-    ]
+    """Corpus JSONL: one ``{"id": str, "title": str, "text": str}`` object per line."""
+    documents = read_json(path, DatasetParseError, "corpus", _document, lines=True)
     if not documents:
         raise DatasetParseError(f"corpus {path} is empty")
     return documents
@@ -76,66 +82,39 @@ def load_dataset(path: str | Path) -> list[QaExample]:
     """Dataset JSONL: one ``{"id", "question", "answers"}`` object per line; ids are unique."""
     seen: set[str] = set()
 
-    def example(record: dict) -> QaExample:
-        answers = tuple(str(a) for a in record["answers"])
-        question_id = _new_id(seen, str(record["id"]))
-        return QaExample(id=question_id, question=str(record["question"]), answers=answers)
+    def example(record: Any) -> QaExample:
+        question_id, question = _field(record, "id", str), _field(record, "question", str)
+        answers = _field(record, "answers", list)
+        if not all(isinstance(answer, str) for answer in answers):
+            raise DatasetParseError("answers must all be strings")
+        return QaExample(id=_new_id(seen, question_id), question=question, answers=tuple(answers))
 
-    examples = _read_jsonl(
-        path, "dataset", {"id": object, "question": object, "answers": list}, example
-    )
+    examples = read_json(path, DatasetParseError, "dataset", example, lines=True)
     if not examples:
         raise DatasetParseError(f"dataset {path} is empty")
     return examples
 
 
 def load_predictions(path: str | Path) -> list[dict]:
-    """Predictions JSONL as ``tasr run`` writes it: one ``{"id", "answer"}`` object per line;
-    ids are unique."""
+    """Predictions JSONL as ``tasr run`` writes it: one ``{"id": str, "answer": str}`` object
+    per line; ids are unique."""
     seen: set[str] = set()
 
-    def prediction(record: dict) -> dict:
-        if not isinstance(record.get("answer", ""), str):
-            raise DatasetParseError("answer must be a string")
-        _new_id(seen, record["id"])
+    def prediction(record: Any) -> dict:
+        _new_id(seen, _field(record, "id", str))
+        if "answer" in record:
+            _field(record, "answer", str)
         return record
 
-    return _read_jsonl(path, "predictions", {"id": str}, prediction)
+    return read_json(path, DatasetParseError, "predictions", prediction, lines=True)
 
 
-def _new_id(seen: set, record_id):
+def _new_id(seen: set[str], record_id: str) -> str:
     """``record_id``, added to ``seen``; an id already there is a DatasetParseError."""
     if record_id in seen:
         raise DatasetParseError(f"duplicate id {record_id!r}")
     seen.add(record_id)
     return record_id
-
-
-def _read_jsonl(path: str | Path, what: str, fields: dict[str, type], make=lambda r: r) -> list:
-    """``make`` of each JSON object of a JSONL file, which holds ``fields`` of their types
-    (object: any); a DatasetParseError, here or from ``make``, names the line."""
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except (OSError, ValueError) as exc:  # missing, unreadable or not UTF-8
-        raise DatasetParseError(f"cannot read {what} {path}: {exc}") from exc
-    records = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except (ValueError, RecursionError) as exc:
-            raise DatasetParseError(f"{what} {path} line {lineno}: {exc}") from exc
-        if not isinstance(record, dict):
-            raise DatasetParseError(f"{what} {path} line {lineno}: expected an object")
-        for name, kind in fields.items():
-            if name not in record or not isinstance(record[name], kind):
-                raise DatasetParseError(f"{what} {path} line {lineno}: bad or missing {name!r}")
-        try:
-            records.append(make(record))
-        except DatasetParseError as exc:
-            raise DatasetParseError(f"{what} {path} line {lineno}: {exc}") from exc
-    return records
 
 
 def write_trace(trace: ReasoningTrace, trace_dir: str | Path, question_id: str) -> Path:

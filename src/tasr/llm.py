@@ -2,8 +2,8 @@
 
 Extraction, decomposition, type selection and hop answering all call
 :meth:`Gateway.call`, which owns the request policy: transport retries with
-back-off, code-fence stripping, JSON parsing and one format retry.
-:func:`json_field` is the one check on a reply's shape. Backends only move
+back-off, code-fence stripping, JSON parsing and one format retry; callers
+check a reply's shape with :func:`tasr.errors.json_field`. Backends only move
 text: a chat-completion HTTP endpoint (temperature 0) or a scripted mock.
 :func:`post_json` is the one HTTP request, on the standard library; the HTTP
 encoder client sends through it too.
@@ -24,6 +24,7 @@ from pathlib import Path
 from typing import Any, Callable, Optional, Protocol, Sequence
 
 from tasr.errors import ConfigError, LlmProtocolError, LlmUnavailable, MockMiss, TasrError
+from tasr.errors import json_field, read_json
 
 ROLE_TAGS = ("extract", "decompose", "type_select", "answer")
 
@@ -56,13 +57,6 @@ def strip_code_fences(text: str) -> str:
     """Drop a single wrapping markdown code fence, if present."""
     match = _FENCE_RE.match(text.strip())
     return match.group(1).strip() if match else text.strip()
-
-
-def json_field(role_tag: str, parsed: Any, key: str, kind: type) -> Any:
-    """``parsed[key]`` when it holds a ``kind``; any other reply shape is a protocol error."""
-    if isinstance(parsed, dict) and isinstance(parsed.get(key), kind):
-        return parsed[key]
-    raise LlmProtocolError(role_tag, f"expected {{{key!r}: {kind.__name__}}}, got {parsed!r}")
 
 
 def post_json(
@@ -169,15 +163,18 @@ def scripted_mock(script: Sequence[tuple[str, str, Any]] | Sequence[ScriptEntry]
 
 def load_script(path: str | Path) -> ScriptedMockBackend:
     """Load a scripted mock from JSON: ``{"responses": [{"role", "match", "response"}]}``."""
-    try:
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
-        entries = [
-            ScriptEntry(role_tag=item["role"], match=item["match"], response=item["response"])
-            for item in data["responses"]
-        ]
-    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
-        raise ConfigError(f"cannot read mock LLM script {path}: {exc!r}") from exc
-    return ScriptedMockBackend(entries)
+    return ScriptedMockBackend(read_json(path, ConfigError, "mock LLM script", _script_entries))
+
+
+def _script_entries(data: Any) -> list[ScriptEntry]:
+    entries = []
+    for item in json_field(data, "responses", list, ConfigError):
+        role_tag = json_field(item, "role", str, ConfigError)
+        match = json_field(item, "match", str, ConfigError)
+        if role_tag not in ROLE_TAGS or "response" not in item:
+            raise ConfigError(f"expected a role among {ROLE_TAGS} and a 'response', got {item!r}")
+        entries.append(ScriptEntry(role_tag, match, item["response"]))
+    return entries
 
 
 def backend_from_spec(spec: str, model: str = "default", api_key: str = "") -> Backend:

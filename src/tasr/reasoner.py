@@ -18,12 +18,13 @@ from __future__ import annotations
 
 import dataclasses
 from contextlib import closing
+from functools import partial
 from typing import Mapping, Optional, Sequence
 
 from tasr.config import PipelineConfig
 from tasr.embedding import CORPUS_CHUNK, CachingEncoder, CorpusIndex, dense_retrieve
-from tasr.errors import AmbiguousBinding, TasrError, QueryFailure
-from tasr.llm import Gateway, json_field, load_prompt
+from tasr.errors import AmbiguousBinding, LlmProtocolError, TasrError, QueryFailure, json_field
+from tasr.llm import Gateway, load_prompt
 from tasr.matching import RankedPool, filter_and_rank, triple_texts
 from tasr.model import (
     BindingTable,
@@ -93,7 +94,7 @@ def answer_subquery(resolved: SubQuery, docs: Sequence[Document], gateway: Gatew
         documents=documents_block,
     )
     parsed = gateway.call("answer", ANSWER_SYSTEM, prompt)
-    return json_field("answer", parsed, "answer", str).strip()
+    return json_field(parsed, "answer", str, partial(LlmProtocolError, "answer")).strip()
 
 
 def stream_documents(

@@ -5,10 +5,11 @@ from __future__ import annotations
 import dataclasses
 import re
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Mapping, Optional
 
-from tasr.errors import InvalidDecomposition, LlmProtocolError, TasrError
-from tasr.llm import Gateway, json_field, load_prompt
+from tasr.errors import InvalidDecomposition, LlmProtocolError, TasrError, json_field
+from tasr.llm import Gateway, load_prompt
 from tasr.model import (
     Document,
     Entity,
@@ -54,7 +55,7 @@ def extract_triples(doc: Document, query: Optional[str], gateway: Gateway) -> li
     parsed = gateway.call("extract", EXTRACT_SYSTEM, prompt)
     triples: list[Triple] = []
     seen: set[tuple[str, str, str]] = set()
-    for item in json_field("extract", parsed, "triples", list):
+    for item in json_field(parsed, "triples", list, partial(LlmProtocolError, "extract")):
         head, relation, tail = _triple_fields("extract", item)
         triple = Triple(head=Entity(head), relation=relation, tail=Entity(tail), source_doc=doc.id)
         if triple.key() not in seen:
@@ -65,13 +66,8 @@ def extract_triples(doc: Document, query: Optional[str], gateway: Gateway) -> li
 
 def _triple_fields(role_tag: str, item: object) -> tuple[str, str, str]:
     """Head, relation and tail of one LLM output item; any other shape is a protocol error."""
-    if isinstance(item, dict):
-        fields = (item.get("head"), item.get("relation"), item.get("tail"))
-        if all(isinstance(f, str) for f in fields):
-            return fields
-    raise LlmProtocolError(
-        role_tag, f"expected an object with string head, relation and tail, got {item!r}"
-    )
+    error = partial(LlmProtocolError, role_tag)
+    return tuple(json_field(item, key, str, error) for key in ("head", "relation", "tail"))
 
 
 def type_document_triples(
@@ -94,7 +90,8 @@ def decompose_query(query: str, gateway: Gateway) -> Decomposition:
     prompt = load_prompt("decompose").format(question=query)
     parsed = gateway.call("decompose", DECOMPOSE_SYSTEM, prompt)
     sub_queries: list[SubQuery] = []
-    for position, item in enumerate(json_field("decompose", parsed, "sub_queries", list), start=1):
+    items = json_field(parsed, "sub_queries", list, partial(LlmProtocolError, "decompose"))
+    for position, item in enumerate(items, start=1):
         head, relation, tail = _triple_fields("decompose", item)
         sub_queries.append(
             SubQuery(

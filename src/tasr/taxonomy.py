@@ -31,12 +31,8 @@ from typing import Any, Callable, Iterable, Mapping, Optional
 
 from tasr.config import PipelineConfig
 from tasr.embedding import CachingEncoder, VectorIndex
-from tasr.errors import (
-    EmptyBranch,
-    IndexUnavailable,
-    LlmProtocolError,
-    TaxonomyParseError,
-)
+from tasr.errors import EmptyBranch, IndexUnavailable, LlmProtocolError, TaxonomyParseError
+from tasr.errors import json_field, read_json
 from tasr.llm import Gateway, load_prompt
 from tasr.model import Entity, TaxonomyLabel
 
@@ -83,33 +79,25 @@ class Taxonomy:
 
 def load_taxonomy(source: str | Path) -> Taxonomy:
     """Load a taxonomy file: ``{"l1": [{"name": ..., "l2": [...]}, ...]}``."""
-    try:
-        data = json.loads(Path(source).read_text(encoding="utf-8"))
-    except (OSError, ValueError, RecursionError) as exc:
-        raise TaxonomyParseError(f"cannot read taxonomy {source}: {exc}") from exc
-    return taxonomy_from_dict(data)
+    return read_json(source, TaxonomyParseError, "taxonomy", taxonomy_from_dict)
 
 
-def taxonomy_from_dict(data: dict) -> Taxonomy:
-    if not isinstance(data, dict) or "l1" not in data or not isinstance(data["l1"], list):
-        raise TaxonomyParseError('taxonomy must be an object with an "l1" list')
-    l1_classes: list[str] = []
+def taxonomy_from_dict(data: Any) -> Taxonomy:
+    """The taxonomy of a JSON value; class names, and each class's l2 names, are distinct."""
     children: dict[str, tuple[str, ...]] = {}
-    for branch in data["l1"]:
-        try:
-            name = branch["name"]
-            l2 = list(branch["l2"])
-        except (TypeError, KeyError) as exc:
-            raise TaxonomyParseError(f"malformed branch: {branch!r}") from exc
+    for branch in json_field(data, "l1", list, TaxonomyParseError):
+        name = json_field(branch, "name", str, TaxonomyParseError)
+        l2 = json_field(branch, "l2", list, TaxonomyParseError)
         if name in children:
             raise TaxonomyParseError(f"duplicate first-level class {name!r}")
+        if not all(isinstance(child, str) for child in l2) or len(set(l2)) < len(l2):
+            raise TaxonomyParseError(f"class {name!r}: l2 must be distinct strings")
         if not l2:
             raise EmptyBranch(f"first-level class {name!r} has no children")
-        l1_classes.append(name)
         children[name] = tuple(l2)
-    if not l1_classes:
+    if not children:
         raise TaxonomyParseError("taxonomy has no first-level classes")
-    return Taxonomy(l1_classes=tuple(l1_classes), children=children)
+    return Taxonomy(l1_classes=tuple(children), children=children)
 
 
 def load_default_taxonomy() -> Taxonomy:
@@ -180,7 +168,7 @@ class TypeEmbeddingIndex:
     ) -> list[tuple[str, str, float]]:
         query = (encoder or self.encoder).encode_one(entity_text)
         hits = self.l2_indexes[l1].search(query, m)
-        return [(l1, key.split("/", 1)[1], score) for key, score in hits]
+        return [(l1, key[len(l1) + 1 :], score) for key, score in hits]  # l1 may hold "/"
 
 
 class LabelMap:

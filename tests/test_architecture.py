@@ -2,8 +2,9 @@
 
 Chat traffic flows through the gateway module only, requests are sent and
 parsed by ``Gateway`` alone, the structurer reads labels without typing, only
-the matching module spells a triple's component texts, the demos run, and every
-function the benchmark's traced run wraps still exists under its name.
+the matching module spells a triple's component texts, JSON is decoded only
+where outside input enters, the demos run, and every function the benchmark's
+traced run wraps still exists under its name.
 """
 
 import ast
@@ -68,6 +69,25 @@ def test_component_texts_named_only_in_matching():
         for node in ast.walk(ast.parse(text)):
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
                 assert not node.value.startswith(prefixes), f"{name}:{node.lineno}"
+
+
+def test_json_decoded_only_at_the_input_boundaries():
+    # input files go through errors.read_json; replies are decoded where they are received
+    allowed = {"read_json", "Gateway.call", "post_json", "load_default_taxonomy"}
+
+    def loads_calls(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                yield from loads_calls(child, f"{scope}.{child.name}".lstrip("."))
+                continue
+            func = getattr(child, "func", None)
+            if isinstance(func, ast.Attribute) and func.attr == "loads":
+                yield scope, child.lineno
+            yield from loads_calls(child, scope)
+
+    for name, text in _sources().items():
+        for scope, lineno in loads_calls(ast.parse(text), ""):
+            assert scope in allowed, f"{name}:{lineno} decodes JSON in {scope or 'module scope'}"
 
 
 def test_demos_run_to_completion():

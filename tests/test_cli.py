@@ -197,7 +197,27 @@ def _dataset_line(question_id):
 _NO_TAIL = {"head": "a", "relation": "r", "head_type": ["X", "Y"], "tail_type": ["X", "Y"]}
 _INPUT_KINDS = ("eval", "match", "config", "dataset", "corpus", "taxonomy", "script")
 _NOT_UTF8 = b'{"id": "q\xff1", "question": "q?", "answers": ["x"]}\n'
+_NOT_UTF8_3KB = b'{"head": "' + b"\xff" * 3000 + b'"}'
 _NESTED_TOO_DEEP = "[" * 100_000 + "]" * 100_000 + "\n"
+_INT_TOO_LARGE_FOR_FLOAT = "1" + "0" * 400
+
+
+def _corpus_line(**changes):
+    return json.dumps({"id": "d1", "title": "T", "text": "x", **changes}) + "\n"
+
+
+def _bundled_taxonomy(change):
+    data = json.loads(
+        (resources.files("tasr") / "data" / "default_taxonomy.json").read_text(encoding="utf-8")
+    )
+    change(data["l1"][0])
+    return json.dumps(data)
+
+
+def _toy_script(change):
+    data = json.loads((FIXTURES / "llm_script.json").read_text())
+    change(data["responses"][0])
+    return json.dumps(data)
 
 
 @pytest.mark.parametrize(
@@ -226,11 +246,38 @@ _NESTED_TOO_DEEP = "[" * 100_000 + "]" * 100_000 + "\n"
         pytest.param("dataset", _dataset_line("a/q1"), id="dataset-id-with-slash"),
         pytest.param("dataset", _dataset_line("../x"), id="dataset-id-escaping-trace-dir"),
         pytest.param("dataset", _dataset_line("q\u0000"), id="dataset-id-with-nul"),
+        pytest.param("dataset", _dataset_line("q\ud800"), id="dataset-id-with-lone-surrogate"),
         pytest.param("dataset", _dataset_line("q1") + _dataset_line("q1"),
                      id="dataset-duplicate-id"),
         pytest.param("script", None, id="mock-script-missing-file"),
         pytest.param("script", '{"responses": [{"role": "answer", "response": {}}]}',
                      id="mock-script-entry-without-match"),
+        pytest.param("config", '{"alpha": %s}' % _INT_TOO_LARGE_FOR_FLOAT,
+                     id="config-int-too-large-for-float"),
+        pytest.param("match", json.dumps({**_NO_TAIL, "tail": "b", "index": 1e400}),
+                     id="match-infinite-index"),
+        pytest.param("match", _NOT_UTF8_3KB, id="match-3kb-not-utf8"),
+        pytest.param("script", _NOT_UTF8_3KB, id="script-3kb-not-utf8"),
+        pytest.param("corpus", _corpus_line(id=5), id="corpus-int-id"),
+        pytest.param("corpus", _corpus_line(title=None), id="corpus-null-title"),
+        pytest.param("corpus", _corpus_line(text=["x"]), id="corpus-list-text"),
+        pytest.param("dataset", '{"id": 1, "question": "q?", "answers": ["x"]}\n',
+                     id="dataset-int-id"),
+        pytest.param("dataset", '{"id": "q1", "question": 7, "answers": ["x"]}\n',
+                     id="dataset-int-question"),
+        pytest.param("dataset", '{"id": "q1", "question": "q?", "answers": ["x", 2]}\n',
+                     id="dataset-non-string-answer"),
+        pytest.param("taxonomy", _bundled_taxonomy(lambda b: b.update(name=7)),
+                     id="taxonomy-int-class-name"),
+        pytest.param("taxonomy", _bundled_taxonomy(lambda b: b.update(l2="ab")),
+                     id="taxonomy-l2-a-string"),
+        pytest.param("taxonomy", _bundled_taxonomy(lambda b: b.update(l2=["x", "x"])),
+                     id="taxonomy-duplicate-l2"),
+        pytest.param("taxonomy", _bundled_taxonomy(lambda b: b.update(l2=[["x"]])),
+                     id="taxonomy-l2-holding-a-list"),
+        pytest.param("script", _toy_script(lambda e: e.update(match=3)), id="script-int-match"),
+        pytest.param("script", _toy_script(lambda e: e.update(role="summarize")),
+                     id="script-unknown-role"),
         *[pytest.param(kind, _NOT_UTF8, id=f"{kind}-not-utf8") for kind in _INPUT_KINDS],
         *[pytest.param(kind, _NESTED_TOO_DEEP, id=f"{kind}-nested-too-deep")
           for kind in _INPUT_KINDS],
@@ -243,7 +290,10 @@ def test_bad_input_file_fails_cleanly(tmp_path, capsys, kind, content):
     elif content is not None:
         path.write_text(content)
     assert main(_bad_input_argv(kind, str(path), tmp_path)) == 1
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    # one short line however large the input: 300 bytes beside each mention of the path
+    assert len(err.replace(str(path), "").encode()) < 300
 
 
 def test_pre_extract_typing_fallbacks_reach_report(tmp_path):

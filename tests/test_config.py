@@ -59,6 +59,14 @@ class TestValidateConfig:
             validate_config(PipelineConfig(**{field: value}))
         assert exc.value.field == field
 
+    @pytest.mark.parametrize("value", [10**400, -(10**400)], ids=["positive", "negative"])
+    def test_int_too_large_for_a_float_rejected(self, value):
+        # math.isfinite and float() would both raise OverflowError here
+        with pytest.raises(RangeViolation) as exc:
+            validate_config(PipelineConfig(alpha=value))
+        assert exc.value.field == "alpha"
+        assert len(str(exc.value)) < 300
+
     def test_negative_weight_rejected(self):
         with pytest.raises(RangeViolation):
             validate_config(PipelineConfig(w1=-0.5, w2=1.5))
@@ -103,6 +111,19 @@ class TestLoadConfig:
         with pytest.raises(RangeViolation) as exc:
             load_config(path)
         assert exc.value.field == "w1"
+
+    def test_int_too_large_for_a_float_rejected_on_load(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text('{"alpha": 1' + "0" * 400 + "}")
+        with pytest.raises(RangeViolation) as exc:
+            load_config(path)
+        assert exc.value.field == "alpha"
+
+    def test_non_object_json_rejected(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        path.write_text("[1, 2]")
+        with pytest.raises(RangeViolation, match="must be an object"):
+            load_config(path)
 
     def test_overrides_take_precedence_and_revalidate(self):
         cfg = validate_config(PipelineConfig()).with_overrides(theta=0.7, k0=None)

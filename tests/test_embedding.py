@@ -21,6 +21,7 @@ from tasr.embedding import (
     normalize,
 )
 from tasr.errors import DimensionMismatch, EmptyIndex, EncoderCacheError, NonFiniteVector, TasrError
+from tasr.evaluation import load_corpus
 from tasr.matching import component_texts
 from tasr.model import Document
 
@@ -53,6 +54,15 @@ class TestEncode:
         assert np.array_equal(a1, a2)
         b = _encode(["same text"], HashEncoderClient())[0]
         assert np.array_equal(a1, b)
+
+    def test_lone_surrogate_encodes(self, tmp_path):
+        # the JSON escape "\ud800" is valid, so a corpus line can carry a lone surrogate
+        path = tmp_path / "corpus.jsonl"
+        path.write_text('{"id": "d1", "title": "T\\ud800", "text": "x"}\n')
+        (document,) = load_corpus(path)
+        first, second = _encode([document.embedding_text(), "T\n\nx"], HashEncoderClient())
+        assert np.linalg.norm(first) == pytest.approx(1.0, abs=1e-9)
+        assert not np.array_equal(first, second)
 
     def test_distinct_texts_near_orthogonal(self):
         # identical text gives cosine 1; distinct random pairs stay far below it

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tasr import embedding
 from tasr.config import PipelineConfig, validate_config
 from tasr.embedding import CachingEncoder, HashEncoderClient
 from tasr.errors import DatasetParseError, LlmUnavailable
@@ -67,6 +68,25 @@ class TestLoaders:
         with pytest.raises(DatasetParseError, match=r"line 3: duplicate id 'q1'"):
             load_dataset(path)
 
+    @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\u0085"])
+    def test_lines_end_only_at_newline(self, tmp_path, separator):
+        # JSON lets these stand unescaped inside strings; str.splitlines() would split there
+        text = f"first{separator}second"
+        corpus = tmp_path / "c.jsonl"
+        corpus.write_text(
+            json.dumps({"id": "d1", "title": text, "text": text}, ensure_ascii=False) + "\n",
+            encoding="utf-8",
+        )
+        dataset = tmp_path / "d.jsonl"
+        dataset.write_text(
+            json.dumps({"id": "q1", "question": text, "answers": [text]}, ensure_ascii=False),
+            encoding="utf-8",
+        )
+        (document,) = load_corpus(corpus)
+        assert (document.title, document.text) == (text, text)
+        (example,) = load_dataset(dataset)
+        assert (example.question, example.answers) == (text, (text,))
+
 
 def _untyped(stream):
     """The requests of a stream that are not type selections, in order."""
@@ -109,6 +129,30 @@ class TestRunBenchmark:
     def test_empty_dataset_rejected(self, toy_pipeline):
         with pytest.raises(DatasetParseError):
             run_benchmark([], toy_pipeline)
+
+    def test_encoder_reply_too_large_for_a_float_fails_only_its_question(
+        self, monkeypatch, toy_corpus, taxonomy, toy_backend, default_cfg, toy_dataset
+    ):
+        # the encoder stub answers as the hash encoder does, but one question's vector holds
+        # an integer too large for a float64, as json.loads reads it from a reply
+        hash_client = HashEncoderClient()
+
+        def stub_post_json(url, payload, timeout, unavailable, headers=None):
+            texts = payload["texts"]
+            vectors = [v.tolist() for v in hash_client.encode(texts)]
+            if toy_dataset[1].question in texts:
+                vectors[texts.index(toy_dataset[1].question)][0] = 10**400
+            return {"embeddings": vectors}
+
+        monkeypatch.setattr(embedding, "post_json", stub_post_json)
+        encoder = CachingEncoder(embedding.HttpEncoderClient("http://encoder.invalid"))
+        pipeline = Pipeline(toy_corpus, taxonomy, encoder, Gateway(toy_backend), default_cfg)
+        report = run_benchmark(toy_dataset, pipeline).report
+        assert [r.id for r in report.per_example] == ["q1", "q2", "q3"]
+        failed = report.per_example[1]
+        assert (failed.em, failed.f1, report.error_count) == (0, 0.0, 1)
+        assert "too large" in failed.error
+        assert [r.answer for r in report.per_example] == ["MySQL AB", "", "Sun Microsystems, Inc."]
 
     def test_parallel_matches_serial(self, toy_pipeline, toy_dataset):
         serial = run_benchmark(toy_dataset, toy_pipeline)

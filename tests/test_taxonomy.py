@@ -116,6 +116,13 @@ class TestRetrieveCandidates:
         cands = index.top_l1("anything", default_cfg.n_l1_candidates)
         assert [l1 for l1, _ in cands] == ["X"]
 
+    def test_second_level_names_survive_a_slash_in_the_class_name(self, default_cfg):
+        tax = taxonomy_from_dict({"l1": [{"name": "A/B", "l2": ["c/d", "e"]}]})
+        index = TypeEmbeddingIndex(tax, CachingEncoder(HashEncoderClient()))
+        cands = index.top_l2("A/B", "anything", default_cfg.m_l2_candidates)
+        assert sorted(l2 for _, l2, _ in cands) == ["c/d", "e"]
+        assert all(tax.has_label(l1, l2) for l1, l2, _ in cands)
+
     def test_equal_similarity_breaks_ties_lexicographically(self, default_cfg):
         tax = taxonomy_from_dict({"l1": [{"name": "ZZ", "l2": ["z"]}, {"name": "AA", "l2": ["a"]}]})
         same = list(np.eye(4)[0])
