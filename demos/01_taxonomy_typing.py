@@ -8,6 +8,7 @@ embedding retrieval of candidate labels and an LLM pick. This demo uses the
 deterministic mock backends, so it runs offline.
 """
 
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from tasr import (
@@ -43,7 +44,6 @@ cfg = validate_config(PipelineConfig())
 encoder = CachingEncoder(HashEncoderClient())
 index = TypeEmbeddingIndex(taxonomy, encoder)
 gateway = Gateway(backend=load_script(ROOT / "fixtures" / "toy" / "llm_script.json"))
-typer = EntityTyper(taxonomy, index, gateway, cfg)
 
 entity = Entity("MySQL database")
 candidates = index.top_l1(entity.surface, cfg.n_l1_candidates)
@@ -51,9 +51,12 @@ print(f"top first-level candidates for {entity.surface!r}:")
 for l1, sim in candidates[:5]:
     print(f"  {l1:<14} similarity {sim:+.4f}")
 
-label = typer.type_entity(entity)
-print(f"\nselected type: {label}")
+# the typer sends its requests on an executor it is given (a pipeline shares its own)
+with ThreadPoolExecutor(1) as requests:
+    typer = EntityTyper(taxonomy, index, gateway, cfg, requests)
+    label = typer.type_entity(entity)
+    print(f"\nselected type: {label}")
 
-# results are memoized: asking again is free and identical
-assert typer.type_entity(Entity("MySQL database")) == label
-print("second call hits the memo and returns the same label")
+    # results are memoized: asking again is free and identical
+    assert typer.type_entity(Entity("MySQL database")) == label
+    print("second call hits the memo and returns the same label")

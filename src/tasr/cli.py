@@ -18,7 +18,9 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any
 
@@ -129,16 +131,16 @@ def _taxonomy(flag: str | None):
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    pipeline = Pipeline(
+    with Pipeline(
         documents=load_corpus(args.corpus),
         taxonomy=_taxonomy(args.taxonomy),
         encoder=_encoder(args.embed),
         gateway=_gateway(args.llm),
         cfg=cfg,
         pre_extract=args.pre_extract,
-    )
-    dataset = load_dataset(args.dataset)
-    run = run_benchmark(dataset, pipeline, trace_dir=args.trace_dir, parallel=args.parallel)
+    ) as pipeline:
+        dataset = load_dataset(args.dataset)
+        run = run_benchmark(dataset, pipeline, trace_dir=args.trace_dir, parallel=args.parallel)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -168,29 +170,40 @@ def cmd_type_entity(args: argparse.Namespace) -> int:
     label = taxonomy.rule_label(entity)
     if label is None:
         encoder = _encoder(args.embed)
-        typer = EntityTyper(
-            taxonomy, TypeEmbeddingIndex(taxonomy, encoder), _gateway(args.llm), _config(None)
-        )
-        label = typer.type_entity(entity)
+        index, gateway = TypeEmbeddingIndex(taxonomy, encoder), _gateway(args.llm)
+        with ThreadPoolExecutor(1, thread_name_prefix="tasr-request") as requests:
+            typer = EntityTyper(taxonomy, index, gateway, _config(None), requests)
+            label = typer.type_entity(entity)
     print(json.dumps({"entity": entity.surface, "l1": label.l1, "l2": label.l2}))
     return 0
 
 
 _field = functools.partial(json_field, error=DatasetParseError)
+_LONE_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
+def _text(item: Any, key: str) -> str:
+    """The string ``item[key]``; one holding a lone surrogate, which a JSON escape can
+    give, is rejected here because it cannot be printed."""
+    text = _field(item, key, str)
+    if _LONE_SURROGATE.search(text):
+        raise DatasetParseError(f"{key} holds a lone surrogate: {text!r}")
+    return text
 
 
 def _parse_label(item: dict, key: str) -> TaxonomyLabel:
     """``item[key]`` given as ``["l1", "l2"]`` or ``{"l1": "...", "l2": "..."}``."""
     raw = item.get(key)
-    pair = [_field(raw, "l1", str), _field(raw, "l2", str)] if isinstance(raw, dict) else raw
-    if not (isinstance(pair, list) and len(pair) == 2 and all(isinstance(p, str) for p in pair)):
+    if isinstance(raw, list) and len(raw) == 2:
+        raw = dict(zip(("l1", "l2"), raw))
+    if not isinstance(raw, dict):
         raise DatasetParseError(f"{key} must be [l1, l2] or {{'l1', 'l2'}} strings, got {raw!r}")
-    return TaxonomyLabel(*pair)
+    return TaxonomyLabel(_text(raw, "l1"), _text(raw, "l2"))
 
 
 def _parse_fields(item: Any) -> tuple[str, str, str, TaxonomyLabel, TaxonomyLabel]:
     """Head, relation, tail, head type and tail type of a sub-query or document triple."""
-    head, relation, tail = (_field(item, name, str) for name in ("head", "relation", "tail"))
+    head, relation, tail = (_text(item, name) for name in ("head", "relation", "tail"))
     return head, relation, tail, _parse_label(item, "head_type"), _parse_label(item, "tail_type")
 
 

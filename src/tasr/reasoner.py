@@ -1,11 +1,17 @@
 """Sequential multi-hop reasoning with an explicit entity binding table.
 
-One query runs as: dense retrieval, triple extraction from each document in
-pool order with each document's entities sent to typing as soon as it is
-extracted, query decomposition with its slots sent to typing too, one wait for
-the question's labels, then a strictly sequential loop over sub-queries:
-resolve bound variables, rerank the fixed candidate pool, answer the hop, bind
-its latent variable. The final answer is the last hop's answer.
+One query runs as: dense retrieval; the extraction request of every document
+in the pool and the question's decomposition request, sent at once; the
+replies parsed in pool order and then the decomposition, each document's
+entities and then the sub-query slots sent to typing as they are parsed; one
+wait for the question's labels; then a strictly sequential loop over
+sub-queries: resolve bound variables, rerank the fixed candidate pool, answer
+the hop, bind its latent variable. The final answer is the last hop's answer.
+
+A pipeline owns one pool of at most :data:`REQUEST_WORKERS` threads that
+sends every question's requests before its answers: extractions, the
+decomposition and type selections. Replies are parsed on the question's own
+thread, so the outcome does not depend on which request returns first.
 
 A pipeline keeps what it learns at set-up for its lifetime: the taxonomy label
 vectors and, with ``pre_extract``, the typed corpus triples with their
@@ -17,14 +23,17 @@ an encoder memo scoped to that question and goes when it ends.
 from __future__ import annotations
 
 import dataclasses
+from collections import deque
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from contextlib import closing
 from functools import partial
-from typing import Mapping, Optional, Sequence
+from itertools import islice
+from typing import Any, Iterator, Mapping, Optional, Sequence
 
 from tasr.config import PipelineConfig
 from tasr.embedding import CORPUS_CHUNK, CachingEncoder, CorpusIndex, dense_retrieve
 from tasr.errors import AmbiguousBinding, LlmProtocolError, TasrError, QueryFailure, json_field
-from tasr.llm import Gateway, load_prompt
+from tasr.llm import Gateway, abandon, load_prompt
 from tasr.matching import RankedPool, filter_and_rank, triple_texts
 from tasr.model import (
     BindingTable,
@@ -36,9 +45,13 @@ from tasr.model import (
     TaxonomyLabel,
 )
 from tasr.structurer import (
+    DECOMPOSE_SYSTEM,
+    EXTRACT_SYSTEM,
     Decomposition,
     decompose_query,
+    decomposition_prompt,
     extract_triples,
+    extraction_prompt,
     subquery_typing_jobs,
     type_document_triples,
     type_subqueries,
@@ -46,6 +59,7 @@ from tasr.structurer import (
 from tasr.taxonomy import EntityTyper, LabelMap, Taxonomy, TypeEmbeddingIndex
 
 ANSWER_SYSTEM = "You answer relational sub-queries from the given documents."
+REQUEST_WORKERS = 8  # threads of a pipeline's request pool, shared by its questions
 
 
 def resolve(sq: SubQuery, bindings: BindingTable) -> SubQuery:
@@ -98,21 +112,42 @@ def answer_subquery(resolved: SubQuery, docs: Sequence[Document], gateway: Gatew
 
 
 def stream_documents(
-    docs: Sequence[Document], query: Optional[str], gateway: Gateway, typer: EntityTyper
+    docs: Sequence[Document],
+    query: Optional[str],
+    gateway: Gateway,
+    typer: EntityTyper,
+    requests: Executor,
 ) -> list[Document]:
     """Copies of the documents holding their extracted, untyped triples, in doc order.
 
-    Each document is extracted on the calling thread, and its typing jobs (head
-    then tail, with the title as context) go to ``typer`` as soon as it returns,
-    so its entities are typed while the next document is extracted. ``query``
-    conditions extraction on the question; None pre-extracts without it. The
-    caller's documents are left untouched.
+    Extraction requests go to ``requests``, at most ``2 * REQUEST_WORKERS`` ahead
+    of the document being parsed. Replies are parsed on the calling thread in doc
+    order, and each document's typing jobs (head then tail, with the title as
+    context) go to ``typer`` as its reply is parsed, so its entities are typed
+    while later documents are extracted. When a document fails, the requests not
+    yet started are cancelled. ``query`` conditions extraction on the question;
+    None pre-extracts without it. The caller's documents are left untouched.
     """
+
+    def send(doc: Document) -> tuple[Document, Optional[Future]]:
+        prompt = extraction_prompt(doc, query)
+        if prompt is None:
+            return doc, None
+        return doc, requests.submit(gateway.call, "extract", EXTRACT_SYSTEM, prompt)
+
+    waiting: Iterator[Document] = iter(docs)
+    ahead = deque(map(send, islice(waiting, 2 * REQUEST_WORKERS)))
     extracted = []
-    for doc in docs:
-        doc = dataclasses.replace(doc, triples=extract_triples(doc, query, gateway))
-        typer.submit((entity, doc.title) for t in doc.triples for entity in (t.head, t.tail))
-        extracted.append(doc)
+    try:
+        while ahead:
+            doc, reply = ahead.popleft()
+            ahead.extend(map(send, islice(waiting, 1)))
+            triples = extract_triples(doc, None if reply is None else reply.result())
+            doc = dataclasses.replace(doc, triples=triples)
+            typer.submit((entity, doc.title) for t in doc.triples for entity in (t.head, t.tail))
+            extracted.append(doc)
+    finally:
+        abandon(reply for _, reply in ahead if reply is not None)
     return extracted
 
 
@@ -128,7 +163,11 @@ def type_documents(
 
 class Pipeline:
     """Everything a query run needs: corpus index, taxonomy indexes, label map, gateway,
-    config."""
+    request pool, config.
+
+    :meth:`close` (or leaving a ``with`` block) stops the request pool's threads;
+    a closed pipeline answers no more questions.
+    """
 
     def __init__(
         self,
@@ -147,16 +186,31 @@ class Pipeline:
         self.labels = LabelMap()
         self.pre_extract = pre_extract
         self.startup_events: list[str] = []
-        if pre_extract:
-            with closing(self._typer(encoder)) as typer:
-                documents = stream_documents(documents, None, gateway, typer)
-                documents = type_documents(documents, typer.collect())
-            self.startup_events.extend(typer.events)
-            # every question reranks these triples: their vectors live as long as the pipeline
-            texts = [text for doc in documents for t in doc.triples for text in triple_texts(t)]
-            for start in range(0, len(texts), CORPUS_CHUNK):
-                encoder.encode(texts[start : start + CORPUS_CHUNK])
-        self.corpus = CorpusIndex(documents, encoder)
+        self.requests = ThreadPoolExecutor(REQUEST_WORKERS, thread_name_prefix="tasr-request")
+        try:
+            if pre_extract:
+                with closing(self._typer(encoder)) as typer:
+                    documents = stream_documents(documents, None, gateway, typer, self.requests)
+                    documents = type_documents(documents, typer.collect())
+                self.startup_events.extend(typer.events)
+                # every question reranks these triples: their vectors live as long as the pipeline
+                texts = [text for doc in documents for t in doc.triples for text in triple_texts(t)]
+                for start in range(0, len(texts), CORPUS_CHUNK):
+                    encoder.encode(texts[start : start + CORPUS_CHUNK])
+            self.corpus = CorpusIndex(documents, encoder)
+        except BaseException:
+            self.close()
+            raise
+
+    def __enter__(self) -> "Pipeline":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Cancel the requests not yet started and stop the request pool's threads."""
+        self.requests.shutdown(cancel_futures=True)
 
     def run_query(self, question: str) -> tuple[str, ReasoningTrace]:
         """Run the full loop; returns the final answer and the complete trace."""
@@ -168,18 +222,28 @@ class Pipeline:
 
     def _typer(self, encoder: CachingEncoder) -> EntityTyper:
         return EntityTyper(
-            self.taxonomy, self.type_index, self.gateway, self.cfg, self.labels, encoder
+            self.taxonomy, self.type_index, self.gateway, self.cfg, self.requests, self.labels,
+            encoder,
         )
+
+    def _decompose(self, question: str) -> Any:
+        """The parsed reply to the question's decomposition request."""
+        return self.gateway.call("decompose", DECOMPOSE_SYSTEM, decomposition_prompt(question))
 
     def _run(self, question: str, trace: ReasoningTrace) -> tuple[str, ReasoningTrace]:
         encoder = self.encoder.scope()  # the question's vectors, dropped when it ends
         pool = dense_retrieve(question, self.corpus, self.cfg, encoder)
         trace.pool_ids = [d.id for d in pool]
         with closing(self._typer(encoder)) as typer:
-            if not self.pre_extract:
-                # per-query copies: extraction is query-conditioned
-                pool = stream_documents(pool, question, self.gateway, typer)
-            decomposition = decompose_query(question, self.gateway)
+            # sent ahead of the extractions, read after them: their errors come first
+            decomposed = self.requests.submit(self._decompose, question)
+            try:
+                if not self.pre_extract:
+                    # per-query copies: extraction is query-conditioned
+                    pool = stream_documents(pool, question, self.gateway, typer, self.requests)
+                decomposition = decompose_query(decomposed.result())
+            finally:
+                abandon([decomposed])
             typer.submit(subquery_typing_jobs(decomposition))
             # collected after every extraction and the decomposition: their errors come first
             labels = typer.collect()

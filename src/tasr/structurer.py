@@ -6,10 +6,10 @@ import dataclasses
 import re
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Mapping, Optional
+from typing import Any, Mapping, Optional
 
 from tasr.errors import InvalidDecomposition, LlmProtocolError, TasrError, json_field
-from tasr.llm import Gateway, load_prompt
+from tasr.llm import load_prompt
 from tasr.model import (
     Document,
     Entity,
@@ -35,27 +35,34 @@ class Decomposition:
     type_hints: dict[str, str] = field(default_factory=dict)
 
 
-def extract_triples(doc: Document, query: Optional[str], gateway: Gateway) -> list[Triple]:
-    """Extract deduplicated triples from one document.
+def extraction_prompt(doc: Document, query: Optional[str]) -> Optional[str]:
+    """The user prompt of a document's extraction request; None for a document with
+    no text, which sends none.
 
     When ``query`` is given the prompt includes it (query-time extraction);
     passing None gives the query-agnostic pre-extraction variant.
     """
     if not doc.text.strip():
-        return []
+        return None
     question_block = ""
     if query:
         question_block = f"\nFocus on facts relevant to this question:\nQuestion: {query}\n"
-    prompt = load_prompt("extract").format(
+    return load_prompt("extract").format(
         question_block=question_block,
         doc_id=doc.id,
         title=doc.title,
         text=doc.text,
     )
-    parsed = gateway.call("extract", EXTRACT_SYSTEM, prompt)
+
+
+def extract_triples(doc: Document, reply: Any) -> list[Triple]:
+    """The deduplicated triples of one document, read from the parsed reply to its
+    extraction request; a document with no text has none, whatever ``reply`` is."""
+    if not doc.text.strip():
+        return []
     triples: list[Triple] = []
     seen: set[tuple[str, str, str]] = set()
-    for item in json_field(parsed, "triples", list, partial(LlmProtocolError, "extract")):
+    for item in json_field(reply, "triples", list, partial(LlmProtocolError, "extract")):
         head, relation, tail = _triple_fields("extract", item)
         triple = Triple(head=Entity(head), relation=relation, tail=Entity(tail), source_doc=doc.id)
         if triple.key() not in seen:
@@ -83,14 +90,18 @@ def type_document_triples(
     ]
 
 
-def decompose_query(query: str, gateway: Gateway) -> Decomposition:
-    """Decompose a question into an ordered chain of sub-queries with latent slots."""
+def decomposition_prompt(query: str) -> str:
+    """The user prompt of a question's decomposition request; an empty question has none."""
     if not query.strip():
         raise TasrError("query is empty")
-    prompt = load_prompt("decompose").format(question=query)
-    parsed = gateway.call("decompose", DECOMPOSE_SYSTEM, prompt)
+    return load_prompt("decompose").format(question=query)
+
+
+def decompose_query(reply: Any) -> Decomposition:
+    """The ordered chain of sub-queries with latent slots, read from the parsed reply to
+    a decomposition request."""
     sub_queries: list[SubQuery] = []
-    items = json_field(parsed, "sub_queries", list, partial(LlmProtocolError, "decompose"))
+    items = json_field(reply, "sub_queries", list, partial(LlmProtocolError, "decompose"))
     for position, item in enumerate(items, start=1):
         head, relation, tail = _triple_fields("decompose", item)
         sub_queries.append(
@@ -104,7 +115,7 @@ def decompose_query(query: str, gateway: Gateway) -> Decomposition:
     validate_chain(sub_queries)
 
     hints: dict[str, str] = {}
-    raw_hints = parsed.get("type_hints", {})
+    raw_hints = reply.get("type_hints", {})
     if isinstance(raw_hints, dict):
         for name, description in raw_hints.items():
             hints[normalize_variable_name(str(name))] = str(description)

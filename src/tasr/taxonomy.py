@@ -9,13 +9,14 @@ Typing an entity takes the cheapest path that fires:
 
 An :class:`EntityTyper` serves one question and labels each surface once,
 with the context of its first job. :meth:`EntityTyper.submit` starts typing
-(entity, context) jobs in the background, up to :data:`TYPING_WORKERS` at a
-time on the question's thread pool, and :meth:`EntityTyper.collect` records
-labels and fallback events in job order on the calling thread and returns the
-question's labels by surface. The selections themselves live in a
-:class:`LabelMap` by (surface, context), shared by every question of a
-pipeline, so a pair is sent to the LLM once however many questions ask for
-it. Every label is the taxonomy's own object for its pair.
+(entity, context) jobs in the background on an executor the typer is given
+(a pipeline's request pool, shared by its questions), and
+:meth:`EntityTyper.collect` records labels and fallback events in job order
+on the calling thread and returns the question's labels by surface. The
+selections themselves live in a :class:`LabelMap` by (surface, context),
+shared by every question of a pipeline, so a pair is sent to the LLM once
+however many questions ask for it. Every label is the taxonomy's own object
+for its pair.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import json
 import re
 import threading
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import Executor, Future
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
@@ -33,11 +34,10 @@ from tasr.config import PipelineConfig
 from tasr.embedding import CachingEncoder, VectorIndex
 from tasr.errors import EmptyBranch, IndexUnavailable, LlmProtocolError, TaxonomyParseError
 from tasr.errors import json_field, read_json
-from tasr.llm import Gateway, load_prompt
+from tasr.llm import Gateway, abandon, load_prompt
 from tasr.model import Entity, TaxonomyLabel
 
 TYPE_SELECT_SYSTEM = "You assign entity types from a fixed two-level taxonomy."
-TYPING_WORKERS = 8  # typing threads per question in flight
 
 TypingJob = tuple[Entity, Optional[str]]  # an entity and the context its prompt shows
 Typed = tuple[TaxonomyLabel, tuple[str, ...]]  # a label and the fallback events it took
@@ -179,10 +179,12 @@ class LabelMap:
     however many questions race for it. An owner never waits on another key,
     so waiting cannot deadlock. A failure is not stored: the owner's error
     goes to its own question, and a waiter asks again on its own thread.
+    Entries that took no fallback share one ``(label, ())`` object per label.
     """
 
     def __init__(self) -> None:
         self._typed: dict[tuple[str, Optional[str]], Typed] = {}
+        self._plain: dict[TaxonomyLabel, Typed] = {}  # the shared event-free entries
         self._in_flight: dict[tuple[str, Optional[str]], threading.Event] = {}
         self._lock = threading.Lock()
 
@@ -206,6 +208,8 @@ class LabelMap:
         finally:
             with self._lock:
                 if typed is not None:
+                    if not typed[1]:
+                        typed = self._plain.setdefault(typed[0], typed)
                     self._typed[key] = typed
                 del self._in_flight[key]
             owner_done.set()
@@ -227,9 +231,9 @@ class EntityTyper:
     none. The per-surface labels and ``events`` are written only by the
     thread that calls :meth:`collect`.
 
-    Jobs run on a pool of at most :data:`TYPING_WORKERS` threads that the
-    typer starts on its first new surface and shuts down in :meth:`collect`
-    or :meth:`close`, so no typing thread outlives the batch it serves.
+    Jobs run on ``requests``, an executor the typer neither starts nor stops;
+    :meth:`close` cancels the jobs not yet started, so a failed question's
+    queued selections never reach the endpoint.
     """
 
     def __init__(
@@ -238,6 +242,7 @@ class EntityTyper:
         index: Optional[TypeEmbeddingIndex],
         gateway: Gateway,
         cfg: PipelineConfig,
+        requests: Executor,
         labels: Optional[LabelMap] = None,
         encoder: Optional[CachingEncoder] = None,
     ) -> None:
@@ -247,12 +252,12 @@ class EntityTyper:
         self.index = index
         self.gateway = gateway
         self.cfg = cfg
+        self.requests = requests
         self.labels = LabelMap() if labels is None else labels
         self.encoder = encoder
         self.events: list[str] = []
         self._memo: dict[str, TaxonomyLabel] = {}
         self._pending: dict[str, Future[Typed]] = {}  # surfaces submitted, not yet collected
-        self._pool: Optional[ThreadPoolExecutor] = None
 
     def submit(self, jobs: Iterable[TypingJob]) -> None:
         """Start typing every surface of ``jobs`` this typer has not seen, in the
@@ -260,9 +265,7 @@ class EntityTyper:
         for entity, context in jobs:
             if entity.surface in self._memo or entity.surface in self._pending:
                 continue
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(TYPING_WORKERS, thread_name_prefix="tasr-typing")
-            self._pending[entity.surface] = self._pool.submit(self._type_new, (entity, context))
+            self._pending[entity.surface] = self.requests.submit(self._type_new, (entity, context))
 
     def collect(self) -> Mapping[str, TaxonomyLabel]:
         """Wait for the submitted jobs; the question's labels by surface, covering every
@@ -272,23 +275,22 @@ class EntityTyper:
         not depend on thread timing. When jobs fail, the first failing job in job
         order raises and the jobs not yet started are cancelled.
         """
-        pending, self._pending = self._pending, {}
         try:
-            typed = [future.result() for future in pending.values()]
-        finally:
+            typed = [future.result() for future in self._pending.values()]
+        except BaseException:
             self.close()
-        for surface, (label, events) in zip(pending, typed):
+            raise
+        for surface, (label, events) in zip(self._pending, typed):
             self._memo[surface] = label
             self.events.extend(events)
+        self._pending = {}
         return dict(self._memo)
 
     def close(self) -> None:
-        """Drop the uncollected jobs: cancel those not yet started, wait for the running
-        ones and stop the pool's threads."""
-        self._pending = {}
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
-            self._pool = None
+        """Drop the uncollected jobs: cancel those not yet started and wait for the
+        running ones."""
+        pending, self._pending = self._pending, {}
+        abandon(pending.values())
 
     def type_entity(self, entity: Entity, context: Optional[str] = None) -> TaxonomyLabel:
         """The label of one entity; earlier submits are collected with it."""

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,14 @@ from tasr.embedding import CachingEncoder, HashEncoderClient
 from tasr.evaluation import load_corpus, load_dataset
 from tasr.llm import Gateway, load_script
 from tasr.reasoner import Pipeline
+from tasr.structurer import (
+    DECOMPOSE_SYSTEM,
+    EXTRACT_SYSTEM,
+    decompose_query,
+    decomposition_prompt,
+    extract_triples,
+    extraction_prompt,
+)
 from tasr.taxonomy import load_default_taxonomy
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures" / "toy"
@@ -27,6 +37,13 @@ def default_cfg() -> PipelineConfig:
 @pytest.fixture(scope="session")
 def taxonomy():
     return load_default_taxonomy()
+
+
+@pytest.fixture()
+def request_pool():
+    """An executor for typers built outside a pipeline; its threads stop with the test."""
+    with ThreadPoolExecutor(8, thread_name_prefix="test-request") as pool:
+        yield pool
 
 
 @pytest.fixture()
@@ -50,14 +67,28 @@ def toy_backend():
 
 
 @pytest.fixture()
-def toy_pipeline(toy_corpus, taxonomy, hash_encoder, toy_backend, default_cfg) -> Pipeline:
-    return Pipeline(
+def toy_pipeline(toy_corpus, taxonomy, hash_encoder, toy_backend, default_cfg):
+    with Pipeline(
         documents=toy_corpus,
         taxonomy=taxonomy,
         encoder=hash_encoder,
         gateway=Gateway(backend=toy_backend),
         cfg=default_cfg,
-    )
+    ) as pipeline:
+        yield pipeline
+
+
+def send_extraction(doc, query, gateway):
+    """The triples of one document: its extraction request sent, its reply parsed."""
+    prompt = extraction_prompt(doc, query)
+    reply = None if prompt is None else gateway.call("extract", EXTRACT_SYSTEM, prompt)
+    return extract_triples(doc, reply)
+
+
+def send_decomposition(question, gateway):
+    """The decomposition of one question: its request sent, its reply parsed."""
+    prompt = decomposition_prompt(question)
+    return decompose_query(gateway.call("decompose", DECOMPOSE_SYSTEM, prompt))
 
 
 class PresetEncoderClient:
@@ -106,6 +137,16 @@ class RecordingEncoderClient:
     def encode(self, texts):
         self.seen.extend(texts)
         return self._inner.encode(texts)
+
+
+def within(seconds, run):
+    """``run()``, failing the test instead of hanging when it takes over ``seconds``."""
+    result = []
+    worker = threading.Thread(target=lambda: result.append(run()), daemon=True)
+    worker.start()
+    worker.join(seconds)
+    assert result, f"no result within {seconds} s"
+    return result[0]
 
 
 def write_jsonl(path: Path, records: list[dict]) -> Path:

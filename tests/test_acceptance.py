@@ -278,14 +278,14 @@ def test_criterion_7_vector_index_exactness():
                 assert abs(score - cosine) <= 1e-9
 
 
-def test_criterion_8_typing_pipeline(taxonomy, default_cfg):
+def test_criterion_8_typing_pipeline(taxonomy, default_cfg, request_pool):
     with criterion(8, "rule fast path, taxonomy-valid labels, one retry then fallback"):
         encoder = CachingEncoder(HashEncoderClient())
         index = TypeEmbeddingIndex(taxonomy, encoder)
 
         # rule-typed entities never reach the gateway
         backend = EchoSelectBackend()
-        typer = EntityTyper(taxonomy, index, Gateway(backend=backend), default_cfg)
+        typer = EntityTyper(taxonomy, index, Gateway(backend=backend), default_cfg, request_pool)
         assert typer.type_entity(Entity("1998")) == TaxonomyLabel("TIME", "Year")
         assert typer.type_entity(Entity("37.5%")) == TaxonomyLabel("QUANTITY", "Percentage")
         assert backend.calls == []
@@ -304,7 +304,9 @@ def test_criterion_8_typing_pipeline(taxonomy, default_cfg):
                 ("type_select", "Final two-level type", {"l1": "WORK", "l2": "Poem"}),
             ]
         )
-        oov_typer = EntityTyper(taxonomy, index, Gateway(backend=oov_backend), default_cfg)
+        oov_typer = EntityTyper(
+            taxonomy, index, Gateway(backend=oov_backend), default_cfg, request_pool
+        )
         label = oov_typer.type_entity(Entity("Beowulf"))
         stage2 = [c for c in oov_backend.calls if "Final two-level type" in c.user_prompt]
         assert len(stage2) == 2

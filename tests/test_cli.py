@@ -257,6 +257,11 @@ def _toy_script(change):
         pytest.param("match", json.dumps({**_NO_TAIL, "tail": "b", "index": 1e400}),
                      id="match-infinite-index"),
         pytest.param("match", _NOT_UTF8_3KB, id="match-3kb-not-utf8"),
+        # valid JSON escapes of lone surrogates: such text cannot be printed
+        pytest.param("match", json.dumps({**_NO_TAIL, "tail": "b\ud800"}),
+                     id="match-lone-surrogate"),
+        pytest.param("match", json.dumps({**_NO_TAIL, "tail": "b", "head_type": ["X", "\udc00"]}),
+                     id="match-lone-surrogate-in-a-type"),
         pytest.param("script", _NOT_UTF8_3KB, id="script-3kb-not-utf8"),
         pytest.param("corpus", _corpus_line(id=5), id="corpus-int-id"),
         pytest.param("corpus", _corpus_line(title=None), id="corpus-null-title"),

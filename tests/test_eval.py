@@ -29,7 +29,7 @@ from tasr.llm import FORMAT_RETRY_SUFFIX, Gateway, ScriptEntry, ScriptedMockBack
 from tasr.reasoner import Pipeline
 from tasr.taxonomy import load_default_taxonomy
 
-from conftest import DATA, FIXTURES, write_jsonl
+from conftest import DATA, FIXTURES, within, write_jsonl
 
 
 class TestLoaders:
@@ -88,9 +88,19 @@ class TestLoaders:
         assert (example.question, example.answers) == (text, (text,))
 
 
-def _untyped(stream):
-    """The requests of a stream that are not type selections, in order."""
-    return [request for request in stream if request[0] != "type_select"]
+def _questions(stream):
+    """A parallel=1 stream cut after each run of answers: one part per question, the
+    set-up requests of ``pre_extract`` joining the first."""
+    parts = [[]]
+    for request in stream:
+        if parts[-1] and parts[-1][-1][0] == "answer" and request[0] != "answer":
+            parts.append([])
+        parts[-1].append(request)
+    return parts
+
+
+def _sorted_roles(part, roles):
+    return sorted(request for request in part if request[0] in roles)
 
 
 class TestRunBenchmark:
@@ -172,7 +182,8 @@ class TestRunBenchmark:
     ):
         # every request the toy run sends: its role and a sha256 of both prompts. The golden
         # stream repeats type selections that questions share; the pipeline's label map sends
-        # each once. Typing requests run concurrently, so only the others keep a fixed order.
+        # each once. Extractions, decompositions and type selections leave the request pool in
+        # timing order, so only each question's answers keep a fixed order, after the rest.
         pipeline = Pipeline(
             toy_corpus, taxonomy, hash_encoder, Gateway(backend=toy_backend), default_cfg,
             pre_extract=mode == "pre_extract",
@@ -186,7 +197,15 @@ class TestRunBenchmark:
         assert set(stream) == set(golden)
         typed = [request for request in stream if request[0] == "type_select"]
         assert len(typed) == len(set(typed))
-        assert _untyped(stream) == _untyped(golden)
+        # questions in dataset order, each sending its extractions and decomposition before
+        # its first answer, and its answers in hop order
+        parts, golden_parts = _questions(stream), _questions(golden)
+        assert len(parts) == len(golden_parts) == len(toy_dataset)
+        for part, golden_part in zip(parts, golden_parts):
+            pre_answer = ("extract", "decompose")
+            assert _sorted_roles(part, pre_answer) == _sorted_roles(golden_part, pre_answer)
+            answers = [request for request in part if request[0] == "answer"]
+            assert answers == [request for request in golden_part if request[0] == "answer"]
 
     @pytest.mark.parametrize("mode", ["plain", "pre_extract"])
     @settings(max_examples=12, deadline=None)
@@ -311,16 +330,6 @@ class GatedBackend:
         return self.inner.complete(req)
 
 
-def _within(seconds, run):
-    """``run()``, failing the test instead of hanging when it takes over ``seconds``."""
-    result = []
-    worker = threading.Thread(target=lambda: result.append(run()), daemon=True)
-    worker.start()
-    worker.join(seconds)
-    assert result, f"no result within {seconds} s"
-    return result[0]
-
-
 class TestSharedLabels:
     """Questions of one pipeline share type selections; each is requested once."""
 
@@ -337,7 +346,7 @@ class TestSharedLabels:
         )
         backend.watch(pipeline)
         dataset = [QaExample(f"same{i}", self.QUESTION, ("MySQL AB",)) for i in range(2)]
-        return pipeline, _within(30, lambda: run_benchmark(dataset, pipeline, parallel=2))
+        return pipeline, within(30, lambda: run_benchmark(dataset, pipeline, parallel=2))
 
     def test_a_selection_two_questions_race_for_is_requested_once(self):
         backend = GatedBackend("Mars")
@@ -358,7 +367,7 @@ class TestSharedLabels:
             r.error is not None and (r.em, r.f1) == (0, 0.0) for r in run.report.per_example
         )
         later = QaExample("later", self.QUESTION, ("MySQL AB",))
-        again = _within(30, lambda: run_benchmark([later], pipeline))
+        again = within(30, lambda: run_benchmark([later], pipeline))
         assert backend.sent == 3
         assert again.report.error_count == 0
         assert again.report.em_avg == 1.0

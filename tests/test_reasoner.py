@@ -4,6 +4,7 @@ import tempfile
 import threading
 import time
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -32,11 +33,18 @@ from tasr.model import (
     TaxonomyLabel,
     Triple,
 )
+from tasr import reasoner
 from tasr.reasoner import Pipeline, answer_subquery, bind, resolve
-from tasr.structurer import decompose_query, extract_triples, subquery_typing_jobs
+from tasr.structurer import subquery_typing_jobs
 from tasr.taxonomy import EntityTyper, load_default_taxonomy
 
-from conftest import FIXTURES, RecordingEncoderClient
+from conftest import (
+    FIXTURES,
+    RecordingEncoderClient,
+    send_decomposition,
+    send_extraction,
+    within,
+)
 from reference_scoring import brute_force_rank
 
 RUNNING_QUESTION = (
@@ -465,6 +473,12 @@ class ScriptedFaults:
         return self.inner.complete(req)
 
 
+def _job(req):
+    """What a request is for: its document for an extraction, its entity for a typing."""
+    marker = "Document id: " if req.role_tag == "extract" else 'entity "'
+    return req.role_tag, req.user_prompt.split(marker, 1)[1].split("\n", 1)[0]
+
+
 def _fresh_pipeline(backend, pre_extract=False):
     return Pipeline(
         load_corpus(FIXTURES / "corpus.jsonl"),
@@ -508,29 +522,48 @@ class TestStreamedTyping:
         assert (row.em, row.f1) == (0, 0.0)
         assert f"{stage} is down" in row.error
 
-    @pytest.mark.parametrize("stage", ["extract", "decompose", "type_select"])
-    def test_no_typing_thread_outlives_a_failing_question(self, stage):
-        pool = self._pool()
-        failing = {
-            "extract": f"Document id: {pool[-1][0]}",
-            "decompose": "",
-            "type_select": f"Context: {pool[0][1]}",
-        }[stage]
+    @pytest.mark.parametrize("stage", ["extract", "type_select"])
+    def test_failed_question_cancels_queued_requests(self, monkeypatch, stage):
+        # one pool thread. After the failing request, the thread takes the next queued
+        # request and holds it until the failed question cancels some request; every
+        # request queued behind the held one must then never reach the backend
+        monkeypatch.setattr(reasoner, "REQUEST_WORKERS", 1)
+        cancelled, failed, sent = threading.Event(), threading.Event(), []
+        first_id = self._pool()[0][0]
 
-        def fail(req):
-            if req.role_tag == stage and failing in req.user_prompt:
-                return f"{stage} is down"
+        def failing(req):
+            if stage == "extract":  # the first document parsed; later ones queue behind it
+                return req.role_tag == "extract" and f"Document id: {first_id}" in req.user_prompt
+            # with pre_extract, the question's first sub-query slot (slots have no context)
+            return req.role_tag == "type_select" and "Context:" not in req.user_prompt
 
-        # slow type selections are still running when the question fails
-        pipeline = _fresh_pipeline(
-            ScriptedFaults(fail, lambda req: 20.0 if req.role_tag == "type_select" else 0.0)
-        )
-        baseline = set(threading.enumerate())
+        class HeldAfterFailure(ScriptedFaults):
+            def complete(self, req):
+                sent.append(req)
+                if failed.is_set():
+                    assert cancelled.wait(timeout=10)
+                if failing(req):
+                    failed.set()
+                    raise LlmUnavailable(req.role_tag, f"{stage} is down", retryable=False)
+                return super().complete(req)
+
+        class WatchedPool(ThreadPoolExecutor):
+            def submit(self, *args, **kwargs):
+                future = super().submit(*args, **kwargs)
+                future.add_done_callback(lambda f: f.cancelled() and cancelled.set())
+                return future
+
+        monkeypatch.setattr(reasoner, "ThreadPoolExecutor", WatchedPool)
+        pipeline = _fresh_pipeline(HeldAfterFailure(), pre_extract=stage == "type_select")
         with pytest.raises(QueryFailure, match=f"{stage} is down"):
             pipeline.run_query(RUNNING_QUESTION)
-        # compared as sets, so a thread of an earlier test ending meanwhile does not count
-        assert set(threading.enumerate()) <= baseline
-        assert not [t for t in threading.enumerate() if t.name.startswith("tasr-typing")]
+        assert cancelled.is_set()
+        seen = list(sent)
+        pipeline.close()  # would run anything still queued
+        assert sent == seen
+        after = seen[[failing(req) for req in seen].index(True) + 1 :]
+        # only requests of the job that was already running (a typing job sends two stages)
+        assert after and {_job(req) for req in after} == {_job(after[0])}
 
     @pytest.mark.parametrize("mode", ["plain", "pre_extract"])
     @settings(max_examples=8, deadline=None)
@@ -581,7 +614,7 @@ class TestOneTypingStep:
             return [
                 (entity.surface, doc.title)
                 for doc in docs
-                for t in extract_triples(doc, query, gateway)
+                for t in send_extraction(doc, query, gateway)
                 for entity in (t.head, t.tail)
             ]
 
@@ -592,16 +625,80 @@ class TestOneTypingStep:
         _, trace = pipeline.run_query(RUNNING_QUESTION)
         by_id = {doc.id: doc for doc in corpus}
         question_jobs = [] if pre_extract else doc_jobs(by_id[i] for i in trace.pool_ids)
-        decomposition = decompose_query(RUNNING_QUESTION, gateway)
+        decomposition = send_decomposition(RUNNING_QUESTION, gateway)
         question_jobs += [(e.surface, c) for e, c in subquery_typing_jobs(decomposition)]
         assert submitted == setup_jobs + question_jobs
         assert collects == setup_collects + [len(submitted)]
 
 
+class TestRequestPool:
+    """A pipeline sends every request before a question's answers on one bounded pool."""
+
+    def test_no_pool_thread_outlives_close(self):
+        baseline = set(threading.enumerate())
+        with _fresh_pipeline(ScriptedFaults()) as pipeline:
+            pipeline.run_query(RUNNING_QUESTION)
+            # compared as sets, so a thread of an earlier test ending meanwhile does not count
+            started = set(threading.enumerate()) - baseline
+            assert started and all(t.name.startswith("tasr-request") for t in started)
+        assert not [t for t in started if t.is_alive()]
+        with pytest.raises(RuntimeError):  # a closed pipeline answers no more questions
+            pipeline.run_query(RUNNING_QUESTION)
+
+    @pytest.mark.parametrize("workers", [2, reasoner.REQUEST_WORKERS])
+    def test_requests_in_flight_never_exceed_the_pool(self, monkeypatch, workers):
+        # answers leave from the question threads; every other request from the pool
+        monkeypatch.setattr(reasoner, "REQUEST_WORKERS", workers)
+        lock, in_flight, peak = threading.Lock(), [0], [0]
+
+        class Counting(ScriptedFaults):
+            def complete(self, req):
+                if req.role_tag == "answer":
+                    return super().complete(req)
+                with lock:
+                    in_flight[0] += 1
+                    peak[0] = max(peak[0], in_flight[0])
+                try:
+                    return super().complete(req)
+                finally:
+                    with lock:
+                        in_flight[0] -= 1
+
+        outputs = _toy_outputs(Counting(delay_ms=lambda req: 1.0), "plain", 3)
+        assert outputs == _undelayed_outputs("plain")
+        assert 1 <= peak[0] <= workers
+
+    def test_decomposition_is_sent_while_extractions_wait(self):
+        # each extraction reply is held until its question's decomposition request arrives:
+        # a pipeline that sent the decomposition after the extraction replies would hang
+        questions = [example.question for example in load_dataset(FIXTURES / "questions.jsonl")]
+        decomposed = {question: threading.Event() for question in questions}
+
+        class ExtractAfterDecompose(ScriptedFaults):
+            def complete(self, req):
+                if req.role_tag in ("extract", "decompose"):
+                    (question,) = [q for q in questions if q in req.user_prompt]
+                    if req.role_tag == "decompose":
+                        decomposed[question].set()
+                    else:
+                        assert decomposed[question].wait(timeout=10)
+                return super().complete(req)
+
+        outputs = within(60, lambda: _toy_outputs(ExtractAfterDecompose(), "plain", 1))
+        assert outputs == _undelayed_outputs("plain")
+
+    @pytest.mark.parametrize("mode", ["plain", "pre_extract"])
+    def test_one_pool_thread_serves_three_questions(self, monkeypatch, mode):
+        # typing jobs that wait on another question's selection share the one thread too
+        monkeypatch.setattr(reasoner, "REQUEST_WORKERS", 1)
+        outputs = within(60, lambda: _toy_outputs(ScriptedFaults(), mode, 3))
+        assert outputs == _undelayed_outputs(mode)
+
+
 def _toy_outputs(backend, mode, parallel):
     """Predictions, report and traces of one toy run."""
     pipeline = _fresh_pipeline(backend, pre_extract=mode == "pre_extract")
-    with tempfile.TemporaryDirectory() as trace_dir:
+    with pipeline, tempfile.TemporaryDirectory() as trace_dir:
         run = run_benchmark(
             load_dataset(FIXTURES / "questions.jsonl"), pipeline, trace_dir=trace_dir,
             parallel=parallel,

@@ -3,10 +3,12 @@ import pytest
 from tasr.errors import InvalidDecomposition, LlmProtocolError
 from tasr.llm import Gateway, scripted_mock
 from tasr.model import Document, Entity, Slot, SubQuery, TaxonomyLabel, Triple
+from tasr.errors import TasrError
 from tasr.structurer import (
     Decomposition,
-    decompose_query,
+    decomposition_prompt,
     extract_triples,
+    extraction_prompt,
     subquery_typing_jobs,
     type_document_triples,
     type_subqueries,
@@ -15,7 +17,7 @@ from tasr.structurer import (
 )
 from tasr.taxonomy import EntityTyper, TypeEmbeddingIndex
 
-from conftest import EchoSelectBackend
+from conftest import EchoSelectBackend, send_decomposition, send_extraction
 
 RUNNING_QUESTION = (
     "Which company originally developed the database that the Science Activity Planner uses?"
@@ -40,7 +42,7 @@ def _type_subqueries(dec, typer):
 class TestExtractTriples:
     def test_doc1_contains_uses_triple(self, toy_corpus, toy_gateway):
         doc1 = next(d for d in toy_corpus if d.id == "doc1")
-        triples = extract_triples(doc1, RUNNING_QUESTION, toy_gateway)
+        triples = send_extraction(doc1, RUNNING_QUESTION, toy_gateway)
         assert (
             Triple(Entity("Science Activity Planner"), "uses", Entity("MySQL database"), "doc1")
             in triples
@@ -49,7 +51,7 @@ class TestExtractTriples:
 
     def test_doc6_contains_developer_triple(self, toy_corpus, toy_gateway):
         doc6 = next(d for d in toy_corpus if d.id == "doc6")
-        triples = extract_triples(doc6, RUNNING_QUESTION, toy_gateway)
+        triples = send_extraction(doc6, RUNNING_QUESTION, toy_gateway)
         assert (
             Triple(Entity("MySQL AB"), "developed", Entity("MySQL database"), "doc6") in triples
         )
@@ -57,8 +59,11 @@ class TestExtractTriples:
     def test_empty_body_returns_empty_without_llm_call(self):
         backend = scripted_mock([])
         doc = Document(id="empty", title="t", text="   ")
-        assert extract_triples(doc, "q", Gateway(backend=backend)) == []
+        assert send_extraction(doc, "q", Gateway(backend=backend)) == []
         assert backend.calls == []
+        assert extraction_prompt(doc, "q") is None
+        reply = {"triples": [{"head": "a", "relation": "r", "tail": "b"}]}
+        assert extract_triples(doc, reply) == []
 
     def test_duplicates_within_document_collapse(self):
         backend = scripted_mock(
@@ -77,15 +82,15 @@ class TestExtractTriples:
             ]
         )
         doc = Document(id="dup", title="t", text="body")
-        triples = extract_triples(doc, "q", Gateway(backend=backend))
+        triples = send_extraction(doc, "q", Gateway(backend=backend))
         assert len(triples) == 2
 
     def test_duplicates_across_documents_are_kept(self):
         response = {"triples": [{"head": "a", "relation": "r", "tail": "b"}]}
         backend = scripted_mock([("extract", "Document id:", response)])
         gateway = Gateway(backend=backend)
-        t1 = extract_triples(Document(id="d1", title="t", text="x"), "q", gateway)
-        t2 = extract_triples(Document(id="d2", title="t", text="x"), "q", gateway)
+        t1 = send_extraction(Document(id="d1", title="t", text="x"), "q", gateway)
+        t2 = send_extraction(Document(id="d2", title="t", text="x"), "q", gateway)
         assert t1[0].key() == t2[0].key()
         assert (t1[0].source_doc, t2[0].source_doc) == ("d1", "d2")
 
@@ -93,8 +98,8 @@ class TestExtractTriples:
         backend = scripted_mock([("extract", "Document id:", {"triples": []})])
         gateway = Gateway(backend=backend)
         doc = Document(id="d", title="t", text="body")
-        extract_triples(doc, "where is it?", gateway)
-        extract_triples(doc, None, gateway)
+        send_extraction(doc, "where is it?", gateway)
+        send_extraction(doc, None, gateway)
         assert "where is it?" in backend.calls[0].user_prompt
         assert "Question:" not in backend.calls[1].user_prompt
 
@@ -114,12 +119,12 @@ class TestExtractTriples:
         backend = scripted_mock([("extract", "Document id:", response)])
         doc = Document(id="d", title="t", text="body")
         with pytest.raises(LlmProtocolError) as exc:
-            extract_triples(doc, "q", Gateway(backend=backend))
+            send_extraction(doc, "q", Gateway(backend=backend))
         assert exc.value.role_tag == "extract"
 
 
 class TestTypeDocumentTriples:
-    def _typer(self, taxonomy, hash_encoder, backend):
+    def _typer(self, taxonomy, hash_encoder, backend, request_pool):
         from tasr.config import PipelineConfig, validate_config
 
         return EntityTyper(
@@ -127,10 +132,13 @@ class TestTypeDocumentTriples:
             TypeEmbeddingIndex(taxonomy, hash_encoder),
             Gateway(backend=backend),
             validate_config(PipelineConfig()),
+            request_pool,
         )
 
-    def test_returns_typed_copies_and_leaves_input_untyped(self, taxonomy, hash_encoder):
-        typer = self._typer(taxonomy, hash_encoder, EchoSelectBackend())
+    def test_returns_typed_copies_and_leaves_input_untyped(
+        self, taxonomy, hash_encoder, request_pool
+    ):
+        typer = self._typer(taxonomy, hash_encoder, EchoSelectBackend(), request_pool)
         triples = [Triple(Entity("alpha"), "uses", Entity("beta"), "d")]
         typed = _type_triples(triples, typer)
         assert len(typed) == 1
@@ -152,13 +160,13 @@ class TestTypeDocumentTriples:
             (table["alpha"], table["beta"]), (table["beta"], table["alpha"])
         ]
 
-    def test_empty_list(self, taxonomy, hash_encoder):
-        typer = self._typer(taxonomy, hash_encoder, EchoSelectBackend())
+    def test_empty_list(self, taxonomy, hash_encoder, request_pool):
+        typer = self._typer(taxonomy, hash_encoder, EchoSelectBackend(), request_pool)
         assert _type_triples([], typer) == []
 
-    def test_shared_entity_typed_once(self, taxonomy, hash_encoder):
+    def test_shared_entity_typed_once(self, taxonomy, hash_encoder, request_pool):
         backend = EchoSelectBackend()
-        typer = self._typer(taxonomy, hash_encoder, backend)
+        typer = self._typer(taxonomy, hash_encoder, backend, request_pool)
         shared = "shared entity"
         triples = [
             Triple(Entity(shared), "r1", Entity("other one"), "d"),
@@ -176,7 +184,7 @@ class TestTypeDocumentTriples:
 
 class TestDecomposeQuery:
     def test_running_example(self, toy_gateway):
-        dec = decompose_query(RUNNING_QUESTION, toy_gateway)
+        dec = send_decomposition(RUNNING_QUESTION, toy_gateway)
         assert len(dec.sub_queries) == 2
         s1, s2 = dec.sub_queries
         assert (s1.head.text, s1.relation, s1.tail.text) == (
@@ -188,8 +196,12 @@ class TestDecomposeQuery:
         assert (s2.head.text, s2.relation, s2.tail.text) == ("?Database", "developed_by", "?Company")
         assert dec.type_hints["?Database"] == "database product"
 
+    def test_empty_question_has_no_request(self):
+        with pytest.raises(TasrError, match="query is empty"):
+            decomposition_prompt(" \t ")
+
     def test_single_hop(self, toy_gateway):
-        dec = decompose_query("Who developed the MySQL database?", toy_gateway)
+        dec = send_decomposition("Who developed the MySQL database?", toy_gateway)
         assert len(dec.sub_queries) == 1
         assert dec.sub_queries[0].tail.latent
 
@@ -210,18 +222,18 @@ class TestDecomposeQuery:
             ]
         )
         with pytest.raises(InvalidDecomposition):
-            decompose_query("bad order question", Gateway(backend=backend))
+            send_decomposition("bad order question", Gateway(backend=backend))
 
     def test_empty_decomposition_rejected(self):
         backend = scripted_mock([("decompose", "none", {"sub_queries": [], "type_hints": {}})])
         with pytest.raises(InvalidDecomposition):
-            decompose_query("none at all", Gateway(backend=backend))
+            send_decomposition("none at all", Gateway(backend=backend))
 
     def test_overlong_chain_rejected(self):
         subs = [{"head": f"e{i}", "relation": "r", "tail": f"?V{i}"} for i in range(9)]
         backend = scripted_mock([("decompose", "long", {"sub_queries": subs})])
         with pytest.raises(InvalidDecomposition):
-            decompose_query("long question", Gateway(backend=backend))
+            send_decomposition("long question", Gateway(backend=backend))
 
     def test_missing_hints_are_filled(self):
         backend = scripted_mock(
@@ -233,7 +245,7 @@ class TestDecomposeQuery:
                 )
             ]
         )
-        dec = decompose_query("fill hints", Gateway(backend=backend))
+        dec = send_decomposition("fill hints", Gateway(backend=backend))
         assert dec.type_hints["?BigThing"] == "big thing"
 
     def test_latent_names_normalized(self):
@@ -252,7 +264,7 @@ class TestDecomposeQuery:
                 )
             ]
         )
-        dec = decompose_query("normalize this", Gateway(backend=backend))
+        dec = send_decomposition("normalize this", Gateway(backend=backend))
         assert dec.sub_queries[0].tail.text == "?DatabaseSystem"
         assert dec.sub_queries[1].head.text == "?DatabaseSystem"
         assert dec.type_hints["?DatabaseSystem"] == "storage software"
@@ -270,7 +282,7 @@ class TestDecomposeQuery:
     def test_malformed_item_is_a_protocol_error(self, item):
         backend = scripted_mock([("decompose", "malformed", {"sub_queries": [item]})])
         with pytest.raises(LlmProtocolError) as exc:
-            decompose_query("malformed question", Gateway(backend=backend))
+            send_decomposition("malformed question", Gateway(backend=backend))
         assert exc.value.role_tag == "decompose"
 
 
@@ -290,7 +302,7 @@ class TestValidateChain:
 
 
 class TestTypeSubqueries:
-    def _typer(self, taxonomy, hash_encoder, backend):
+    def _typer(self, taxonomy, hash_encoder, backend, request_pool):
         from tasr.config import PipelineConfig, validate_config
 
         return EntityTyper(
@@ -298,14 +310,16 @@ class TestTypeSubqueries:
             TypeEmbeddingIndex(taxonomy, hash_encoder),
             Gateway(backend=backend),
             validate_config(PipelineConfig()),
+            request_pool,
         )
 
     def test_running_example_typed_from_taxonomy(
-        self, toy_gateway, toy_backend, taxonomy, hash_encoder
+        self, toy_gateway, toy_backend, taxonomy, hash_encoder, request_pool
     ):
-        dec = decompose_query(RUNNING_QUESTION, toy_gateway)
+        dec = send_decomposition(RUNNING_QUESTION, toy_gateway)
         typer = EntityTyper(
-            taxonomy, TypeEmbeddingIndex(taxonomy, hash_encoder), toy_gateway, toy_pipeline_cfg()
+            taxonomy, TypeEmbeddingIndex(taxonomy, hash_encoder), toy_gateway, toy_pipeline_cfg(),
+            request_pool,
         )
         typed = _type_subqueries(dec, typer)
         s1, s2 = typed.sub_queries
@@ -314,9 +328,9 @@ class TestTypeSubqueries:
         assert s2.head_type == TaxonomyLabel("PRODUCT", "Database")
         assert s2.tail_type == TaxonomyLabel("ORGANIZATION", "Company")
 
-    def test_rule_typable_bound_slot_skips_llm(self, taxonomy, hash_encoder):
+    def test_rule_typable_bound_slot_skips_llm(self, taxonomy, hash_encoder, request_pool):
         backend = EchoSelectBackend()
-        typer = self._typer(taxonomy, hash_encoder, backend)
+        typer = self._typer(taxonomy, hash_encoder, backend, request_pool)
         dec = Decomposition(
             sub_queries=[SubQuery(1, Slot.bound("1998"), "occurred_in", Slot.bound("somewhere"))]
         )
@@ -324,9 +338,9 @@ class TestTypeSubqueries:
         assert typed.sub_queries[0].head_type == TaxonomyLabel("TIME", "Year")
         assert not any('"1998"' in c.user_prompt for c in backend.calls)
 
-    def test_idempotent(self, taxonomy, hash_encoder):
+    def test_idempotent(self, taxonomy, hash_encoder, request_pool):
         backend = EchoSelectBackend()
-        typer = self._typer(taxonomy, hash_encoder, backend)
+        typer = self._typer(taxonomy, hash_encoder, backend, request_pool)
         dec = Decomposition(
             sub_queries=[SubQuery(1, Slot.bound("alpha"), "r", Slot.variable("?Thing"))],
             type_hints={"?Thing": "gadget"},
@@ -350,9 +364,9 @@ class TestTypeSubqueries:
         (sq,) = type_subqueries(dec, table).sub_queries
         assert (sq.head_type, sq.tail_type) == (table["alpha"], table["Thing (gadget)"])
 
-    def test_latent_slot_typed_from_hint_description(self, taxonomy, hash_encoder):
+    def test_latent_slot_typed_from_hint_description(self, taxonomy, hash_encoder, request_pool):
         backend = EchoSelectBackend()
-        typer = self._typer(taxonomy, hash_encoder, backend)
+        typer = self._typer(taxonomy, hash_encoder, backend, request_pool)
         dec = Decomposition(
             sub_queries=[SubQuery(1, Slot.bound("alpha"), "r", Slot.variable("?Thing"))],
             type_hints={"?Thing": "gadget"},

@@ -4,6 +4,7 @@ import re
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from tasr.errors import (
 from tasr.llm import Gateway, scripted_mock
 from tasr.model import Entity, TaxonomyLabel
 from tasr.taxonomy import (
-    TYPING_WORKERS,
     EntityTyper,
     LabelMap,
     TypeEmbeddingIndex,
@@ -131,33 +131,38 @@ class TestRetrieveCandidates:
         cands = index.top_l1("probe", default_cfg.n_l1_candidates)
         assert [l1 for l1, _ in cands] == ["AA", "ZZ"]
 
-    def test_missing_index_rejected(self, taxonomy):
+    def test_missing_index_rejected(self, taxonomy, request_pool):
         cfg = validate_config(PipelineConfig(typing_mode="retrieval"))
         backend = scripted_mock([])
         with pytest.raises(IndexUnavailable, match="index"):
-            EntityTyper(taxonomy, None, Gateway(backend=backend), cfg)
+            EntityTyper(taxonomy, None, Gateway(backend=backend), cfg, request_pool)
         assert backend.calls == []
 
 
-def _typer(taxonomy, encoder, backend, cfg):
-    return EntityTyper(taxonomy, TypeEmbeddingIndex(taxonomy, encoder), Gateway(backend=backend), cfg)
+def _typer(taxonomy, encoder, backend, cfg, requests):
+    index = TypeEmbeddingIndex(taxonomy, encoder)
+    return EntityTyper(taxonomy, index, Gateway(backend=backend), cfg, requests)
 
 
 class TestSelectType:
-    def test_scripted_selection(self, taxonomy, hash_encoder, default_cfg):
+    def test_scripted_selection(self, taxonomy, hash_encoder, default_cfg, request_pool):
         backend = load_script(FIXTURES / "llm_script.json")
-        typer = _typer(taxonomy, hash_encoder, backend, default_cfg)
+        typer = _typer(taxonomy, hash_encoder, backend, default_cfg, request_pool)
         label = typer.type_entity(Entity("Science Activity Planner"))
         assert label == TaxonomyLabel("WORK", "SoftwareProject")
 
-    def test_rule_typed_entity_never_calls_gateway(self, taxonomy, hash_encoder, default_cfg):
+    def test_rule_typed_entity_never_calls_gateway(
+        self, taxonomy, hash_encoder, default_cfg, request_pool
+    ):
         backend = scripted_mock([])
-        typer = _typer(taxonomy, hash_encoder, backend, default_cfg)
+        typer = _typer(taxonomy, hash_encoder, backend, default_cfg, request_pool)
         assert typer.type_entity(Entity("2024")) == TaxonomyLabel("TIME", "Year")
         assert typer.type_entity(Entity("37.5%")) == TaxonomyLabel("QUANTITY", "Percentage")
         assert backend.calls == []
 
-    def test_rule_pair_outside_the_taxonomy_goes_to_selection(self, taxonomy, default_cfg):
+    def test_rule_pair_outside_the_taxonomy_goes_to_selection(
+        self, taxonomy, default_cfg, request_pool
+    ):
         one_class = taxonomy_from_dict({"l1": [{"name": "THING", "l2": ["Item"]}]})
         backend = scripted_mock(
             [
@@ -165,14 +170,15 @@ class TestSelectType:
                 ("type_select", "Final two-level type", {"l1": "THING", "l2": "Item"}),
             ]
         )
-        typer = _typer(one_class, CachingEncoder(HashEncoderClient()), backend, default_cfg)
+        encoder = CachingEncoder(HashEncoderClient())
+        typer = _typer(one_class, encoder, backend, default_cfg, request_pool)
         assert typer.type_entity(Entity("1998")) is one_class.label("THING", "Item")
         assert len(backend.calls) == 2
         # a pair the taxonomy has comes back as the taxonomy's own object
         assert taxonomy.rule_label(Entity("1998")) is taxonomy.label("TIME", "Year")
 
     def test_out_of_vocabulary_label_retries_once_then_falls_back(
-        self, taxonomy, hash_encoder, default_cfg
+        self, taxonomy, hash_encoder, default_cfg, request_pool
     ):
         backend = scripted_mock(
             [
@@ -181,7 +187,7 @@ class TestSelectType:
             ]
         )
         index = TypeEmbeddingIndex(taxonomy, hash_encoder)
-        typer = EntityTyper(taxonomy, index, Gateway(backend=backend), default_cfg)
+        typer = EntityTyper(taxonomy, index, Gateway(backend=backend), default_cfg, request_pool)
         label = typer.type_entity(Entity("Beowulf"))
 
         stage2_calls = [c for c in backend.calls if "Final two-level type" in c.user_prompt]
@@ -195,7 +201,7 @@ class TestSelectType:
         assert any("fallback" in e for e in typer.events)
 
     def test_non_json_stage1_falls_back_to_top_candidates(
-        self, taxonomy, hash_encoder, default_cfg
+        self, taxonomy, hash_encoder, default_cfg, request_pool
     ):
         backend = scripted_mock(
             [
@@ -203,26 +209,26 @@ class TestSelectType:
                 ("type_select", "Final two-level type", "also not json"),
             ]
         )
-        typer = _typer(taxonomy, hash_encoder, backend, default_cfg)
+        typer = _typer(taxonomy, hash_encoder, backend, default_cfg, request_pool)
         label = typer.type_entity(Entity("Beowulf"))
         assert taxonomy.has_label(label.l1, label.l2)
         assert len(typer.events) == 2  # both stages fell back
 
-    def test_non_string_labels_fall_back(self, taxonomy, hash_encoder, default_cfg):
+    def test_non_string_labels_fall_back(self, taxonomy, hash_encoder, default_cfg, request_pool):
         backend = scripted_mock(
             [
                 ("type_select", "First-level types", {"labels": [["WORK"], {"l1": 1}, 3]}),
                 ("type_select", "Final two-level type", {"l1": ["WORK"], "l2": {}}),
             ]
         )
-        typer = _typer(taxonomy, hash_encoder, backend, default_cfg)
+        typer = _typer(taxonomy, hash_encoder, backend, default_cfg, request_pool)
         label = typer.type_entity(Entity("Beowulf"))
         assert taxonomy.has_label(label.l1, label.l2)
         assert len(typer.events) == 2  # both stages fell back
 
-    def test_memoized_per_surface(self, taxonomy, hash_encoder, default_cfg):
+    def test_memoized_per_surface(self, taxonomy, hash_encoder, default_cfg, request_pool):
         backend = EchoSelectBackend()
-        typer = _typer(taxonomy, hash_encoder, backend, default_cfg)
+        typer = _typer(taxonomy, hash_encoder, backend, default_cfg, request_pool)
         first = typer.type_entity(Entity("repeat me"))
         calls_after_first = len(backend.calls)
         second = typer.type_entity(Entity("  repeat me  "))
@@ -234,27 +240,29 @@ class TestSelectType:
             Entity("   ")
 
     def test_parent_child_membership_over_random_entities(
-        self, taxonomy, hash_encoder, default_cfg
+        self, taxonomy, hash_encoder, default_cfg, request_pool
     ):
         backend = EchoSelectBackend()
-        typer = _typer(taxonomy, hash_encoder, backend, default_cfg)
+        typer = _typer(taxonomy, hash_encoder, backend, default_cfg, request_pool)
         rng = np.random.default_rng(11)
         for i in range(100):
             text = f"entity-{rng.integers(1_000_000)}"
             label = typer.type_entity(Entity(text))
             assert taxonomy.has_label(label.l1, label.l2)
 
-    def test_pure_mode_shows_full_label_list(self, taxonomy, hash_encoder):
+    def test_pure_mode_shows_full_label_list(self, taxonomy, hash_encoder, request_pool):
         cfg = validate_config(PipelineConfig(typing_mode="pure"))
         backend = EchoSelectBackend()
-        typer = EntityTyper(taxonomy, None, Gateway(backend=backend), cfg)
+        typer = EntityTyper(taxonomy, None, Gateway(backend=backend), cfg, request_pool)
         label = typer.type_entity(Entity("some entity"))
         assert taxonomy.has_label(label.l1, label.l2)
         stage1 = next(c for c in backend.calls if "First-level types" in c.user_prompt)
         for l1 in taxonomy.l1_classes:
             assert l1 in stage1.user_prompt
 
-    def test_keys_typed_to_one_pair_share_its_label_object(self, taxonomy, hash_encoder):
+    def test_keys_typed_to_one_pair_share_its_label_object(
+        self, taxonomy, hash_encoder, request_pool
+    ):
         backend = scripted_mock(
             [
                 ("type_select", "First-level types", {"labels": ["PRODUCT"]}),
@@ -262,16 +270,18 @@ class TestSelectType:
             ]
         )
         cfg = validate_config(PipelineConfig(typing_mode="pure"))
-        typer = EntityTyper(taxonomy, None, Gateway(backend=backend), cfg)
+        typer = EntityTyper(taxonomy, None, Gateway(backend=backend), cfg, request_pool)
         keys = [("MySQL", "Open-source relational databases"), ("PostgreSQL", None)]
         typer.submit([(Entity(surface), context) for surface, context in keys])
         typer.collect()
-        held = [typer.labels.get(key, lambda: pytest.fail("not held"))[0] for key in keys]
-        assert held[0] is held[1] is taxonomy.label("PRODUCT", "Database")
+        held = [typer.labels.get(key, lambda: pytest.fail("not held")) for key in keys]
+        assert held[0][0] is held[1][0] is taxonomy.label("PRODUCT", "Database")
+        assert held[0] is held[1]  # keys that took no fallback share one entry object
 
-    def test_retrieval_mode_without_index_rejected(self, taxonomy, default_cfg):
+    def test_retrieval_mode_without_index_rejected(self, taxonomy, default_cfg, request_pool):
+        gateway = Gateway(backend=scripted_mock([]))
         with pytest.raises(IndexUnavailable):
-            EntityTyper(taxonomy, None, Gateway(backend=scripted_mock([])), default_cfg)
+            EntityTyper(taxonomy, None, gateway, default_cfg, request_pool)
 
 
 class OovEchoBackend:
@@ -313,19 +323,23 @@ class ReverseOrderBackend(OovEchoBackend):
 
 
 class TestTypeAll:
-    def test_first_failing_job_in_job_order_raises(self, taxonomy, hash_encoder, default_cfg):
+    def test_first_failing_job_in_job_order_raises(
+        self, taxonomy, hash_encoder, default_cfg, request_pool
+    ):
         # the later job fails first in time; the earlier one is still the error
         names = ["fine entity", "slow failure", "fast failure"]
         backend = ReverseOrderBackend(names, fail=names[1:])
-        typer = _typer(taxonomy, hash_encoder, backend, default_cfg)
+        typer = _typer(taxonomy, hash_encoder, backend, default_cfg, request_pool)
         with pytest.raises(LlmUnavailable, match="no answer for slow failure"):
             typer.submit([(Entity(name), None) for name in names])
             typer.collect()
 
-    def test_labels_and_events_follow_job_order(self, taxonomy, hash_encoder, default_cfg):
+    def test_labels_and_events_follow_job_order(
+        self, taxonomy, hash_encoder, default_cfg, request_pool
+    ):
         names = ["alpha entity", "beta entity", "gamma entity"]
         backend = ReverseOrderBackend(names, oov=names[:2])
-        typer = _typer(taxonomy, hash_encoder, backend, default_cfg)
+        typer = _typer(taxonomy, hash_encoder, backend, default_cfg, request_pool)
         jobs = [(Entity(name), f"title {i}") for i, name in enumerate(names)]
         typer.submit(jobs + [(Entity("alpha entity"), "later title")])
         labels = typer.collect()
@@ -335,23 +349,24 @@ class TestTypeAll:
         # a surface is typed once, with the context of its first job
         alpha = [c.user_prompt for c in backend.echo.calls if '"alpha entity"' in c.user_prompt]
         assert alpha and all("Context: title 0" in prompt for prompt in alpha)
-        serial = _typer(taxonomy, hash_encoder, OovEchoBackend(oov=names[:2]), default_cfg)
+        serial_backend = OovEchoBackend(oov=names[:2])
+        serial = _typer(taxonomy, hash_encoder, serial_backend, default_cfg, request_pool)
         assert [labels[name] for name in names] == [serial.type_entity(*job) for job in jobs]
 
 
     def test_two_submits_type_an_overlapping_surface_once(
-        self, taxonomy, hash_encoder, default_cfg
+        self, taxonomy, hash_encoder, default_cfg, request_pool
     ):
         # the second submit repeats a surface with another context: its first job's context wins
         first = [(Entity("alpha entity"), "title 0"), (Entity("beta entity"), "title 0")]
         second = [(Entity("beta entity"), "title 1"), (Entity("gamma entity"), "title 1")]
         oov = ["beta entity", "gamma entity"]
         streamed, batched = OovEchoBackend(oov), OovEchoBackend(oov)
-        typer = _typer(taxonomy, hash_encoder, streamed, default_cfg)
+        typer = _typer(taxonomy, hash_encoder, streamed, default_cfg, request_pool)
         typer.submit(first)
         typer.submit(second)
         streamed_labels = typer.collect()
-        once = _typer(taxonomy, hash_encoder, batched, default_cfg)
+        once = _typer(taxonomy, hash_encoder, batched, default_cfg, request_pool)
         once.submit(first + second)
         batched_labels = once.collect()
         beta = [c.user_prompt for c in streamed.echo.calls if '"beta entity"' in c.user_prompt]
@@ -363,7 +378,8 @@ class TestTypeAll:
         assert streamed_labels == batched_labels and len(streamed_labels) == 3
 
     def test_close_cancels_the_jobs_not_started(self, taxonomy, hash_encoder, default_cfg):
-        names = [f"entity {i}" for i in range(TYPING_WORKERS + 4)]
+        # the typer's executor runs two jobs at a time; the other four wait in its queue
+        workers, names = 2, [f"entity {i}" for i in range(6)]
         release, started, lock = threading.Event(), [], threading.Lock()
         echo = EchoSelectBackend()
 
@@ -374,17 +390,20 @@ class TestTypeAll:
                 assert release.wait(timeout=10)
                 return echo.complete(req)
 
-        typer = _typer(taxonomy, hash_encoder, HeldBackend(), default_cfg)
-        typer.submit([(Entity(name), None) for name in names])
-        deadline = time.monotonic() + 10
-        while len(started) < TYPING_WORKERS and time.monotonic() < deadline:
-            time.sleep(0.001)
-        threading.Timer(0.2, release.set).start()
-        typer.close()
-        # the running jobs finished their two stages; the queued ones never started
-        entities = {re.search(r'entity "(.*)"', r.user_prompt).group(1) for r in started}
-        assert len(entities) == TYPING_WORKERS
-        assert not [t for t in threading.enumerate() if t.name.startswith("tasr-typing")]
+        with ThreadPoolExecutor(workers) as requests:
+            typer = _typer(taxonomy, hash_encoder, HeldBackend(), default_cfg, requests)
+            typer.submit([(Entity(name), None) for name in names])
+            deadline = time.monotonic() + 10
+            while len(started) < workers and time.monotonic() < deadline:
+                time.sleep(0.001)
+            threading.Timer(0.2, release.set).start()
+            typer.close()
+            # the running jobs finished their two stages; the queued ones never reached the
+            # backend, and the executor the typer was given still runs
+            entities = {re.search(r'entity "(.*)"', r.user_prompt).group(1) for r in started}
+            assert entities == set(names[:workers])
+            assert len(started) == 2 * workers
+            assert requests.submit(len, names).result() == len(names)
         assert typer.collect() == {}  # nothing is left to collect
         assert typer.events == []
 
@@ -495,14 +514,18 @@ class TestLabelMap:
         self._start(lambda: results.append(labels.get(self.KEY, lambda: self.TYPED))).join(10)
         assert results == [self.TYPED]
 
-    def test_typers_sharing_a_map_replay_its_events(self, taxonomy, hash_encoder, default_cfg):
+    def test_typers_sharing_a_map_replay_its_events(
+        self, taxonomy, hash_encoder, default_cfg, request_pool
+    ):
         backend, sent = OovEchoBackend(oov=["alpha entity"]), []
         complete = backend.complete
         backend.complete = lambda req: sent.append(req) or complete(req)
         index = TypeEmbeddingIndex(taxonomy, hash_encoder)
         labels = LabelMap()
         first, second = (
-            EntityTyper(taxonomy, index, Gateway(backend=backend), default_cfg, labels)
+            EntityTyper(
+                taxonomy, index, Gateway(backend=backend), default_cfg, request_pool, labels
+            )
             for _ in range(2)
         )
         jobs = [(Entity("alpha entity"), "title"), (Entity("1998"), "title")]
