@@ -8,10 +8,11 @@ wait for the question's labels; then a strictly sequential loop over
 sub-queries: resolve bound variables, rerank the fixed candidate pool, answer
 the hop, bind its latent variable. The final answer is the last hop's answer.
 
-A pipeline owns one pool of at most :data:`REQUEST_WORKERS` threads that
-sends every question's requests before its answers: extractions, the
-decomposition and type selections. Replies are parsed on the question's own
-thread, so the outcome does not depend on which request returns first.
+A pipeline owns one request pool that sends every question's requests before
+its answers: extractions, the decomposition and type selections. It has
+:data:`REQUEST_WORKERS` threads, or :data:`QUESTION_WORKERS` per question in
+flight once that is more. Replies are parsed on the question's own thread, so
+the outcome does not depend on which request returns first.
 
 A pipeline keeps what it learns at set-up for its lifetime: the taxonomy label
 vectors and, with ``pre_extract``, the typed corpus triples with their
@@ -23,9 +24,10 @@ an encoder memo scoped to that question and goes when it ends.
 from __future__ import annotations
 
 import dataclasses
+import threading
 from collections import deque
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
-from contextlib import closing
+from contextlib import closing, contextmanager
 from functools import partial
 from itertools import islice
 from typing import Any, Iterator, Mapping, Optional, Sequence
@@ -59,7 +61,8 @@ from tasr.structurer import (
 from tasr.taxonomy import EntityTyper, LabelMap, Taxonomy, TypeEmbeddingIndex
 
 ANSWER_SYSTEM = "You answer relational sub-queries from the given documents."
-REQUEST_WORKERS = 8  # threads of a pipeline's request pool, shared by its questions
+REQUEST_WORKERS = 8  # threads of a pipeline's request pool, shared by its questions,
+QUESTION_WORKERS = 4  # or this many per question in flight, when that is more
 
 
 def resolve(sq: SubQuery, bindings: BindingTable) -> SubQuery:
@@ -142,7 +145,7 @@ def stream_documents(
         while ahead:
             doc, reply = ahead.popleft()
             ahead.extend(map(send, islice(waiting, 1)))
-            triples = extract_triples(doc, None if reply is None else reply.result())
+            triples = [] if reply is None else extract_triples(doc, reply.result())
             doc = dataclasses.replace(doc, triples=triples)
             typer.submit((entity, doc.title) for t in doc.triples for entity in (t.head, t.tail))
             extracted.append(doc)
@@ -159,6 +162,33 @@ def type_documents(
         dataclasses.replace(doc, triples=type_document_triples(doc.triples, labels))
         for doc in docs
     ]
+
+
+class RequestPool(ThreadPoolExecutor):
+    """A pipeline's request pool: at most ``max(REQUEST_WORKERS, QUESTION_WORKERS * n)``
+    threads, where n is the most questions it has served at once.
+
+    Threads start on demand and stay until :meth:`shutdown`, so the pool keeps the
+    size of its busiest moment.
+    """
+
+    def __init__(self) -> None:
+        super().__init__(REQUEST_WORKERS, thread_name_prefix="tasr-request")
+        self._serving_lock = threading.Lock()
+        self._questions = 0
+
+    @contextmanager
+    def serving(self) -> Iterator[None]:
+        """Count one question in flight while the block runs, growing the pool to serve it."""
+        with self._serving_lock:
+            self._questions += 1
+            # ThreadPoolExecutor.submit starts a thread while it has fewer than _max_workers
+            self._max_workers = max(self._max_workers, QUESTION_WORKERS * self._questions)
+        try:
+            yield
+        finally:
+            with self._serving_lock:
+                self._questions -= 1
 
 
 class Pipeline:
@@ -186,7 +216,7 @@ class Pipeline:
         self.labels = LabelMap()
         self.pre_extract = pre_extract
         self.startup_events: list[str] = []
-        self.requests = ThreadPoolExecutor(REQUEST_WORKERS, thread_name_prefix="tasr-request")
+        self.requests = RequestPool()
         try:
             if pre_extract:
                 with closing(self._typer(encoder)) as typer:
@@ -216,7 +246,8 @@ class Pipeline:
         """Run the full loop; returns the final answer and the complete trace."""
         trace = ReasoningTrace(question=question)
         try:
-            return self._run(question, trace)
+            with self.requests.serving():
+                return self._run(question, trace)
         except TasrError as exc:
             raise QueryFailure(str(exc), trace=trace) from exc
 

@@ -57,9 +57,7 @@ def extraction_prompt(doc: Document, query: Optional[str]) -> Optional[str]:
 
 def extract_triples(doc: Document, reply: Any) -> list[Triple]:
     """The deduplicated triples of one document, read from the parsed reply to its
-    extraction request; a document with no text has none, whatever ``reply`` is."""
-    if not doc.text.strip():
-        return []
+    extraction request."""
     triples: list[Triple] = []
     seen: set[tuple[str, str, str]] = set()
     for item in json_field(reply, "triples", list, partial(LlmProtocolError, "extract")):

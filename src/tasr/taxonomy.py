@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 import threading
 from concurrent.futures import Executor, Future
 from dataclasses import dataclass
@@ -179,7 +180,8 @@ class LabelMap:
     however many questions race for it. An owner never waits on another key,
     so waiting cannot deadlock. A failure is not stored: the owner's error
     goes to its own question, and a waiter asks again on its own thread.
-    Entries that took no fallback share one ``(label, ())`` object per label.
+    Entries that took no fallback share one ``(label, ())`` object per label,
+    and keys share one string per surface.
     """
 
     def __init__(self) -> None:
@@ -210,7 +212,8 @@ class LabelMap:
                 if typed is not None:
                     if not typed[1]:
                         typed = self._plain.setdefault(typed[0], typed)
-                    self._typed[key] = typed
+                    # one string per surface, not one per question that parsed it
+                    self._typed[(sys.intern(key[0]), key[1])] = typed
                 del self._in_flight[key]
             owner_done.set()
         return typed

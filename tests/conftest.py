@@ -81,8 +81,9 @@ def toy_pipeline(toy_corpus, taxonomy, hash_encoder, toy_backend, default_cfg):
 def send_extraction(doc, query, gateway):
     """The triples of one document: its extraction request sent, its reply parsed."""
     prompt = extraction_prompt(doc, query)
-    reply = None if prompt is None else gateway.call("extract", EXTRACT_SYSTEM, prompt)
-    return extract_triples(doc, reply)
+    if prompt is None:
+        return []
+    return extract_triples(doc, gateway.call("extract", EXTRACT_SYSTEM, prompt))
 
 
 def send_decomposition(question, gateway):

@@ -4,7 +4,6 @@ import tempfile
 import threading
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -522,38 +521,47 @@ class TestStreamedTyping:
         assert (row.em, row.f1) == (0, 0.0)
         assert f"{stage} is down" in row.error
 
-    @pytest.mark.parametrize("stage", ["extract", "type_select"])
+    @pytest.mark.parametrize("stage", ["extract", "decompose", "type_select"])
     def test_failed_question_cancels_queued_requests(self, monkeypatch, stage):
         # one pool thread. After the failing request, the thread takes the next queued
-        # request and holds it until the failed question cancels some request; every
-        # request queued behind the held one must then never reach the backend
-        monkeypatch.setattr(reasoner, "REQUEST_WORKERS", 1)
+        # request it may hold and holds it until the failed question cancels some
+        # request; every request queued behind the held one must then never reach the
+        # backend. A failed decomposition is read after every extraction reply, so
+        # there only the type selections sent after the last extraction are held
+        _one_pool_thread(monkeypatch)
         cancelled, failed, sent = threading.Event(), threading.Event(), []
-        first_id = self._pool()[0][0]
+        pool = self._pool()
+        first_id = pool[0][0]
 
         def failing(req):
             if stage == "extract":  # the first document parsed; later ones queue behind it
                 return req.role_tag == "extract" and f"Document id: {first_id}" in req.user_prompt
+            if stage == "decompose":
+                return req.role_tag == "decompose"
             # with pre_extract, the question's first sub-query slot (slots have no context)
             return req.role_tag == "type_select" and "Context:" not in req.user_prompt
+
+        def held(req):
+            extracted = sum(r.role_tag == "extract" for r in sent) == len(pool)
+            return stage != "decompose" or (req.role_tag == "type_select" and extracted)
 
         class HeldAfterFailure(ScriptedFaults):
             def complete(self, req):
                 sent.append(req)
-                if failed.is_set():
+                if failed.is_set() and held(req):
                     assert cancelled.wait(timeout=10)
                 if failing(req):
                     failed.set()
                     raise LlmUnavailable(req.role_tag, f"{stage} is down", retryable=False)
                 return super().complete(req)
 
-        class WatchedPool(ThreadPoolExecutor):
+        class WatchedPool(reasoner.RequestPool):
             def submit(self, *args, **kwargs):
                 future = super().submit(*args, **kwargs)
                 future.add_done_callback(lambda f: f.cancelled() and cancelled.set())
                 return future
 
-        monkeypatch.setattr(reasoner, "ThreadPoolExecutor", WatchedPool)
+        monkeypatch.setattr(reasoner, "RequestPool", WatchedPool)
         pipeline = _fresh_pipeline(HeldAfterFailure(), pre_extract=stage == "type_select")
         with pytest.raises(QueryFailure, match=f"{stage} is down"):
             pipeline.run_query(RUNNING_QUESTION)
@@ -561,7 +569,10 @@ class TestStreamedTyping:
         seen = list(sent)
         pipeline.close()  # would run anything still queued
         assert sent == seen
-        after = seen[[failing(req) for req in seen].index(True) + 1 :]
+        start = [failing(req) for req in seen].index(True) + 1
+        if stage == "decompose":  # held from the first request after the last extraction
+            start = max(i for i, req in enumerate(seen) if req.role_tag == "extract") + 1
+        after = seen[start:]
         # only requests of the job that was already running (a typing job sends two stages)
         assert after and {_job(req) for req in after} == {_job(after[0])}
 
@@ -645,10 +656,13 @@ class TestRequestPool:
         with pytest.raises(RuntimeError):  # a closed pipeline answers no more questions
             pipeline.run_query(RUNNING_QUESTION)
 
-    @pytest.mark.parametrize("workers", [2, reasoner.REQUEST_WORKERS])
-    def test_requests_in_flight_never_exceed_the_pool(self, monkeypatch, workers):
+    @pytest.mark.parametrize(
+        "workers, per_question", [(2, 0), (reasoner.REQUEST_WORKERS, reasoner.QUESTION_WORKERS)]
+    )
+    def test_requests_in_flight_never_exceed_the_pool(self, monkeypatch, workers, per_question):
         # answers leave from the question threads; every other request from the pool
         monkeypatch.setattr(reasoner, "REQUEST_WORKERS", workers)
+        monkeypatch.setattr(reasoner, "QUESTION_WORKERS", per_question)
         lock, in_flight, peak = threading.Lock(), [0], [0]
 
         class Counting(ScriptedFaults):
@@ -666,7 +680,32 @@ class TestRequestPool:
 
         outputs = _toy_outputs(Counting(delay_ms=lambda req: 1.0), "plain", 3)
         assert outputs == _undelayed_outputs("plain")
-        assert 1 <= peak[0] <= workers
+        assert 1 <= peak[0] <= max(workers, per_question * 3)
+
+    def test_pool_grows_with_the_questions_in_flight(self, monkeypatch):
+        # one thread for a lone question, two per question in flight: the first four
+        # pre-answer requests are each held until four are in flight at once, which a
+        # pool that did not grow past the threads of one question never reaches
+        monkeypatch.setattr(reasoner, "REQUEST_WORKERS", 1)
+        monkeypatch.setattr(reasoner, "QUESTION_WORKERS", 2)
+        gathered, lock, arrived = threading.Barrier(4), threading.Lock(), [0]
+
+        class Gathering(ScriptedFaults):
+            def complete(self, req):
+                if req.role_tag != "answer":
+                    with lock:
+                        arrived[0] += 1
+                        first = arrived[0] <= gathered.parties
+                    if first:
+                        try:
+                            gathered.wait(timeout=10)
+                        except threading.BrokenBarrierError:
+                            pass
+                return super().complete(req)
+
+        outputs = _toy_outputs(Gathering(), "plain", 3)
+        assert outputs == _undelayed_outputs("plain")
+        assert not gathered.broken
 
     def test_decomposition_is_sent_while_extractions_wait(self):
         # each extraction reply is held until its question's decomposition request arrives:
@@ -690,9 +729,15 @@ class TestRequestPool:
     @pytest.mark.parametrize("mode", ["plain", "pre_extract"])
     def test_one_pool_thread_serves_three_questions(self, monkeypatch, mode):
         # typing jobs that wait on another question's selection share the one thread too
-        monkeypatch.setattr(reasoner, "REQUEST_WORKERS", 1)
+        _one_pool_thread(monkeypatch)
         outputs = within(60, lambda: _toy_outputs(ScriptedFaults(), mode, 3))
         assert outputs == _undelayed_outputs(mode)
+
+
+def _one_pool_thread(monkeypatch):
+    """Pipelines built from here on have one request thread, however many questions run."""
+    monkeypatch.setattr(reasoner, "REQUEST_WORKERS", 1)
+    monkeypatch.setattr(reasoner, "QUESTION_WORKERS", 0)
 
 
 def _toy_outputs(backend, mode, parallel):

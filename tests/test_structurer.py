@@ -7,7 +7,6 @@ from tasr.errors import TasrError
 from tasr.structurer import (
     Decomposition,
     decomposition_prompt,
-    extract_triples,
     extraction_prompt,
     subquery_typing_jobs,
     type_document_triples,
@@ -62,8 +61,6 @@ class TestExtractTriples:
         assert send_extraction(doc, "q", Gateway(backend=backend)) == []
         assert backend.calls == []
         assert extraction_prompt(doc, "q") is None
-        reply = {"triples": [{"head": "a", "relation": "r", "tail": "b"}]}
-        assert extract_triples(doc, reply) == []
 
     def test_duplicates_within_document_collapse(self):
         backend = scripted_mock(

@@ -514,6 +514,16 @@ class TestLabelMap:
         self._start(lambda: results.append(labels.get(self.KEY, lambda: self.TYPED))).join(10)
         assert results == [self.TYPED]
 
+    def test_keys_share_one_string_per_surface(self):
+        # surfaces parsed from different replies are equal but distinct objects
+        labels, surface = LabelMap(), self.KEY[0]
+        for context in ("first title", "second title"):
+            key = ("".join(surface), context)
+            assert key[0] is not surface
+            labels.get(key, lambda: self.TYPED)
+        first, second = labels._typed
+        assert first[0] is second[0]
+
     def test_typers_sharing_a_map_replay_its_events(
         self, taxonomy, hash_encoder, default_cfg, request_pool
     ):
