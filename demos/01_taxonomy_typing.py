@@ -57,6 +57,6 @@ with ThreadPoolExecutor(1) as requests:
     label = typer.type_entity(entity)
     print(f"\nselected type: {label}")
 
-    # results are memoized: asking again is free and identical
+    # selections are kept in the label map: asking again is free and identical
     assert typer.type_entity(Entity("MySQL database")) == label
-    print("second call hits the memo and returns the same label")
+    print("second call hits the label map and returns the same label")

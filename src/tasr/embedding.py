@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import mmap
 import threading
 from pathlib import Path
 from typing import Any, Optional, Protocol, Sequence
@@ -182,10 +183,10 @@ def _cache_line(record: Any) -> tuple[str, np.ndarray]:
     return text, np.asarray(vector, dtype=np.float64)
 
 
-def encoder_from_url(url: str, dim: int = 384) -> EncoderClient:
+def encoder_from_url(url: str) -> EncoderClient:
     """``mock:`` selects the deterministic hash encoder; anything else is HTTP."""
     if url.startswith("mock:"):
-        return HashEncoderClient(dim=dim)
+        return HashEncoderClient()
     return HttpEncoderClient(url)
 
 
@@ -230,7 +231,9 @@ class CorpusIndex:
 
     Texts are encoded in chunks of :data:`CORPUS_CHUNK` straight into one
     float64 matrix, each chunk through a memo of its own that goes with it, so
-    the encoder's memo does not keep them and each vector is held once.
+    the encoder's memo does not keep them and each vector is held once. The
+    matrix is a mapping of its own, unmapped with the index: in the malloc heap,
+    whether the next index reused a freed matrix hung on other threads' allocations.
     """
 
     def __init__(self, documents: Sequence[Document], encoder: CachingEncoder) -> None:
@@ -240,7 +243,8 @@ class CorpusIndex:
         for start in range(0, len(texts), CORPUS_CHUNK):
             vectors = encoder.scope().encode(texts[start : start + CORPUS_CHUNK])
             if start == 0:
-                matrix = np.empty((len(texts), len(vectors[0])))
+                shape = (len(texts), len(vectors[0]))
+                matrix = np.ndarray(shape, buffer=mmap.mmap(-1, max(8 * shape[0] * shape[1], 1)))
             matrix[start : start + len(vectors)] = vectors
         self.index = VectorIndex.from_matrix([d.id for d in documents], matrix)
 

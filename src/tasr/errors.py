@@ -46,10 +46,6 @@ class EmptyBranch(TaxonomyParseError):
     """A first-level taxonomy class has no children."""
 
 
-class IndexUnavailable(TasrError):
-    """Type-label embedding index was not built."""
-
-
 class EncoderUnavailable(TasrError):
     """Embedding backend could not be reached."""
 

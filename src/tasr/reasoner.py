@@ -8,11 +8,12 @@ wait for the question's labels; then a strictly sequential loop over
 sub-queries: resolve bound variables, rerank the fixed candidate pool, answer
 the hop, bind its latent variable. The final answer is the last hop's answer.
 
-A pipeline owns one request pool that sends every question's requests before
-its answers: extractions, the decomposition and type selections. It has
-:data:`REQUEST_WORKERS` threads, or :data:`QUESTION_WORKERS` per question in
-flight once that is more. Replies are parsed on the question's own thread, so
-the outcome does not depend on which request returns first.
+This module schedules requests and sends only the answers. The structurer
+sends the extractions and the decomposition, the typer the type selections,
+all on one request pool per pipeline. It has :data:`REQUEST_WORKERS` threads,
+or :data:`QUESTION_WORKERS` per question in flight once that is more. Replies
+are parsed on the question's own thread, so the outcome does not depend on
+which request returns first.
 
 A pipeline keeps what it learns at set-up for its lifetime: the taxonomy label
 vectors and, with ``pre_extract``, the typed corpus triples with their
@@ -30,7 +31,7 @@ from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from contextlib import closing, contextmanager
 from functools import partial
 from itertools import islice
-from typing import Any, Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from tasr.config import PipelineConfig
 from tasr.embedding import CORPUS_CHUNK, CachingEncoder, CorpusIndex, dense_retrieve
@@ -47,13 +48,11 @@ from tasr.model import (
     TaxonomyLabel,
 )
 from tasr.structurer import (
-    DECOMPOSE_SYSTEM,
-    EXTRACT_SYSTEM,
     Decomposition,
     decompose_query,
-    decomposition_prompt,
     extract_triples,
-    extraction_prompt,
+    extraction_request,
+    request_decomposition,
     subquery_typing_jobs,
     type_document_triples,
     type_subqueries,
@@ -123,20 +122,18 @@ def stream_documents(
 ) -> list[Document]:
     """Copies of the documents holding their extracted, untyped triples, in doc order.
 
-    Extraction requests go to ``requests``, at most ``2 * REQUEST_WORKERS`` ahead
-    of the document being parsed. Replies are parsed on the calling thread in doc
-    order, and each document's typing jobs (head then tail, with the title as
-    context) go to ``typer`` as its reply is parsed, so its entities are typed
-    while later documents are extracted. When a document fails, the requests not
-    yet started are cancelled. ``query`` conditions extraction on the question;
+    Each document's :func:`~tasr.structurer.extraction_request` is built on the
+    calling thread and sent on ``requests``, at most ``2 * REQUEST_WORKERS``
+    documents ahead of the one being parsed. Replies are parsed on the calling
+    thread in doc order, and each document's typing jobs (head then tail, with the
+    title as context) go to ``typer`` as its reply is parsed, so its entities are
+    typed while later documents are extracted. When a document fails, the requests
+    not yet started are cancelled. ``query`` conditions extraction on the question;
     None pre-extracts without it. The caller's documents are left untouched.
     """
 
-    def send(doc: Document) -> tuple[Document, Optional[Future]]:
-        prompt = extraction_prompt(doc, query)
-        if prompt is None:
-            return doc, None
-        return doc, requests.submit(gateway.call, "extract", EXTRACT_SYSTEM, prompt)
+    def send(doc: Document) -> tuple[Document, Future]:
+        return doc, requests.submit(extraction_request(doc, query, gateway))
 
     waiting: Iterator[Document] = iter(docs)
     ahead = deque(map(send, islice(waiting, 2 * REQUEST_WORKERS)))
@@ -145,12 +142,11 @@ def stream_documents(
         while ahead:
             doc, reply = ahead.popleft()
             ahead.extend(map(send, islice(waiting, 1)))
-            triples = [] if reply is None else extract_triples(doc, reply.result())
-            doc = dataclasses.replace(doc, triples=triples)
+            doc = dataclasses.replace(doc, triples=extract_triples(doc, reply.result()))
             typer.submit((entity, doc.title) for t in doc.triples for entity in (t.head, t.tail))
             extracted.append(doc)
     finally:
-        abandon(reply for _, reply in ahead if reply is not None)
+        abandon(reply for _, reply in ahead)
     return extracted
 
 
@@ -257,17 +253,13 @@ class Pipeline:
             encoder,
         )
 
-    def _decompose(self, question: str) -> Any:
-        """The parsed reply to the question's decomposition request."""
-        return self.gateway.call("decompose", DECOMPOSE_SYSTEM, decomposition_prompt(question))
-
     def _run(self, question: str, trace: ReasoningTrace) -> tuple[str, ReasoningTrace]:
         encoder = self.encoder.scope()  # the question's vectors, dropped when it ends
         pool = dense_retrieve(question, self.corpus, self.cfg, encoder)
         trace.pool_ids = [d.id for d in pool]
         with closing(self._typer(encoder)) as typer:
             # sent ahead of the extractions, read after them: their errors come first
-            decomposed = self.requests.submit(self._decompose, question)
+            decomposed = self.requests.submit(request_decomposition, question, self.gateway)
             try:
                 if not self.pre_extract:
                     # per-query copies: extraction is query-conditioned

@@ -1,4 +1,9 @@
-"""Turn documents into typed triples and queries into typed sub-query chains."""
+"""Turn documents into typed triples and queries into typed sub-query chains.
+
+Extraction and decomposition requests are sent from here alone, and each
+returns the parsed reply for :func:`extract_triples` or :func:`decompose_query`
+to read. Labels are read from a typer's table; the structurer never types.
+"""
 
 from __future__ import annotations
 
@@ -6,10 +11,10 @@ import dataclasses
 import re
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Any, Mapping, Optional
+from typing import Any, Callable, Mapping, Optional
 
 from tasr.errors import InvalidDecomposition, LlmProtocolError, TasrError, json_field
-from tasr.llm import load_prompt
+from tasr.llm import Gateway, load_prompt
 from tasr.model import (
     Document,
     Entity,
@@ -35,29 +40,32 @@ class Decomposition:
     type_hints: dict[str, str] = field(default_factory=dict)
 
 
-def extraction_prompt(doc: Document, query: Optional[str]) -> Optional[str]:
-    """The user prompt of a document's extraction request; None for a document with
-    no text, which sends none.
+def extraction_request(doc: Document, query: Optional[str], gateway: Gateway) -> Callable[[], Any]:
+    """A document's extraction request, its prompt built on the calling thread; the call
+    sends it and returns the parsed reply, or None for a document with no text.
 
     When ``query`` is given the prompt includes it (query-time extraction);
     passing None gives the query-agnostic pre-extraction variant.
     """
     if not doc.text.strip():
-        return None
+        return lambda: None
     question_block = ""
     if query:
         question_block = f"\nFocus on facts relevant to this question:\nQuestion: {query}\n"
-    return load_prompt("extract").format(
+    prompt = load_prompt("extract").format(
         question_block=question_block,
         doc_id=doc.id,
         title=doc.title,
         text=doc.text,
     )
+    return partial(gateway.call, "extract", EXTRACT_SYSTEM, prompt)
 
 
 def extract_triples(doc: Document, reply: Any) -> list[Triple]:
-    """The deduplicated triples of one document, read from the parsed reply to its
-    extraction request."""
+    """The deduplicated triples of one document, read from the reply its
+    :func:`extraction_request` returned (None: no text, no triples)."""
+    if reply is None:
+        return []
     triples: list[Triple] = []
     seen: set[tuple[str, str, str]] = set()
     for item in json_field(reply, "triples", list, partial(LlmProtocolError, "extract")):
@@ -88,16 +96,18 @@ def type_document_triples(
     ]
 
 
-def decomposition_prompt(query: str) -> str:
-    """The user prompt of a question's decomposition request; an empty question has none."""
+def request_decomposition(query: str, gateway: Gateway) -> Any:
+    """Send a question's decomposition request and return the parsed reply; an empty
+    question sends none."""
     if not query.strip():
         raise TasrError("query is empty")
-    return load_prompt("decompose").format(question=query)
+    prompt = load_prompt("decompose").format(question=query)
+    return gateway.call("decompose", DECOMPOSE_SYSTEM, prompt)
 
 
 def decompose_query(reply: Any) -> Decomposition:
-    """The ordered chain of sub-queries with latent slots, read from the parsed reply to
-    a decomposition request."""
+    """The ordered chain of sub-queries with latent slots, read from the reply
+    :func:`request_decomposition` returned."""
     sub_queries: list[SubQuery] = []
     items = json_field(reply, "sub_queries", list, partial(LlmProtocolError, "decompose"))
     for position, item in enumerate(items, start=1):

@@ -7,16 +7,16 @@ Typing an entity takes the cheapest path that fires:
 2. embedding retrieval of candidate labels followed by LLM selection of the
    first-level class and then the (first, second) pair.
 
-An :class:`EntityTyper` serves one question and labels each surface once,
-with the context of its first job. :meth:`EntityTyper.submit` starts typing
-(entity, context) jobs in the background on an executor the typer is given
-(a pipeline's request pool, shared by its questions), and
-:meth:`EntityTyper.collect` records labels and fallback events in job order
-on the calling thread and returns the question's labels by surface. The
-selections themselves live in a :class:`LabelMap` by (surface, context),
-shared by every question of a pipeline, so a pair is sent to the LLM once
-however many questions ask for it. Every label is the taxonomy's own object
-for its pair.
+An :class:`EntityTyper` serves one question. :meth:`EntityTyper.submit`
+starts typing (entity, context) jobs in the background on an executor the
+typer is given (a pipeline's request pool, shared by its questions), and
+:meth:`EntityTyper.collect`, called once per question, records fallback
+events in job order on the calling thread and returns the labels by surface,
+each selected with the context of the surface's first job. The selections
+themselves live in a :class:`LabelMap` by (surface, context), shared by every
+question of a pipeline, so a pair is sent to the LLM once however many
+questions ask for it; this module alone sends ``type_select`` requests. Every
+label is the taxonomy's own object for its pair.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import Any, Callable, Iterable, Mapping, Optional
 
 from tasr.config import PipelineConfig
 from tasr.embedding import CachingEncoder, VectorIndex
-from tasr.errors import EmptyBranch, IndexUnavailable, LlmProtocolError, TaxonomyParseError
+from tasr.errors import EmptyBranch, LlmProtocolError, TaxonomyParseError
 from tasr.errors import json_field, read_json
 from tasr.llm import Gateway, abandon, load_prompt
 from tasr.model import Entity, TaxonomyLabel
@@ -224,15 +224,16 @@ class LabelMap:
 class EntityTyper:
     """Coarse-to-fine entity typing for one question, with fallback accounting.
 
-    Each surface gets one label, selected with the context of its first job.
-    Selections come from ``labels``, the pipeline's :class:`LabelMap` (a new,
-    empty one by default). ``events`` records every fallback a selection took
-    (LLM protocol failure or out-of-vocabulary label), replayed when the
-    selection is read from the map, so traces can expose them. Retrieval mode
-    needs the label index and encodes entity texts through ``encoder``
-    (default: the index's own); pure mode shows full label lists and needs
-    none. The per-surface labels and ``events`` are written only by the
-    thread that calls :meth:`collect`.
+    Callers submit a question's jobs and collect them once. Each surface
+    submitted before a collect gets one label, selected with the context of its
+    first job. Selections come from ``labels``, the pipeline's :class:`LabelMap`
+    (a new, empty one by default), so a surface typed again is not sent again.
+    ``events`` records every fallback a selection took (LLM protocol failure or
+    out-of-vocabulary label), replayed when the selection is read from the map,
+    so traces can expose them. Retrieval mode searches ``index`` and encodes
+    entity texts through ``encoder`` (default: the index's own); pure mode shows
+    full label lists. ``events`` is written only by the thread that calls
+    :meth:`collect`.
 
     Jobs run on ``requests``, an executor the typer neither starts nor stops;
     :meth:`close` cancels the jobs not yet started, so a failed question's
@@ -242,15 +243,13 @@ class EntityTyper:
     def __init__(
         self,
         taxonomy: Taxonomy,
-        index: Optional[TypeEmbeddingIndex],
+        index: TypeEmbeddingIndex,
         gateway: Gateway,
         cfg: PipelineConfig,
         requests: Executor,
         labels: Optional[LabelMap] = None,
         encoder: Optional[CachingEncoder] = None,
     ) -> None:
-        if index is None and cfg.typing_mode != "pure":
-            raise IndexUnavailable("retrieval typing needs the type-label embedding index")
         self.taxonomy = taxonomy
         self.index = index
         self.gateway = gateway
@@ -259,20 +258,18 @@ class EntityTyper:
         self.labels = LabelMap() if labels is None else labels
         self.encoder = encoder
         self.events: list[str] = []
-        self._memo: dict[str, TaxonomyLabel] = {}
         self._pending: dict[str, Future[Typed]] = {}  # surfaces submitted, not yet collected
 
     def submit(self, jobs: Iterable[TypingJob]) -> None:
-        """Start typing every surface of ``jobs`` this typer has not seen, in the
-        background; a surface is typed with the context of its first job across submits."""
+        """Start typing every surface of ``jobs`` not yet submitted since the last
+        collect, in the background, with the context of its first job."""
         for entity, context in jobs:
-            if entity.surface in self._memo or entity.surface in self._pending:
+            if entity.surface in self._pending:
                 continue
             self._pending[entity.surface] = self.requests.submit(self._type_new, (entity, context))
 
     def collect(self) -> Mapping[str, TaxonomyLabel]:
-        """Wait for the submitted jobs; the question's labels by surface, covering every
-        surface submitted so far.
+        """Wait for the jobs submitted since the last collect; their labels by surface.
 
         Labels and fallback events are recorded in job order, so the outcome does
         not depend on thread timing. When jobs fail, the first failing job in job
@@ -283,11 +280,10 @@ class EntityTyper:
         except BaseException:
             self.close()
             raise
-        for surface, (label, events) in zip(self._pending, typed):
-            self._memo[surface] = label
-            self.events.extend(events)
+        labels = {surface: label for surface, (label, _) in zip(self._pending, typed)}
+        self.events.extend(event for _, events in typed for event in events)
         self._pending = {}
-        return dict(self._memo)
+        return labels
 
     def close(self) -> None:
         """Drop the uncollected jobs: cancel those not yet started and wait for the
@@ -301,8 +297,8 @@ class EntityTyper:
         return self.collect()[entity.surface]
 
     def _type_new(self, job: TypingJob) -> Typed:
-        """The label of a surface this typer lacks, and the fallback events it took:
-        by rule, else the LLM selection for its (surface, context) from the map."""
+        """The label of a submitted surface, and the fallback events it took: by rule,
+        else the LLM selection for its (surface, context) from the map."""
         entity, context = job
         label = self.taxonomy.rule_label(entity)
         if label is not None:

@@ -16,12 +16,10 @@ from tasr.evaluation import load_corpus, load_dataset
 from tasr.llm import Gateway, load_script
 from tasr.reasoner import Pipeline
 from tasr.structurer import (
-    DECOMPOSE_SYSTEM,
-    EXTRACT_SYSTEM,
     decompose_query,
-    decomposition_prompt,
     extract_triples,
-    extraction_prompt,
+    extraction_request,
+    request_decomposition,
 )
 from tasr.taxonomy import load_default_taxonomy
 
@@ -80,16 +78,12 @@ def toy_pipeline(toy_corpus, taxonomy, hash_encoder, toy_backend, default_cfg):
 
 def send_extraction(doc, query, gateway):
     """The triples of one document: its extraction request sent, its reply parsed."""
-    prompt = extraction_prompt(doc, query)
-    if prompt is None:
-        return []
-    return extract_triples(doc, gateway.call("extract", EXTRACT_SYSTEM, prompt))
+    return extract_triples(doc, extraction_request(doc, query, gateway)())
 
 
 def send_decomposition(question, gateway):
     """The decomposition of one question: its request sent, its reply parsed."""
-    prompt = decomposition_prompt(question)
-    return decompose_query(gateway.call("decompose", DECOMPOSE_SYSTEM, prompt))
+    return decompose_query(request_decomposition(question, gateway))
 
 
 class PresetEncoderClient:

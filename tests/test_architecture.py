@@ -1,10 +1,11 @@
 """Whole-repo guards.
 
 Chat traffic flows through the gateway module only, requests are sent and
-parsed by ``Gateway`` alone, the structurer reads labels without typing, only
-the matching module spells a triple's component texts, JSON is decoded only
-where outside input enters, the demos run, and every function the benchmark's
-traced run wraps still exists under its name.
+parsed by ``Gateway`` alone, each role's requests are sent from one module,
+the structurer reads labels without typing, only the matching module spells a
+triple's component texts, JSON is decoded only where outside input enters, the
+demos run, and every function the benchmark's traced run wraps still exists
+under its name.
 """
 
 import ast
@@ -39,6 +40,31 @@ def test_only_gateway_sends_requests_and_parses_replies():
         for node in ast.walk(tree):
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
                 assert node.func.attr != "complete", f"{name}:{node.lineno} calls .complete("
+
+
+def test_each_role_is_sent_from_one_module():
+    # a request's prompt, send and parse live together: x.call("<role>", ...) directly,
+    # or handed on as submit(x.call, "<role>", ...) or partial(x.call, "<role>", ...)
+    senders = {}
+    for name, text in _sources().items():
+        for node in ast.walk(ast.parse(text)):
+            if not isinstance(node, ast.Call):
+                continue
+            args = node.args
+            if isinstance(node.func, ast.Attribute) and node.func.attr == "call":
+                role = args[0] if args else None
+            elif args and isinstance(args[0], ast.Attribute) and args[0].attr == "call":
+                role = args[1] if len(args) > 1 else None
+            else:
+                continue
+            assert isinstance(role, ast.Constant), f"{name}:{node.lineno} sends an unnamed role"
+            senders.setdefault(role.value, set()).add(name)
+    assert senders == {
+        "extract": {"structurer.py"},
+        "decompose": {"structurer.py"},
+        "type_select": {"taxonomy.py"},
+        "answer": {"reasoner.py"},
+    }
 
 
 def test_no_module_imports_requests():

@@ -16,6 +16,10 @@ from tasr.llm import ROLE_TAGS, TRANSPORT_RETRIES, Gateway, HttpChatBackend, Llm
 
 class _StubHandler(BaseHTTPRequestHandler):
     requests_seen: list[dict] = []
+    # /<shape>/...: a chat reply of that shape, which has no choices[0].message.content
+    bad_shapes = {
+        "no-choices": {}, "empty-choices": {"choices": []}, "no-message": {"choices": [{}]}
+    }
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
@@ -31,6 +35,8 @@ class _StubHandler(BaseHTTPRequestHandler):
         if self.path == "/embed":
             # one constant-direction vector per text, dimension 4
             payload = {"embeddings": [[1.0, 1.0, 0.0, 0.0] for _ in body["texts"]]}
+        elif self.path.split("/")[1] in self.bad_shapes:
+            payload = self.bad_shapes[self.path.split("/")[1]]
         elif self.path.endswith("/v1/chat/completions"):
             # /null-content/...: a well-formed body whose message carries no text
             content = None if self.path.startswith("/null-content/") else '{"answer": "pong"}'
@@ -108,6 +114,13 @@ class TestHttpChatBackend:
     def test_reply_without_text_content_is_unavailable(self, stub_server):
         backend = HttpChatBackend(f"{stub_server}/null-content", model="m")
         with pytest.raises(LlmUnavailable, match="no text content"):
+            Gateway(backend, sleep=lambda s: None).call("answer", "sys", "ping")
+        assert len(_StubHandler.requests_seen) == 1 + TRANSPORT_RETRIES
+
+    @pytest.mark.parametrize("shape", sorted(_StubHandler.bad_shapes))
+    def test_reply_without_a_message_is_unavailable(self, stub_server, shape):
+        backend = HttpChatBackend(f"{stub_server}/{shape}", model="m")
+        with pytest.raises(LlmUnavailable, match="unexpected reply shape"):
             Gateway(backend, sleep=lambda s: None).call("answer", "sys", "ping")
         assert len(_StubHandler.requests_seen) == 1 + TRANSPORT_RETRIES
 

@@ -9,7 +9,9 @@ from tasr.llm import (
     TRANSPORT_BACKOFF_S,
     TRANSPORT_RETRIES,
     Gateway,
+    HttpChatBackend,
     LlmRequest,
+    backend_from_spec,
     load_script,
     scripted_mock,
     strip_code_fences,
@@ -188,3 +190,14 @@ class TestScriptedMock:
         req = _req(role="answer", prompt="Sub-query: (Science Activity Planner, uses, ?Database)")
         assert json.loads(backend.complete(req)) == {"answer": "MySQL database"}
 
+
+class TestBackendFromSpec:
+    def test_mock_spec_loads_the_script(self):
+        backend = backend_from_spec(f"mock:{FIXTURES / 'llm_script.json'}")
+        assert backend.entries == load_script(FIXTURES / "llm_script.json").entries
+
+    def test_any_other_spec_is_a_chat_endpoint(self):
+        backend = backend_from_spec("http://example.test:8080", model="m", api_key="k")
+        assert isinstance(backend, HttpChatBackend)
+        assert backend.url == "http://example.test:8080/v1/chat/completions"
+        assert (backend.model, backend.api_key) == ("m", "k")

@@ -478,9 +478,9 @@ def _job(req):
     return req.role_tag, req.user_prompt.split(marker, 1)[1].split("\n", 1)[0]
 
 
-def _fresh_pipeline(backend, pre_extract=False):
+def _fresh_pipeline(backend, pre_extract=False, corpus=None):
     return Pipeline(
-        load_corpus(FIXTURES / "corpus.jsonl"),
+        corpus or load_corpus(FIXTURES / "corpus.jsonl"),
         load_default_taxonomy(),
         CachingEncoder(HashEncoderClient()),
         Gateway(backend=backend),
@@ -594,6 +594,21 @@ class TestStreamedTyping:
         assert delayed == _undelayed_outputs(mode)
 
 
+class TestBlankDocuments:
+    """A document with no text sends no extraction and has no triples."""
+
+    @pytest.mark.parametrize("mode", ["plain", "pre_extract"])
+    def test_blank_document_sends_nothing_and_changes_no_answer(self, mode):
+        corpus = load_corpus(FIXTURES / "corpus.jsonl")
+        corpus.insert(1, Document(id="blank", title="Blank page", text=" \n\t "))
+        backend = ScriptedFaults()
+        predictions, report, traces = _toy_outputs(backend, mode, 1, corpus)
+        assert (predictions, report) == _undelayed_outputs(mode)[:2]
+        assert all("blank" in trace["pool_ids"] for trace in traces.values())
+        extracted = [_job(req)[1] for req in backend.inner.calls if req.role_tag == "extract"]
+        assert extracted and "blank" not in extracted
+
+
 class TestOneTypingStep:
     """A question sends each typing job once and waits for its labels once."""
 
@@ -644,6 +659,21 @@ class TestOneTypingStep:
 
 class TestRequestPool:
     """A pipeline sends every request before a question's answers on one bounded pool."""
+
+    def test_failed_pre_extraction_stops_the_pool(self):
+        # the set-up's typed error reaches the caller, and no request thread outlives it
+        senders = set()
+
+        class ExtractDown(ScriptedFaults):
+            def complete(self, req):
+                senders.add(threading.current_thread())
+                return super().complete(req)
+
+        backend = ExtractDown(fail=lambda req: req.role_tag == "extract" and "extract is down")
+        with pytest.raises(LlmUnavailable, match="extract is down"):
+            _fresh_pipeline(backend, pre_extract=True)
+        assert senders and all(t.name.startswith("tasr-request") for t in senders)
+        assert not [t for t in senders if t.is_alive()]
 
     def test_no_pool_thread_outlives_close(self):
         baseline = set(threading.enumerate())
@@ -740,9 +770,9 @@ def _one_pool_thread(monkeypatch):
     monkeypatch.setattr(reasoner, "QUESTION_WORKERS", 0)
 
 
-def _toy_outputs(backend, mode, parallel):
-    """Predictions, report and traces of one toy run."""
-    pipeline = _fresh_pipeline(backend, pre_extract=mode == "pre_extract")
+def _toy_outputs(backend, mode, parallel, corpus=None):
+    """Predictions, report and traces of one toy run; ``corpus`` defaults to the toy corpus."""
+    pipeline = _fresh_pipeline(backend, pre_extract=mode == "pre_extract", corpus=corpus)
     with pipeline, tempfile.TemporaryDirectory() as trace_dir:
         run = run_benchmark(
             load_dataset(FIXTURES / "questions.jsonl"), pipeline, trace_dir=trace_dir,

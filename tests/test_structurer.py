@@ -6,8 +6,8 @@ from tasr.model import Document, Entity, Slot, SubQuery, TaxonomyLabel, Triple
 from tasr.errors import TasrError
 from tasr.structurer import (
     Decomposition,
-    decomposition_prompt,
-    extraction_prompt,
+    extraction_request,
+    request_decomposition,
     subquery_typing_jobs,
     type_document_triples,
     type_subqueries,
@@ -58,9 +58,9 @@ class TestExtractTriples:
     def test_empty_body_returns_empty_without_llm_call(self):
         backend = scripted_mock([])
         doc = Document(id="empty", title="t", text="   ")
+        assert extraction_request(doc, "q", Gateway(backend=backend))() is None
         assert send_extraction(doc, "q", Gateway(backend=backend)) == []
         assert backend.calls == []
-        assert extraction_prompt(doc, "q") is None
 
     def test_duplicates_within_document_collapse(self):
         backend = scripted_mock(
@@ -194,8 +194,10 @@ class TestDecomposeQuery:
         assert dec.type_hints["?Database"] == "database product"
 
     def test_empty_question_has_no_request(self):
+        backend = scripted_mock([])
         with pytest.raises(TasrError, match="query is empty"):
-            decomposition_prompt(" \t ")
+            request_decomposition(" \t ", Gateway(backend=backend))
+        assert backend.calls == []
 
     def test_single_hop(self, toy_gateway):
         dec = send_decomposition("Who developed the MySQL database?", toy_gateway)

@@ -13,7 +13,6 @@ from tasr.config import PipelineConfig, validate_config
 from tasr.embedding import CachingEncoder, HashEncoderClient
 from tasr.errors import (
     EmptyBranch,
-    IndexUnavailable,
     InvalidEntity,
     LlmUnavailable,
     TaxonomyParseError,
@@ -131,13 +130,6 @@ class TestRetrieveCandidates:
         cands = index.top_l1("probe", default_cfg.n_l1_candidates)
         assert [l1 for l1, _ in cands] == ["AA", "ZZ"]
 
-    def test_missing_index_rejected(self, taxonomy, request_pool):
-        cfg = validate_config(PipelineConfig(typing_mode="retrieval"))
-        backend = scripted_mock([])
-        with pytest.raises(IndexUnavailable, match="index"):
-            EntityTyper(taxonomy, None, Gateway(backend=backend), cfg, request_pool)
-        assert backend.calls == []
-
 
 def _typer(taxonomy, encoder, backend, cfg, requests):
     index = TypeEmbeddingIndex(taxonomy, encoder)
@@ -253,7 +245,7 @@ class TestSelectType:
     def test_pure_mode_shows_full_label_list(self, taxonomy, hash_encoder, request_pool):
         cfg = validate_config(PipelineConfig(typing_mode="pure"))
         backend = EchoSelectBackend()
-        typer = EntityTyper(taxonomy, None, Gateway(backend=backend), cfg, request_pool)
+        typer = _typer(taxonomy, hash_encoder, backend, cfg, request_pool)
         label = typer.type_entity(Entity("some entity"))
         assert taxonomy.has_label(label.l1, label.l2)
         stage1 = next(c for c in backend.calls if "First-level types" in c.user_prompt)
@@ -270,18 +262,13 @@ class TestSelectType:
             ]
         )
         cfg = validate_config(PipelineConfig(typing_mode="pure"))
-        typer = EntityTyper(taxonomy, None, Gateway(backend=backend), cfg, request_pool)
+        typer = _typer(taxonomy, hash_encoder, backend, cfg, request_pool)
         keys = [("MySQL", "Open-source relational databases"), ("PostgreSQL", None)]
         typer.submit([(Entity(surface), context) for surface, context in keys])
         typer.collect()
         held = [typer.labels.get(key, lambda: pytest.fail("not held")) for key in keys]
         assert held[0][0] is held[1][0] is taxonomy.label("PRODUCT", "Database")
         assert held[0] is held[1]  # keys that took no fallback share one entry object
-
-    def test_retrieval_mode_without_index_rejected(self, taxonomy, default_cfg, request_pool):
-        gateway = Gateway(backend=scripted_mock([]))
-        with pytest.raises(IndexUnavailable):
-            EntityTyper(taxonomy, None, gateway, default_cfg, request_pool)
 
 
 class OovEchoBackend:
