@@ -3,9 +3,9 @@
 Chat traffic flows through the gateway module only, requests are sent and
 parsed by ``Gateway`` alone, each role's requests are sent from one module,
 the structurer reads labels without typing, only the matching module spells a
-triple's component texts, JSON is decoded only where outside input enters, the
-demos run, and every function the benchmark's traced run wraps still exists
-under its name.
+triple's component texts, JSON is decoded only where outside input enters,
+only dense search over a large matrix multiplies matrices, the demos run, and
+every function the benchmark's traced run wraps still exists under its name.
 """
 
 import ast
@@ -97,23 +97,43 @@ def test_component_texts_named_only_in_matching():
                 assert not node.value.startswith(prefixes), f"{name}:{node.lineno}"
 
 
+def _scoped_nodes(node, scope=""):
+    """Every node under ``node`` with the dotted name of the function or class holding it."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            yield from _scoped_nodes(child, f"{scope}.{child.name}".lstrip("."))
+            continue
+        yield scope, child
+        yield from _scoped_nodes(child, scope)
+
+
 def test_json_decoded_only_at_the_input_boundaries():
     # input files go through errors.read_json; replies are decoded where they are received
     allowed = {"read_json", "Gateway.call", "post_json", "load_default_taxonomy"}
-
-    def loads_calls(node, scope):
-        for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
-                yield from loads_calls(child, f"{scope}.{child.name}".lstrip("."))
-                continue
-            func = getattr(child, "func", None)
-            if isinstance(func, ast.Attribute) and func.attr == "loads":
-                yield scope, child.lineno
-            yield from loads_calls(child, scope)
-
     for name, text in _sources().items():
-        for scope, lineno in loads_calls(ast.parse(text), ""):
-            assert scope in allowed, f"{name}:{lineno} decodes JSON in {scope or 'module scope'}"
+        for scope, node in _scoped_nodes(ast.parse(text)):
+            func = getattr(node, "func", None)
+            if isinstance(func, ast.Attribute) and func.attr == "loads":
+                where = scope or "module scope"
+                assert scope in allowed, f"{name}:{node.lineno} decodes JSON in {where}"
+
+
+def test_matrix_product_only_in_large_dense_search():
+    # a matrix product runs in OpenBLAS, whose threads spin between calls and split rows
+    # by core count: score a matrix row by row with np.vecdot, or np.dot two 1-D vectors.
+    # Dense search alone multiplies, and only a matrix past embedding.SEARCH_BLAS_BYTES
+    one_d_dots = {("matching.py", "_cosines")}  # dots one component vector with another
+    products = {"matmul", "dot", "vdot", "inner", "tensordot"}
+    multiplied = []
+    for name, text in _sources().items():
+        for scope, node in _scoped_nodes(ast.parse(text)):
+            if isinstance(getattr(node, "op", None), ast.MatMult):
+                multiplied.append((name, scope))
+            if isinstance(node, ast.Attribute) and node.attr in products:
+                assert node.attr == "dot" and (name, scope) in one_d_dots, (
+                    f"{name}:{node.lineno} calls {node.attr} in {scope or 'module scope'}"
+                )
+    assert multiplied == [("embedding.py", "VectorIndex.search")]
 
 
 def test_demos_run_to_completion():

@@ -294,6 +294,35 @@ class TestVectorIndexSearch:
         expected = sorted(keys, key=lambda key: (-scores[key], key))[:k]
         assert [key for key, _ in index.search(query, k)] == expected
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        blocks=st.integers(0, 8),
+        extra=st.sampled_from([0, 1, 2, 17, 31]),
+        dim=st.sampled_from([128, 256, 384]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_score_does_not_depend_on_the_other_rows(self, blocks, extra, dim, seed):
+        # row counts 32 * blocks + extra include every n = 1 (mod 32) up to 257
+        n = max(32 * blocks + extra, 1)
+        rng = np.random.default_rng(seed)
+        keys = [f"k{i:03d}" for i in range(n)]
+        vectors = [normalize(rng.standard_normal(dim)) for _ in range(n)]
+        query = normalize(rng.standard_normal(dim))
+        scores = dict(VectorIndex(list(zip(keys, vectors))).search(query, n))
+        for key, vector in zip(keys, vectors):
+            assert scores[key] == VectorIndex([(key, vector)]).search(query, 1)[0][1], key
+
+    def test_matrix_product_past_the_bound_ranks_as_row_dots(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        entries = [(f"k{i:02d}", normalize(rng.standard_normal(16))) for i in range(40)]
+        query = normalize(rng.standard_normal(16))
+        index = VectorIndex(entries)
+        row_dots = index.search(query, 10)
+        monkeypatch.setattr(embedding, "SEARCH_BLAS_BYTES", 0)
+        product = index.search(query, 10)
+        assert [key for key, _ in product] == [key for key, _ in row_dots]
+        assert [score for _, score in product] == pytest.approx([s for _, s in row_dots], abs=1e-12)
+
 
 class Float32Client:
     """Returns float32 vectors and counts the texts it is asked for."""

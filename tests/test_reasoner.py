@@ -687,7 +687,9 @@ class TestRequestPool:
             pipeline.run_query(RUNNING_QUESTION)
 
     @pytest.mark.parametrize(
-        "workers, per_question", [(2, 0), (reasoner.REQUEST_WORKERS, reasoner.QUESTION_WORKERS)]
+        "workers, per_question",
+        # two pool threads alone; 8-4, the defaults before six per question; the defaults
+        [(2, 0), (8, 4), (reasoner.REQUEST_WORKERS, reasoner.QUESTION_WORKERS)],
     )
     def test_requests_in_flight_never_exceed_the_pool(self, monkeypatch, workers, per_question):
         # answers leave from the question threads; every other request from the pool
