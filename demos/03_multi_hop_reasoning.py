@@ -26,15 +26,14 @@ ROOT = Path(__file__).resolve().parent.parent
 TOY = ROOT / "fixtures" / "toy"
 
 question = "Which company originally developed the database that the Science Activity Planner uses?"
-# a pipeline owns a request pool; leaving the block stops its threads
-with Pipeline(
+pipeline = Pipeline(
     documents=load_corpus(TOY / "corpus.jsonl"),
     taxonomy=load_default_taxonomy(),
     encoder=CachingEncoder(HashEncoderClient()),
     gateway=Gateway(backend=load_script(TOY / "llm_script.json")),
     cfg=validate_config(PipelineConfig()),
-) as pipeline:
-    answer, trace = pipeline.run_query(question)
+)
+answer, trace = pipeline.run_query(question)
 
 print(f"question: {question}")
 print(f"retrieved pool: {', '.join(trace.pool_ids)}")

@@ -47,14 +47,14 @@ for pred, golds in pairs:
 print()
 
 # batch: run every toy question through the pipeline and score the answers
-with Pipeline(
+pipeline = Pipeline(
     documents=load_corpus(TOY / "corpus.jsonl"),
     taxonomy=load_default_taxonomy(),
     encoder=CachingEncoder(HashEncoderClient()),
     gateway=Gateway(backend=load_script(TOY / "llm_script.json")),
     cfg=validate_config(PipelineConfig()),
-) as pipeline:
-    run = run_benchmark(load_dataset(TOY / "questions.jsonl"), pipeline)
+)
+run = run_benchmark(load_dataset(TOY / "questions.jsonl"), pipeline)
 
 print("per-question results:")
 for row in run.report.per_example:

@@ -20,7 +20,6 @@ import json
 import os
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any
 
@@ -37,7 +36,7 @@ from tasr.evaluation import (
 from tasr.llm import Gateway, backend_from_spec
 from tasr.matching import aggregate_document_score, score_triple
 from tasr.model import Entity, Slot, SubQuery, TaxonomyLabel, Triple
-from tasr.reasoner import Pipeline
+from tasr.reasoner import Pipeline, request_pool
 from tasr.taxonomy import (
     EntityTyper,
     TypeEmbeddingIndex,
@@ -131,16 +130,16 @@ def _taxonomy(flag: str | None):
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _resolve_config(args)
-    with Pipeline(
+    pipeline = Pipeline(
         documents=load_corpus(args.corpus),
         taxonomy=_taxonomy(args.taxonomy),
         encoder=_encoder(args.embed),
         gateway=_gateway(args.llm),
         cfg=cfg,
         pre_extract=args.pre_extract,
-    ) as pipeline:
-        dataset = load_dataset(args.dataset)
-        run = run_benchmark(dataset, pipeline, trace_dir=args.trace_dir, parallel=args.parallel)
+    )
+    dataset = load_dataset(args.dataset)
+    run = run_benchmark(dataset, pipeline, trace_dir=args.trace_dir, parallel=args.parallel)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -171,7 +170,7 @@ def cmd_type_entity(args: argparse.Namespace) -> int:
     if label is None:
         encoder = _encoder(args.embed)
         index, gateway = TypeEmbeddingIndex(taxonomy, encoder), _gateway(args.llm)
-        with ThreadPoolExecutor(1, thread_name_prefix="tasr-request") as requests:
+        with request_pool() as requests:
             typer = EntityTyper(taxonomy, index, gateway, _config(None), requests)
             label = typer.type_entity(entity)
     print(json.dumps({"entity": entity.surface, "l1": label.l1, "l2": label.l2}))

@@ -18,11 +18,10 @@ import re
 import time
 import urllib.error
 import urllib.request
-from concurrent.futures import Future, wait
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Any, Callable, Iterable, Optional, Protocol, Sequence
+from typing import Any, Callable, Optional, Protocol, Sequence
 
 from tasr.errors import ConfigError, LlmProtocolError, LlmUnavailable, MockMiss, TasrError
 from tasr.errors import json_field, read_json
@@ -217,13 +216,6 @@ class Gateway:
                     raise
                 self.sleep(TRANSPORT_BACKOFF_S)
         return self.backend.complete(req)
-
-
-def abandon(replies: Iterable[Future]) -> None:
-    """Cancel the requests of ``replies`` not yet started and wait for the running ones,
-    so none of them is in flight when this returns."""
-    replies = [reply for reply in replies if not reply.cancel()]
-    wait(replies)
 
 
 @functools.cache

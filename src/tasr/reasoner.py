@@ -10,10 +10,10 @@ the hop, bind its latent variable. The final answer is the last hop's answer.
 
 This module schedules requests and sends only the answers. The structurer
 sends the extractions and the decomposition, the typer the type selections,
-all on one request pool per pipeline. It has :data:`REQUEST_WORKERS` threads,
-or :data:`QUESTION_WORKERS` per question in flight once that is more. Replies
-are parsed on the question's own thread, so the outcome does not depend on
-which request returns first.
+all on the question's own :func:`request_pool` of :data:`REQUEST_WORKERS`
+threads, which stops once the question's labels are collected. Replies are
+parsed on the question's own thread, so the outcome does not depend on which
+request returns first.
 
 A pipeline keeps what it learns at set-up for its lifetime: the taxonomy label
 vectors and, with ``pre_extract``, the typed corpus triples with their
@@ -25,10 +25,9 @@ an encoder memo scoped to that question and goes when it ends.
 from __future__ import annotations
 
 import dataclasses
-import threading
 from collections import deque
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
-from contextlib import closing, contextmanager
+from contextlib import contextmanager
 from functools import partial
 from itertools import islice
 from typing import Iterator, Mapping, Optional, Sequence
@@ -36,7 +35,7 @@ from typing import Iterator, Mapping, Optional, Sequence
 from tasr.config import PipelineConfig
 from tasr.embedding import CORPUS_CHUNK, CachingEncoder, CorpusIndex, dense_retrieve
 from tasr.errors import AmbiguousBinding, LlmProtocolError, TasrError, QueryFailure, json_field
-from tasr.llm import Gateway, abandon, load_prompt
+from tasr.llm import Gateway, load_prompt
 from tasr.matching import RankedPool, filter_and_rank, triple_texts
 from tasr.model import (
     BindingTable,
@@ -60,11 +59,9 @@ from tasr.structurer import (
 from tasr.taxonomy import EntityTyper, LabelMap, Taxonomy, TypeEmbeddingIndex
 
 ANSWER_SYSTEM = "You answer relational sub-queries from the given documents."
-REQUEST_WORKERS = 8  # threads of a pipeline's request pool, shared by its questions,
-# or this many per question in flight, when that is more. 6 is the knee of a remote-chain
-# sweep at parallel=2: 4/6/8/16 per question answered 33/38/40/42 questions/s, and 8
-# read 13% more peak memory than 4, since pool threads stay until the pipeline closes
-QUESTION_WORKERS = 6
+REQUEST_WORKERS = 11  # threads of a question's request pool: enough to send its first burst,
+# the default k0 = 10 extractions and the decomposition, at once. On a 2-vCPU VM a remote-chain
+# sweep at parallel=2 answered 36.0/39.7/40.4/40.1 questions/s with 8/11/12/16 threads
 
 
 def resolve(sq: SubQuery, bindings: BindingTable) -> SubQuery:
@@ -130,9 +127,10 @@ def stream_documents(
     documents ahead of the one being parsed. Replies are parsed on the calling
     thread in doc order, and each document's typing jobs (head then tail, with the
     title as context) go to ``typer`` as its reply is parsed, so its entities are
-    typed while later documents are extracted. When a document fails, the requests
-    not yet started are cancelled. ``query`` conditions extraction on the question;
-    None pre-extracts without it. The caller's documents are left untouched.
+    typed while later documents are extracted. The first failing document raises,
+    and the requests still queued are left to the owner of ``requests`` to cancel.
+    ``query`` conditions extraction on the question; None pre-extracts without it.
+    The caller's documents are left untouched.
     """
 
     def send(doc: Document) -> tuple[Document, Future]:
@@ -141,15 +139,12 @@ def stream_documents(
     waiting: Iterator[Document] = iter(docs)
     ahead = deque(map(send, islice(waiting, 2 * REQUEST_WORKERS)))
     extracted = []
-    try:
-        while ahead:
-            doc, reply = ahead.popleft()
-            ahead.extend(map(send, islice(waiting, 1)))
-            doc = dataclasses.replace(doc, triples=extract_triples(doc, reply.result()))
-            typer.submit((entity, doc.title) for t in doc.triples for entity in (t.head, t.tail))
-            extracted.append(doc)
-    finally:
-        abandon(reply for _, reply in ahead)
+    while ahead:
+        doc, reply = ahead.popleft()
+        ahead.extend(map(send, islice(waiting, 1)))
+        doc = dataclasses.replace(doc, triples=extract_triples(doc, reply.result()))
+        typer.submit((entity, doc.title) for t in doc.triples for entity in (t.head, t.tail))
+        extracted.append(doc)
     return extracted
 
 
@@ -163,39 +158,28 @@ def type_documents(
     ]
 
 
-class RequestPool(ThreadPoolExecutor):
-    """A pipeline's request pool: at most ``max(REQUEST_WORKERS, QUESTION_WORKERS * n)``
-    threads, where n is the most questions it has served at once.
+@contextmanager
+def request_pool() -> Iterator[ThreadPoolExecutor]:
+    """A pool of :data:`REQUEST_WORKERS` threads, started on demand, for one question's
+    requests before its answers.
 
-    Threads start on demand and stay until :meth:`shutdown`, so the pool keeps the
-    size of its busiest moment.
+    Leaving the block cancels the requests not yet started and waits for the running
+    ones, so a failed question's queued requests never reach the endpoint and no
+    request or thread of the pool outlives the block.
     """
-
-    def __init__(self) -> None:
-        super().__init__(REQUEST_WORKERS, thread_name_prefix="tasr-request")
-        self._serving_lock = threading.Lock()
-        self._questions = 0
-
-    @contextmanager
-    def serving(self) -> Iterator[None]:
-        """Count one question in flight while the block runs, growing the pool to serve it."""
-        with self._serving_lock:
-            self._questions += 1
-            # ThreadPoolExecutor.submit starts a thread while it has fewer than _max_workers
-            self._max_workers = max(self._max_workers, QUESTION_WORKERS * self._questions)
-        try:
-            yield
-        finally:
-            with self._serving_lock:
-                self._questions -= 1
+    requests = ThreadPoolExecutor(REQUEST_WORKERS, thread_name_prefix="tasr-request")
+    try:
+        yield requests
+    finally:
+        requests.shutdown(cancel_futures=True)
 
 
 class Pipeline:
     """Everything a query run needs: corpus index, taxonomy indexes, label map, gateway,
-    request pool, config.
+    config.
 
-    :meth:`close` (or leaving a ``with`` block) stops the request pool's threads;
-    a closed pipeline answers no more questions.
+    A pipeline holds no threads: each question, and the ``pre_extract`` set-up, sends
+    its requests on a :func:`request_pool` of its own.
     """
 
     def __init__(
@@ -215,61 +199,43 @@ class Pipeline:
         self.labels = LabelMap()
         self.pre_extract = pre_extract
         self.startup_events: list[str] = []
-        self.requests = RequestPool()
-        try:
-            if pre_extract:
-                with closing(self._typer(encoder)) as typer:
-                    documents = stream_documents(documents, None, gateway, typer, self.requests)
-                    documents = type_documents(documents, typer.collect())
-                self.startup_events.extend(typer.events)
-                # every question reranks these triples: their vectors live as long as the pipeline
-                texts = [text for doc in documents for t in doc.triples for text in triple_texts(t)]
-                for start in range(0, len(texts), CORPUS_CHUNK):
-                    encoder.encode(texts[start : start + CORPUS_CHUNK])
-            self.corpus = CorpusIndex(documents, encoder)
-        except BaseException:
-            self.close()
-            raise
-
-    def __enter__(self) -> "Pipeline":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-    def close(self) -> None:
-        """Cancel the requests not yet started and stop the request pool's threads."""
-        self.requests.shutdown(cancel_futures=True)
+        if pre_extract:
+            with request_pool() as requests:
+                typer = self._typer(requests, encoder)
+                documents = stream_documents(documents, None, gateway, typer, requests)
+                documents = type_documents(documents, typer.collect())
+            self.startup_events.extend(typer.events)
+            # every question reranks these triples: their vectors live as long as the pipeline
+            texts = [text for doc in documents for t in doc.triples for text in triple_texts(t)]
+            for start in range(0, len(texts), CORPUS_CHUNK):
+                encoder.encode(texts[start : start + CORPUS_CHUNK])
+        self.corpus = CorpusIndex(documents, encoder)
 
     def run_query(self, question: str) -> tuple[str, ReasoningTrace]:
         """Run the full loop; returns the final answer and the complete trace."""
         trace = ReasoningTrace(question=question)
         try:
-            with self.requests.serving():
-                return self._run(question, trace)
+            return self._run(question, trace)
         except TasrError as exc:
             raise QueryFailure(str(exc), trace=trace) from exc
 
-    def _typer(self, encoder: CachingEncoder) -> EntityTyper:
+    def _typer(self, requests: Executor, encoder: CachingEncoder) -> EntityTyper:
         return EntityTyper(
-            self.taxonomy, self.type_index, self.gateway, self.cfg, self.requests, self.labels,
-            encoder,
+            self.taxonomy, self.type_index, self.gateway, self.cfg, requests, self.labels, encoder
         )
 
     def _run(self, question: str, trace: ReasoningTrace) -> tuple[str, ReasoningTrace]:
         encoder = self.encoder.scope()  # the question's vectors, dropped when it ends
         pool = dense_retrieve(question, self.corpus, self.cfg, encoder)
         trace.pool_ids = [d.id for d in pool]
-        with closing(self._typer(encoder)) as typer:
+        with request_pool() as requests:
+            typer = self._typer(requests, encoder)
             # sent ahead of the extractions, read after them: their errors come first
-            decomposed = self.requests.submit(request_decomposition, question, self.gateway)
-            try:
-                if not self.pre_extract:
-                    # per-query copies: extraction is query-conditioned
-                    pool = stream_documents(pool, question, self.gateway, typer, self.requests)
-                decomposition = decompose_query(decomposed.result())
-            finally:
-                abandon([decomposed])
+            decomposed = requests.submit(request_decomposition, question, self.gateway)
+            if not self.pre_extract:
+                # per-query copies: extraction is query-conditioned
+                pool = stream_documents(pool, question, self.gateway, typer, requests)
+            decomposition = decompose_query(decomposed.result())
             typer.submit(subquery_typing_jobs(decomposition))
             # collected after every extraction and the decomposition: their errors come first
             labels = typer.collect()

@@ -9,14 +9,14 @@ Typing an entity takes the cheapest path that fires:
 
 An :class:`EntityTyper` serves one question. :meth:`EntityTyper.submit`
 starts typing (entity, context) jobs in the background on an executor the
-typer is given (a pipeline's request pool, shared by its questions), and
-:meth:`EntityTyper.collect`, called once per question, records fallback
-events in job order on the calling thread and returns the labels by surface,
-each selected with the context of the surface's first job. The selections
-themselves live in a :class:`LabelMap` by (surface, context), shared by every
-question of a pipeline, so a pair is sent to the LLM once however many
-questions ask for it; this module alone sends ``type_select`` requests. Every
-label is the taxonomy's own object for its pair.
+typer is given (the question's request pool), and :meth:`EntityTyper.collect`,
+called once per question, records fallback events in job order on the calling
+thread and returns the labels by surface, each selected with the context of
+the surface's first job. The selections themselves live in a :class:`LabelMap`
+by (surface, context), shared by every question of a pipeline, so a pair is
+sent to the LLM once however many questions ask for it; this module alone
+sends ``type_select`` requests. Every label is the taxonomy's own object for
+its pair.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from tasr.config import PipelineConfig
 from tasr.embedding import CachingEncoder, VectorIndex
 from tasr.errors import EmptyBranch, LlmProtocolError, TaxonomyParseError
 from tasr.errors import json_field, read_json
-from tasr.llm import Gateway, abandon, load_prompt
+from tasr.llm import Gateway, load_prompt
 from tasr.model import Entity, TaxonomyLabel
 
 TYPE_SELECT_SYSTEM = "You assign entity types from a fixed two-level taxonomy."
@@ -236,8 +236,7 @@ class EntityTyper:
     :meth:`collect`.
 
     Jobs run on ``requests``, an executor the typer neither starts nor stops;
-    :meth:`close` cancels the jobs not yet started, so a failed question's
-    queued selections never reach the endpoint.
+    its owner cancels the jobs not yet started when the question fails.
     """
 
     def __init__(
@@ -273,23 +272,13 @@ class EntityTyper:
 
         Labels and fallback events are recorded in job order, so the outcome does
         not depend on thread timing. When jobs fail, the first failing job in job
-        order raises and the jobs not yet started are cancelled.
+        order raises.
         """
-        try:
-            typed = [future.result() for future in self._pending.values()]
-        except BaseException:
-            self.close()
-            raise
+        typed = [future.result() for future in self._pending.values()]
         labels = {surface: label for surface, (label, _) in zip(self._pending, typed)}
         self.events.extend(event for _, events in typed for event in events)
         self._pending = {}
         return labels
-
-    def close(self) -> None:
-        """Drop the uncollected jobs: cancel those not yet started and wait for the
-        running ones."""
-        pending, self._pending = self._pending, {}
-        abandon(pending.values())
 
     def type_entity(self, entity: Entity, context: Optional[str] = None) -> TaxonomyLabel:
         """The label of one entity; earlier submits are collected with it."""

@@ -66,14 +66,13 @@ def toy_backend():
 
 @pytest.fixture()
 def toy_pipeline(toy_corpus, taxonomy, hash_encoder, toy_backend, default_cfg):
-    with Pipeline(
+    return Pipeline(
         documents=toy_corpus,
         taxonomy=taxonomy,
         encoder=hash_encoder,
         gateway=Gateway(backend=toy_backend),
         cfg=default_cfg,
-    ) as pipeline:
-        yield pipeline
+    )
 
 
 def send_extraction(doc, query, gateway):

@@ -4,7 +4,8 @@ Chat traffic flows through the gateway module only, requests are sent and
 parsed by ``Gateway`` alone, each role's requests are sent from one module,
 the structurer reads labels without typing, only the matching module spells a
 triple's component texts, JSON is decoded only where outside input enters,
-only dense search over a large matrix multiplies matrices, the demos run, and
+only dense search over a large matrix multiplies matrices, thread pools are
+built in two places and their private state is left alone, the demos run, and
 every function the benchmark's traced run wraps still exists under its name.
 """
 
@@ -134,6 +135,34 @@ def test_matrix_product_only_in_large_dense_search():
                     f"{name}:{node.lineno} calls {node.attr} in {scope or 'module scope'}"
                 )
     assert multiplied == [("embedding.py", "VectorIndex.search")]
+
+
+def test_thread_pools_built_in_two_places_and_not_reached_into():
+    # a question's requests run on reasoner.request_pool, which stops with the question;
+    # run_benchmark runs the questions. An executor's private state (its thread cap, queue
+    # and threads) is the standard library's: no module subclasses an executor or sets it
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(1) as idle:
+        private = {attr for attr in vars(idle) if attr.startswith("_")}
+    built = []
+    for name, text in _sources().items():
+        tree = ast.parse(text)
+        for scope, node in _scoped_nodes(tree):
+            func = getattr(node, "func", None)
+            if getattr(func, "id", getattr(func, "attr", None)) == "ThreadPoolExecutor":
+                built.append((name, scope))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                bases = [getattr(base, "id", getattr(base, "attr", "")) for base in node.bases]
+                assert not any(b.endswith("Executor") for b in bases), f"{name}: {node.name}"
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for part in (part for target in targets for part in ast.walk(target)):
+                    assert getattr(part, "attr", None) not in private, (
+                        f"{name}:{node.lineno} sets an executor's {part.attr}"
+                    )
+    assert sorted(built) == [("evaluation.py", "run_benchmark"), ("reasoner.py", "request_pool")]
 
 
 def test_demos_run_to_completion():

@@ -4,6 +4,7 @@ import tempfile
 import threading
 import time
 import zlib
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -555,24 +556,21 @@ class TestStreamedTyping:
                     raise LlmUnavailable(req.role_tag, f"{stage} is down", retryable=False)
                 return super().complete(req)
 
-        class WatchedPool(reasoner.RequestPool):
+        class WatchedPool(ThreadPoolExecutor):
             def submit(self, *args, **kwargs):
                 future = super().submit(*args, **kwargs)
                 future.add_done_callback(lambda f: f.cancelled() and cancelled.set())
                 return future
 
-        monkeypatch.setattr(reasoner, "RequestPool", WatchedPool)
+        monkeypatch.setattr(reasoner, "ThreadPoolExecutor", WatchedPool)
         pipeline = _fresh_pipeline(HeldAfterFailure(), pre_extract=stage == "type_select")
         with pytest.raises(QueryFailure, match=f"{stage} is down"):
             pipeline.run_query(RUNNING_QUESTION)
-        assert cancelled.is_set()
-        seen = list(sent)
-        pipeline.close()  # would run anything still queued
-        assert sent == seen
-        start = [failing(req) for req in seen].index(True) + 1
+        assert cancelled.is_set() and not _request_threads()
+        start = [failing(req) for req in sent].index(True) + 1
         if stage == "decompose":  # held from the first request after the last extraction
-            start = max(i for i, req in enumerate(seen) if req.role_tag == "extract") + 1
-        after = seen[start:]
+            start = max(i for i, req in enumerate(sent) if req.role_tag == "extract") + 1
+        after = sent[start:]
         # only requests of the job that was already running (a typing job sends two stages)
         assert after and {_job(req) for req in after} == {_job(after[0])}
 
@@ -658,7 +656,7 @@ class TestOneTypingStep:
 
 
 class TestRequestPool:
-    """A pipeline sends every request before a question's answers on one bounded pool."""
+    """A question sends every request before its answers on a bounded pool of its own."""
 
     def test_failed_pre_extraction_stops_the_pool(self):
         # the set-up's typed error reaches the caller, and no request thread outlives it
@@ -675,26 +673,32 @@ class TestRequestPool:
         assert senders and all(t.name.startswith("tasr-request") for t in senders)
         assert not [t for t in senders if t.is_alive()]
 
-    def test_no_pool_thread_outlives_close(self):
-        baseline = set(threading.enumerate())
-        with _fresh_pipeline(ScriptedFaults()) as pipeline:
-            pipeline.run_query(RUNNING_QUESTION)
-            # compared as sets, so a thread of an earlier test ending meanwhile does not count
-            started = set(threading.enumerate()) - baseline
-            assert started and all(t.name.startswith("tasr-request") for t in started)
-        assert not [t for t in started if t.is_alive()]
-        with pytest.raises(RuntimeError):  # a closed pipeline answers no more questions
-            pipeline.run_query(RUNNING_QUESTION)
+    def test_request_threads_stop_before_the_first_answer(self):
+        # a question's pool lives for its requests before the answers, not for the pipeline
+        alive_at_answers = []
 
-    @pytest.mark.parametrize(
-        "workers, per_question",
-        # two pool threads alone; 8-4, the defaults before six per question; the defaults
-        [(2, 0), (8, 4), (reasoner.REQUEST_WORKERS, reasoner.QUESTION_WORKERS)],
-    )
-    def test_requests_in_flight_never_exceed_the_pool(self, monkeypatch, workers, per_question):
-        # answers leave from the question threads; every other request from the pool
+        class Watching(ScriptedFaults):
+            def complete(self, req):
+                if req.role_tag == "answer":
+                    alive_at_answers.append(_request_threads())
+                else:
+                    assert threading.current_thread().name.startswith("tasr-request")
+                return super().complete(req)
+
+        outputs = _toy_outputs(Watching(), "plain", 1)
+        assert outputs == _undelayed_outputs("plain")
+        assert alive_at_answers and not any(alive_at_answers)
+
+    def test_no_request_thread_outlives_a_failed_question(self):
+        backend = ScriptedFaults(fail=lambda req: req.role_tag == "type_select" and "typing is down")
+        with pytest.raises(QueryFailure, match="typing is down"):
+            _fresh_pipeline(backend).run_query(RUNNING_QUESTION)
+        assert not _request_threads()
+
+    @pytest.mark.parametrize("workers", [2, 8, reasoner.REQUEST_WORKERS])
+    def test_requests_in_flight_never_exceed_the_pool(self, monkeypatch, workers):
+        # answers leave from the question threads; every other request from its question's pool
         monkeypatch.setattr(reasoner, "REQUEST_WORKERS", workers)
-        monkeypatch.setattr(reasoner, "QUESTION_WORKERS", per_question)
         lock, in_flight, peak = threading.Lock(), [0], [0]
 
         class Counting(ScriptedFaults):
@@ -712,32 +716,7 @@ class TestRequestPool:
 
         outputs = _toy_outputs(Counting(delay_ms=lambda req: 1.0), "plain", 3)
         assert outputs == _undelayed_outputs("plain")
-        assert 1 <= peak[0] <= max(workers, per_question * 3)
-
-    def test_pool_grows_with_the_questions_in_flight(self, monkeypatch):
-        # one thread for a lone question, two per question in flight: the first four
-        # pre-answer requests are each held until four are in flight at once, which a
-        # pool that did not grow past the threads of one question never reaches
-        monkeypatch.setattr(reasoner, "REQUEST_WORKERS", 1)
-        monkeypatch.setattr(reasoner, "QUESTION_WORKERS", 2)
-        gathered, lock, arrived = threading.Barrier(4), threading.Lock(), [0]
-
-        class Gathering(ScriptedFaults):
-            def complete(self, req):
-                if req.role_tag != "answer":
-                    with lock:
-                        arrived[0] += 1
-                        first = arrived[0] <= gathered.parties
-                    if first:
-                        try:
-                            gathered.wait(timeout=10)
-                        except threading.BrokenBarrierError:
-                            pass
-                return super().complete(req)
-
-        outputs = _toy_outputs(Gathering(), "plain", 3)
-        assert outputs == _undelayed_outputs("plain")
-        assert not gathered.broken
+        assert 1 <= peak[0] <= workers * 3
 
     def test_decomposition_is_sent_while_extractions_wait(self):
         # each extraction reply is held until its question's decomposition request arrives:
@@ -767,15 +746,18 @@ class TestRequestPool:
 
 
 def _one_pool_thread(monkeypatch):
-    """Pipelines built from here on have one request thread, however many questions run."""
+    """Questions from here on, and the set-up, send on one request thread each."""
     monkeypatch.setattr(reasoner, "REQUEST_WORKERS", 1)
-    monkeypatch.setattr(reasoner, "QUESTION_WORKERS", 0)
+
+
+def _request_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("tasr-request")]
 
 
 def _toy_outputs(backend, mode, parallel, corpus=None):
     """Predictions, report and traces of one toy run; ``corpus`` defaults to the toy corpus."""
     pipeline = _fresh_pipeline(backend, pre_extract=mode == "pre_extract", corpus=corpus)
-    with pipeline, tempfile.TemporaryDirectory() as trace_dir:
+    with tempfile.TemporaryDirectory() as trace_dir:
         run = run_benchmark(
             load_dataset(FIXTURES / "questions.jsonl"), pipeline, trace_dir=trace_dir,
             parallel=parallel,

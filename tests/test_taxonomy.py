@@ -4,7 +4,6 @@ import re
 import sys
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -363,36 +362,6 @@ class TestTypeAll:
         )
         assert typer.events == once.events and len(typer.events) == 2
         assert streamed_labels == batched_labels and len(streamed_labels) == 3
-
-    def test_close_cancels_the_jobs_not_started(self, taxonomy, hash_encoder, default_cfg):
-        # the typer's executor runs two jobs at a time; the other four wait in its queue
-        workers, names = 2, [f"entity {i}" for i in range(6)]
-        release, started, lock = threading.Event(), [], threading.Lock()
-        echo = EchoSelectBackend()
-
-        class HeldBackend:
-            def complete(self, req):
-                with lock:
-                    started.append(req)
-                assert release.wait(timeout=10)
-                return echo.complete(req)
-
-        with ThreadPoolExecutor(workers) as requests:
-            typer = _typer(taxonomy, hash_encoder, HeldBackend(), default_cfg, requests)
-            typer.submit([(Entity(name), None) for name in names])
-            deadline = time.monotonic() + 10
-            while len(started) < workers and time.monotonic() < deadline:
-                time.sleep(0.001)
-            threading.Timer(0.2, release.set).start()
-            typer.close()
-            # the running jobs finished their two stages; the queued ones never reached the
-            # backend, and the executor the typer was given still runs
-            entities = {re.search(r'entity "(.*)"', r.user_prompt).group(1) for r in started}
-            assert entities == set(names[:workers])
-            assert len(started) == 2 * workers
-            assert requests.submit(len, names).result() == len(names)
-        assert typer.collect() == {}  # nothing is left to collect
-        assert typer.events == []
 
 
 class TestLabelMap:
