@@ -139,31 +139,47 @@ class TestTypeEntityCommand:
         assert (out["l1"], out["l2"]) == ("PRODUCT", "Database")
 
 
+_PLANNER_SUBQUERY = {
+    "head": "Science Activity Planner",
+    "relation": "uses",
+    "tail": "?Database",
+    "head_type": ["WORK", "SoftwareProject"],
+    "tail_type": ["PRODUCT", "Database"],
+}
+_PLANNER_USES_MYSQL = {
+    "head": "Science Activity Planner",
+    "relation": "uses",
+    "tail": "MySQL database",
+    "head_type": ["WORK", "SoftwareProject"],
+    "tail_type": ["PRODUCT", "Database"],
+}
+_MYSQL_BY_COMPANY = {
+    "head": "MySQL",
+    "relation": "developed_by",
+    "tail": "MySQL AB",
+    "head_type": ["PRODUCT", "Database"],
+    "tail_type": ["ORGANIZATION", "Company"],
+}
+_MATCH_HEADER = """\
+sub-query: (Science Activity Planner, uses, ?Database)   types: WORK/SoftwareProject, PRODUCT/Database
+doc triple                                                      cos_h    cos_r    cos_t  St(h)  St(t)  S_str    S_sem    S_tri
+------------------------------------------------------------------------------------------------------------------------------
+"""
+_MATCH_ROWS = """\
+(Science Activity Planner, uses, MySQL database)               1.0000   1.0000   0.0854   1.00   1.00   1.00   0.6342   0.8171
+(MySQL, developed_by, MySQL AB)                                0.0403  -0.0561   0.0492   0.00   0.00   0.00   0.0149   0.0075
+(Science Activity Planner, uses, MySQL database)               1.0000   1.0000   0.0854   1.00   1.00   1.00   0.6342   0.8171
+
+best triple score: 0.817083   document score: 0.817083 (threshold 0.3)
+"""
+
+
 class TestMatchCommand:
     def test_prints_score_decomposition(self, tmp_path, capsys):
-        sq = {
-            "head": "Science Activity Planner",
-            "relation": "uses",
-            "tail": "?Database",
-            "head_type": ["WORK", "SoftwareProject"],
-            "tail_type": ["PRODUCT", "Database"],
-        }
-        dt = {
-            "doc_id": "doc1",
-            "triples": [
-                {
-                    "head": "Science Activity Planner",
-                    "relation": "uses",
-                    "tail": "MySQL database",
-                    "head_type": ["WORK", "SoftwareProject"],
-                    "tail_type": ["PRODUCT", "Database"],
-                }
-            ],
-        }
         sq_path = tmp_path / "sq.json"
         dt_path = tmp_path / "dt.json"
-        sq_path.write_text(json.dumps(sq))
-        dt_path.write_text(json.dumps(dt))
+        sq_path.write_text(json.dumps(_PLANNER_SUBQUERY))
+        dt_path.write_text(json.dumps({"doc_id": "doc1", "triples": [_PLANNER_USES_MYSQL]}))
         code = main(
             ["match", "--subquery", str(sq_path), "--doc-triples", str(dt_path), "--embed", "mock:"]
         )
@@ -173,6 +189,21 @@ class TestMatchCommand:
         assert "document score" in out
         # full type match on both slots with exact head/relation strings
         assert "1.00" in out
+
+    @pytest.mark.parametrize("triples,expected", [
+        pytest.param([_PLANNER_USES_MYSQL, _MYSQL_BY_COMPANY, _PLANNER_USES_MYSQL],
+                     _MATCH_HEADER + _MATCH_ROWS, id="match-mismatch-tie"),
+        pytest.param([], _MATCH_HEADER, id="tripleless"),
+    ])
+    def test_stdout_is_golden(self, tmp_path, capsys, triples, expected):
+        # byte for byte: a row per triple in input order, a type mismatch, a tie between
+        # equal triples, and a tripleless document that prints the header alone
+        sq_path, dt_path = tmp_path / "sq.json", tmp_path / "dt.json"
+        sq_path.write_text(json.dumps(_PLANNER_SUBQUERY))
+        dt_path.write_text(json.dumps({"doc_id": "d", "triples": triples}))
+        argv = ["match", "--subquery", str(sq_path), "--doc-triples", str(dt_path), "--embed", "mock:"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == expected
 
 
 def _bad_input_argv(kind, path, tmp_path):
