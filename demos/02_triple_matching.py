@@ -4,8 +4,11 @@ Hybrid triple matching and document reranking
 
 A sub-query is matched against a document's triples with two signals:
 structural (do the entity types line up?) and semantic (how close are the
-role-prefixed embeddings?). The alpha knob mixes them; gamma and top-t
-aggregate per-sub-query bests into one document score; theta filters.
+role-prefixed embeddings?). Scoring is two steps. pair_scores scores every
+(sub-query, triple) pair of a pool, and the alpha knob mixes the two signals
+there. filter_and_rank keeps each document's best triple per sub-query,
+aggregates them into one document score with gamma and top-t, and filters
+with theta.
 """
 
 from tasr import (
@@ -19,7 +22,7 @@ from tasr import (
     TaxonomyLabel,
     Triple,
     filter_and_rank,
-    score_triple,
+    pair_scores,
     validate_config,
 )
 
@@ -62,8 +65,9 @@ distractor = make_doc(
 empty = make_doc("doc-empty", [])
 
 print("per-triple score decomposition against the supporting document:")
-for i, triple in enumerate(supporting.triples):
-    match = score_triple(sub_query, triple, cfg, encoder, i)
+# pairs by document, then sub-query, then triple: one document and one sub-query here
+[[matches]] = pair_scores([supporting], [sub_query], cfg, encoder)
+for triple, match in zip(supporting.triples, matches):
     print(
         f"  ({triple.head.surface}, {triple.relation}, {triple.tail.surface})"
         f"  struct={match.s_struct:.3f} sem={match.s_sem:.3f} -> triple={match.s_triple:.3f}"

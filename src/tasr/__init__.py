@@ -14,7 +14,7 @@ from tasr.config import PipelineConfig, validate_config
 from tasr.embedding import CachingEncoder, HashEncoderClient
 from tasr.evaluation import load_corpus, load_dataset, run_benchmark
 from tasr.llm import Gateway, load_script
-from tasr.matching import filter_and_rank, score_triple
+from tasr.matching import filter_and_rank, pair_scores
 from tasr.metrics import exact_match, normalize_answer, token_f1
 from tasr.model import Document, Entity, Slot, SubQuery, TaxonomyLabel, Triple
 from tasr.reasoner import Pipeline

@@ -34,8 +34,8 @@ from tasr.evaluation import (
     score_predictions,
 )
 from tasr.llm import Gateway, backend_from_spec
-from tasr.matching import aggregate_document_score, score_triple
-from tasr.model import Entity, Slot, SubQuery, TaxonomyLabel, Triple
+from tasr.matching import filter_and_rank, pair_scores
+from tasr.model import Document, Entity, Slot, SubQuery, TaxonomyLabel, Triple
 from tasr.reasoner import Pipeline, request_pool
 from tasr.taxonomy import (
     EntityTyper,
@@ -212,22 +212,23 @@ def _parse_subquery(data: Any) -> SubQuery:
     return SubQuery(index, Slot.parse(head), relation, Slot.parse(tail), head_type, tail_type)
 
 
-def _parse_doc_triples(data: Any) -> list[Triple]:
+def _parse_doc_triples(data: Any) -> Document:
+    """A one-document pool: the listed triples under ``doc_id``."""
     items = _field(data, "triples", list)
     doc_id = _field(data, "doc_id", str) if "doc_id" in data else "doc"
     triples = []
     for item in items:
         head, relation, tail, head_type, tail_type = _parse_fields(item)
         triples.append(Triple(Entity(head), relation, Entity(tail), doc_id, head_type, tail_type))
-    return triples
+    return Document(id=doc_id, title="", text="", triples=triples)
 
 
 def cmd_match(args: argparse.Namespace) -> int:
     cfg = _config(args.config)
     encoder = _encoder(args.embed)
     sub_query = read_json(args.subquery, DatasetParseError, "sub-query", _parse_subquery)
-    doc_triples = read_json(args.doc_triples, DatasetParseError, "doc triples", _parse_doc_triples)
-    matches = [score_triple(sub_query, triple, cfg, encoder) for triple in doc_triples]
+    doc = read_json(args.doc_triples, DatasetParseError, "doc triples", _parse_doc_triples)
+    [[matches]] = pair_scores([doc], [sub_query], cfg, encoder)
 
     print(f"sub-query: {sub_query.render()}   "
           f"types: {sub_query.head_type}, {sub_query.tail_type}")
@@ -235,16 +236,15 @@ def cmd_match(args: argparse.Namespace) -> int:
               f"{'St(h)':>6} {'St(t)':>6} {'S_str':>6} {'S_sem':>8} {'S_tri':>8}")
     print(header)
     print("-" * len(header))
-    for triple, m in zip(doc_triples, matches):
+    for triple, m in zip(doc.triples, matches):
         (cos_h, cos_r, cos_t), (st_h, st_t) = m.cosines, m.type_pairs
         text = f"({triple.head.surface}, {triple.relation}, {triple.tail.surface})"
         print(f"{text:<60} {cos_h:>8.4f} {cos_r:>8.4f} {cos_t:>8.4f} {st_h:>6.2f} {st_t:>6.2f} "
               f"{m.s_struct:>6.2f} {m.s_sem:>8.4f} {m.s_triple:>8.4f}")
     if matches:
-        best = max(m.s_triple for m in matches)
-        doc_score = aggregate_document_score([best], cfg)
-        print(f"\nbest triple score: {best:.6f}   document score: {doc_score:.6f} "
-              f"(threshold {cfg.theta})")
+        (scored,) = filter_and_rank([doc], [sub_query], cfg, encoder).all_scored
+        print(f"\nbest triple score: {scored.best_matches[0].s_triple:.6f}   "
+              f"document score: {scored.score:.6f} (threshold {cfg.theta})")
     return 0
 
 

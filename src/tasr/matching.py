@@ -1,20 +1,22 @@
 """Hybrid triple matching and document reranking.
 
-The scoring stack, bottom up:
+Scoring is two steps. The pair-score step, :func:`pair_scores`, reads the
+component vectors of a whole chain and pool with one encoder call, then
+scores every (sub-query, document triple) pair with one formula:
 
 * type-pair score: weighted L1/L2 label equality;
 * structural score: head/tail type-pair scores, weighted; relations play no role;
 * semantic score: weighted cosines between role-prefixed component embeddings;
-* triple score: alpha-mix of structural and semantic, one formula over vectors
-  for every (sub-query, document triple) pair;
-* document score: per sub-query the best of the document's triples, then a
-  gamma-mix of the max and the mean over the top-t sub-queries;
-* threshold filter and rank, with a top-1 fallback when the filter empties.
+* triple score: alpha-mix of structural and semantic.
 
-A rerank reads the component vectors of its whole chain and pool with one
-encoder call, then scores every pair from them. All functions are pure;
-determinism is guaranteed by explicit tie rules (doc id ascending, sub-query
-position ascending, the first of equally scored triples).
+The rank step, :func:`filter_and_rank`, keeps per sub-query the best of each
+document's triples, takes a gamma-mix of the max and the mean over the top-t
+sub-queries as the document score, then threshold-filters and ranks, with a
+top-1 fallback when the filter empties.
+
+All functions are pure; determinism is guaranteed by explicit tie rules (doc
+id ascending, sub-query position ascending, the first of equally scored
+triples).
 """
 
 from __future__ import annotations
@@ -79,16 +81,6 @@ def _type_pairs(qs: SubQuery, dt: Triple, cfg: PipelineConfig) -> tuple[float, f
     )
 
 
-def _structural(type_pairs: tuple[float, float], cfg: PipelineConfig) -> float:
-    s_head, s_tail = type_pairs
-    return cfg.wh * s_head + cfg.wt * s_tail
-
-
-def score_structural(qs: SubQuery, dt: Triple, cfg: PipelineConfig) -> float:
-    """Type compatibility of the head and tail slots; the relation is ignored."""
-    return _structural(_type_pairs(qs, dt, cfg), cfg)
-
-
 def component_texts(head: str, relation: str, tail: str) -> list[str]:
     """Role-prefixed head, relation and tail texts; latent slots embed as their ?Name text."""
     return [HEAD_PREFIX + head, RELATION_PREFIX + relation, TAIL_PREFIX + tail]
@@ -101,27 +93,9 @@ def triple_texts(triple: Triple | SubQuery) -> list[str]:
     return component_texts(triple.head.surface, triple.relation, triple.tail.surface)
 
 
-def _pair_vectors(qs: SubQuery, dt: Triple, encoder: CachingEncoder):
-    """Both sides' component vectors, (head, relation, tail) each, from one encoder call."""
-    vectors = encoder.encode(triple_texts(qs) + triple_texts(dt))
-    return vectors[:3], vectors[3:]
-
-
 def _cosines(q_vectors, d_vectors) -> tuple[float, float, float]:
     (q_h, q_r, q_t), (d_h, d_r, d_t) = q_vectors, d_vectors
     return (float(np.dot(q_h, d_h)), float(np.dot(q_r, d_r)), float(np.dot(q_t, d_t)))
-
-
-def _semantic(cosines: tuple[float, float, float], cfg: PipelineConfig) -> float:
-    cos_h, cos_r, cos_t = cosines
-    return cfg.lh * cos_h + cfg.lr * cos_r + cfg.lt * cos_t
-
-
-def score_semantic(
-    qs: SubQuery, dt: Triple, encoder: CachingEncoder, cfg: PipelineConfig
-) -> float:
-    """Weighted cosine similarity over head, relation and tail components."""
-    return _semantic(_cosines(*_pair_vectors(qs, dt, encoder)), cfg)
 
 
 def _match(
@@ -130,8 +104,9 @@ def _match(
     """The one pair formula: alpha-mix of structural and semantic, from component vectors."""
     type_pairs = _type_pairs(qs, triple, cfg)
     cosines = _cosines(q_vectors, d_vectors)
-    s_struct = _structural(type_pairs, cfg)
-    s_sem = _semantic(cosines, cfg)
+    (s_head, s_tail), (cos_h, cos_r, cos_t) = type_pairs, cosines
+    s_struct = cfg.wh * s_head + cfg.wt * s_tail
+    s_sem = cfg.lh * cos_h + cfg.lr * cos_r + cfg.lt * cos_t
     return TripleMatch(
         query_index=qs.index,
         doc_id=triple.source_doc or "",
@@ -144,15 +119,31 @@ def _match(
     )
 
 
-def score_triple(
-    qs: SubQuery,
-    triple: Triple,
+def pair_scores(
+    pool: Sequence[Document],
+    sub_queries: Sequence[SubQuery],
     cfg: PipelineConfig,
     encoder: CachingEncoder,
-    doc_triple_index: Optional[int] = None,
-) -> TripleMatch:
-    """Alpha-mix of the structural and semantic scores for one triple pair."""
-    return _match(qs, triple, *_pair_vectors(qs, triple, encoder), cfg, doc_triple_index)
+) -> list[list[list[TripleMatch]]]:
+    """Every pair's match, by document, then sub-query, then triple, in input order.
+
+    The chain's and the pool's component vectors come from one encoder call.
+    """
+    triples = [t for doc in pool for t in doc.triples]
+    vectors = encoder.encode([text for x in (*sub_queries, *triples) for text in triple_texts(x)])
+    components = zip(vectors[0::3], vectors[1::3], vectors[2::3])  # (head, relation, tail)
+    query_vectors = [next(components) for _ in sub_queries]
+    scores = []
+    for doc in pool:
+        doc_vectors = [next(components) for _ in doc.triples]
+        scores.append([
+            [
+                _match(sq, triple, q_vectors, d_vectors, cfg, i)
+                for i, (triple, d_vectors) in enumerate(zip(doc.triples, doc_vectors))
+            ]
+            for sq, q_vectors in zip(sub_queries, query_vectors)
+        ])
+    return scores
 
 
 def aggregate_document_score(
@@ -189,22 +180,15 @@ def filter_and_rank(
     """
     if not pool:
         raise EmptyPool("cannot rerank an empty candidate pool")
-    triples = [t for doc in pool for t in doc.triples]
-    vectors = encoder.encode([text for x in (*sub_queries, *triples) for text in triple_texts(x)])
-    components = zip(vectors[0::3], vectors[1::3], vectors[2::3])  # (head, relation, tail)
-    query_vectors = [next(components) for _ in sub_queries]
     scored = []
-    for doc in pool:
-        doc_vectors = [next(components) for _ in doc.triples]
-        matches = []
-        for sq, q_vectors in zip(sub_queries, query_vectors):
-            best: Optional[TripleMatch] = None
-            for i, (triple, d_vectors) in enumerate(zip(doc.triples, doc_vectors)):
-                match = _match(sq, triple, q_vectors, d_vectors, cfg, i)
-                if best is None or match.s_triple > best.s_triple:
-                    best = match
-            # a document with no triples carries no matchable structure and scores 0
-            matches.append(best or TripleMatch(sq.index, doc.id, None, 0.0, 0.0, 0.0))
+    for doc, by_query in zip(pool, pair_scores(pool, sub_queries, cfg, encoder)):
+        # max keeps the first of equal scores; a document with no triples carries no
+        # matchable structure and scores 0
+        matches = [
+            max(pairs, key=lambda m: m.s_triple, default=None)
+            or TripleMatch(sq.index, doc.id, None, 0.0, 0.0, 0.0)
+            for sq, pairs in zip(sub_queries, by_query)
+        ]
         score = aggregate_document_score([m.s_triple for m in matches], cfg, force_index)
         scored.append(ScoredDocument(doc_id=doc.id, score=score, best_matches=tuple(matches)))
     scored.sort(key=lambda s: (-s.score, s.doc_id))

@@ -70,7 +70,8 @@ class Slot:
 
     @classmethod
     def bound(cls, surface: str) -> "Slot":
-        return cls(surface.strip(), latent=False)
+        """A bound slot names an entity: trimmed, and rejected when blank as an Entity is."""
+        return cls(Entity(surface).surface, latent=False)
 
     @classmethod
     def variable(cls, name: str) -> "Slot":
@@ -110,6 +111,11 @@ class SubQuery:
     tail: Slot
     head_type: Optional[TaxonomyLabel] = None
     tail_type: Optional[TaxonomyLabel] = None
+
+    def __post_init__(self) -> None:
+        if not self.relation.strip():
+            raise InvalidEntity(f"sub-query {self.index} relation is empty")
+        object.__setattr__(self, "relation", self.relation.strip())
 
     def latent_names(self) -> list[str]:
         names = []

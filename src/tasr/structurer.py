@@ -116,7 +116,7 @@ def decompose_query(reply: Any) -> Decomposition:
             SubQuery(
                 index=position,
                 head=Slot.parse(head),
-                relation=relation.strip(),
+                relation=relation,
                 tail=Slot.parse(tail),
             )
         )

@@ -19,9 +19,9 @@ from tasr.config import PipelineConfig, validate_config
 from tasr.embedding import CachingEncoder, HashEncoderClient, VectorIndex, normalize
 from tasr.errors import AmbiguousBinding
 from tasr.llm import Gateway, load_script, scripted_mock
-from tasr.matching import aggregate_document_score, filter_and_rank, score_triple
+from tasr.matching import aggregate_document_score, filter_and_rank, pair_scores
 from tasr.metrics import exact_match, token_f1
-from tasr.model import BindingTable, Entity, Slot, SubQuery, TaxonomyLabel
+from tasr.model import BindingTable, Document, Entity, Slot, SubQuery, TaxonomyLabel
 from tasr.reasoner import Pipeline, bind, resolve
 from tasr.taxonomy import EntityTyper, TypeEmbeddingIndex
 
@@ -89,7 +89,7 @@ def test_criterion_2_matching_oracle_equivalence(hash_encoder):
 
 def test_criterion_3_score_arithmetic_fixtures(default_cfg):
     with criterion(3, "hand-derived score fixtures hold within 1e-12"):
-        from tasr.matching import score_semantic, score_structural, score_type_pair
+        from tasr.matching import score_type_pair
         from tasr.model import Triple
 
         work_sw = TaxonomyLabel("WORK", "SoftwareProject")
@@ -103,24 +103,30 @@ def test_criterion_3_score_arithmetic_fixtures(default_cfg):
 
         sq = SubQuery(1, Slot.bound("A"), "r", Slot.bound("B"), work_sw, product_db)
 
+        def pair(triple, encoder):
+            # the pair-score step over a one-document pool: one sub-query, one triple
+            doc = Document(id="d", title="", text="", triples=[triple])
+            [[[match]]] = pair_scores([doc], [sq], default_cfg, encoder)
+            return match
+
         # S_type partial match
         assert abs(score_type_pair(work_sw, work_ds, default_cfg) - 0.5) <= 1e-12
 
         # S_struct mixed-slot cases
-        full_zero = typed(work_sw, person)
-        assert abs(score_structural(sq, full_zero, default_cfg) - 0.5) <= 1e-12
-        l1_l1 = typed(work_ds, product_cs)
-        assert abs(score_structural(sq, l1_l1, default_cfg) - 0.5) <= 1e-12
-
-        # S_sem with component cosines (1, 1, 0)
         e = np.eye(4)
         encoder = CachingEncoder(
             PresetEncoderClient(
                 {"S: A": list(e[0]), "P: r": list(e[1]), "O: B": list(e[2]), "O: C": list(e[3])}
             )
         )
+        full_zero = typed(work_sw, person)
+        assert abs(pair(full_zero, encoder).s_struct - 0.5) <= 1e-12
+        l1_l1 = typed(work_ds, product_cs)
+        assert abs(pair(l1_l1, encoder).s_struct - 0.5) <= 1e-12
+
+        # S_sem with component cosines (1, 1, 0)
         raw = typed(work_sw, product_db)
-        assert abs(score_semantic(sq, raw, encoder, default_cfg) - 0.6) <= 1e-12
+        assert abs(pair(raw, encoder).s_sem - 0.6) <= 1e-12
 
         # S_triple from struct 0.5 and sem 0.8 at alpha 0.5
         half = [0.0, 0.0, 0.5, float(np.sqrt(0.75))]
@@ -130,7 +136,7 @@ def test_criterion_3_score_arithmetic_fixtures(default_cfg):
             )
         )
         triple2 = typed(work_sw, person)
-        match = score_triple(sq, triple2, default_cfg, encoder2)
+        match = pair(triple2, encoder2)
         assert abs(match.s_struct - 0.5) <= 1e-12
         assert abs(match.s_sem - 0.8) <= 1e-12
         assert abs(match.s_triple - 0.65) <= 1e-12

@@ -3,7 +3,7 @@
 Chat traffic flows through the gateway module only, requests are sent and
 parsed by ``Gateway`` alone, each role's requests are sent from one module,
 the structurer reads labels without typing, only the matching module spells a
-triple's component texts, JSON is decoded only where outside input enters,
+triple's component texts or computes a pair or document score, JSON is decoded only where outside input enters,
 only dense search over a large matrix multiplies matrices, thread pools are
 built in two places and their private state is left alone, the demos run, and
 every function the benchmark's traced run wraps still exists under its name.
@@ -96,6 +96,18 @@ def test_component_texts_named_only_in_matching():
         for node in ast.walk(ast.parse(text)):
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
                 assert not node.value.startswith(prefixes), f"{name}:{node.lineno}"
+
+
+def test_scores_computed_only_in_matching():
+    # the CLI, the demos and the pipeline read pair scores from matching.pair_scores and
+    # document scores from matching.filter_and_rank; none rebuilds either by hand
+    formulas = {"TripleMatch", "aggregate_document_score", "_match"}
+    paths = [*SRC.glob("*.py"), *(ROOT / "demos").glob("*.py")]
+    for path in (p for p in paths if p.name != "matching.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            func = getattr(node, "func", None)
+            called = getattr(func, "id", getattr(func, "attr", None))
+            assert called not in formulas, f"{path.name}:{node.lineno} calls {called}"
 
 
 def _scoped_nodes(node, scope=""):

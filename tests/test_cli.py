@@ -285,6 +285,10 @@ def _toy_script(change):
                      id="mock-script-entry-without-match"),
         pytest.param("config", '{"alpha": %s}' % _INT_TOO_LARGE_FOR_FLOAT,
                      id="config-int-too-large-for-float"),
+        pytest.param("match", json.dumps({**_NO_TAIL, "tail": "?b", "relation": " \t "}),
+                     id="match-blank-relation"),
+        pytest.param("match", json.dumps({**_NO_TAIL, "tail": "?b", "head": "  "}),
+                     id="match-blank-bound-head"),
         pytest.param("match", json.dumps({**_NO_TAIL, "tail": "b", "index": 1e400}),
                      id="match-infinite-index"),
         pytest.param("match", _NOT_UTF8_3KB, id="match-3kb-not-utf8"),

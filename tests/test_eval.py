@@ -467,6 +467,26 @@ class TestMalformedLlmOutput:
         assert run.report.error_count == sum(1 for r in per_example if r.error is not None)
         assert all(r.em == 0 and r.f1 == 0.0 for r in per_example if r.error is not None)
 
+    @pytest.mark.parametrize("blank", ["relation", "head"])
+    def test_blank_subquery_field_fails_only_its_question(self, blank):
+        # a blank relation or bound head is no sub-query: that question scores 0/0
+        sub_query = {"head": "?Company", "relation": "acquired", "tail": "MySQL AB", blank: "  "}
+        reply = {"sub_queries": [sub_query]}
+        entries = [ScriptEntry("decompose", "acquired", reply), *self._toy_entries]
+        pipeline = Pipeline(
+            documents=self._corpus,
+            taxonomy=load_default_taxonomy(),
+            encoder=self._encoder,
+            gateway=Gateway(backend=ScriptedMockBackend(entries), sleep=lambda s: None),
+            cfg=validate_config(PipelineConfig()),
+        )
+        run = run_benchmark(self._dataset, pipeline)
+        per_example = run.report.per_example
+        assert [r.error is not None for r in per_example] == [False, False, True]
+        assert (per_example[2].em, per_example[2].f1) == (0, 0.0)
+        assert run.report.error_count == 1
+        assert "empty" in per_example[2].error
+
     def test_reply_nested_too_deep_fails_only_its_question(self):
         entries = [ScriptEntry("answer", "acquired", _NESTED_TOO_DEEP), *self._toy_entries]
         backend = ScriptedMockBackend(entries)

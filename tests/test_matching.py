@@ -7,9 +7,7 @@ from tasr.errors import EmptyPool
 from tasr.matching import (
     aggregate_document_score,
     filter_and_rank,
-    score_semantic,
-    score_structural,
-    score_triple,
+    pair_scores,
     score_type_pair,
 )
 from tasr.model import Document, Entity, Slot, SubQuery, TaxonomyLabel, Triple
@@ -45,6 +43,18 @@ def _sq(head="h", relation="r", tail="t", head_type=WORK_SW, tail_type=PRODUCT_D
     )
 
 
+def _pairs(sq, triples, cfg, encoder):
+    """Each triple's match against ``sq``, from the pair-score step over a one-document pool."""
+    [[matches]] = pair_scores([Document(id="d1", title="", text="x", triples=list(triples))],
+                              [sq], cfg, encoder)
+    return matches
+
+
+def _pair(sq, triple, cfg, encoder):
+    (match,) = _pairs(sq, [triple], cfg, encoder)
+    return match
+
+
 class TestScoreTypePair:
     def test_full_match(self, default_cfg):
         assert score_type_pair(WORK_SW, WORK_SW, default_cfg) == 1.0
@@ -61,34 +71,37 @@ class TestScoreTypePair:
 
 
 class TestScoreStructural:
-    def test_both_slots_full_match(self, default_cfg):
+    def test_both_slots_full_match(self, default_cfg, hash_encoder):
         typed = _typed(WORK_SW, PRODUCT_DB)
-        assert score_structural(_sq(), typed, default_cfg) == 1.0
+        assert _pair(_sq(), typed, default_cfg, hash_encoder).s_struct == 1.0
 
-    def test_head_full_tail_zero(self, default_cfg):
+    def test_head_full_tail_zero(self, default_cfg, hash_encoder):
         typed = _typed(WORK_SW, PERSON_SCI)
-        assert score_structural(_sq(), typed, default_cfg) == pytest.approx(0.5, abs=1e-12)
+        assert _pair(_sq(), typed, default_cfg, hash_encoder).s_struct == pytest.approx(
+            0.5, abs=1e-12
+        )
 
-    def test_both_slots_l1_only(self, default_cfg):
+    def test_both_slots_l1_only(self, default_cfg, hash_encoder):
         typed = _typed(WORK_DS, TaxonomyLabel("PRODUCT", "CloudService"))
-        assert score_structural(_sq(), typed, default_cfg) == pytest.approx(0.5, abs=1e-12)
+        assert _pair(_sq(), typed, default_cfg, hash_encoder).s_struct == pytest.approx(
+            0.5, abs=1e-12
+        )
 
-    def test_relation_plays_no_role(self, default_cfg):
+    def test_relation_plays_no_role(self, default_cfg, hash_encoder):
         typed_a = _typed(WORK_SW, PRODUCT_DB, relation="uses")
         typed_b = _typed(WORK_SW, PRODUCT_DB, relation="completely_different")
         sq = _sq(relation="uses")
-        assert score_structural(sq, typed_a, default_cfg) == score_structural(
-            sq, typed_b, default_cfg
-        )
+        match_a, match_b = _pairs(sq, [typed_a, typed_b], default_cfg, hash_encoder)
+        assert match_a.s_struct == match_b.s_struct
 
-    def test_untyped_subquery_rejected(self, default_cfg):
+    def test_untyped_subquery_rejected(self, default_cfg, hash_encoder):
         # either side untyped: a sub-query without labels, or a document triple without them
         typed = _typed(WORK_SW, PRODUCT_DB)
         bare_sq = SubQuery(1, Slot.bound("h"), "r", Slot.bound("t"))
         bare_triple = Triple(Entity("h"), "r", Entity("t"), "d1")
         for sq, triple in ((bare_sq, typed), (_sq(), bare_triple)):
             with pytest.raises(ValueError):
-                score_structural(sq, triple, default_cfg)
+                _pair(sq, triple, default_cfg, hash_encoder)
 
 
 def _component_encoder(cos_tail: float) -> CachingEncoder:
@@ -109,13 +122,13 @@ class TestScoreSemantic:
     def test_identical_triples_score_one(self, default_cfg, hash_encoder):
         raw = _typed(WORK_SW, PRODUCT_DB, head="A", relation="r", tail="B")
         sq = _sq(head="A", relation="r", tail="B")
-        assert score_semantic(sq, raw, hash_encoder, default_cfg) == pytest.approx(1.0, abs=1e-9)
+        assert _pair(sq, raw, default_cfg, hash_encoder).s_sem == pytest.approx(1.0, abs=1e-9)
 
     def test_component_cosines_one_one_zero(self, default_cfg):
         encoder = _component_encoder(0.0)
         raw = _typed(WORK_SW, PRODUCT_DB, head="A", relation="r", tail="C")
         sq = _sq(head="A", relation="r", tail="B")
-        assert score_semantic(sq, raw, encoder, default_cfg) == pytest.approx(0.6, abs=1e-12)
+        assert _pair(sq, raw, default_cfg, encoder).s_sem == pytest.approx(0.6, abs=1e-12)
 
     def test_matches_recomputation_from_raw_cosines(self, default_cfg, hash_encoder):
         rng = np.random.default_rng(3)
@@ -123,7 +136,7 @@ class TestScoreSemantic:
             head, tail = f"h{rng.integers(100)}", f"t{rng.integers(100)}"
             raw = _typed(WORK_SW, PRODUCT_DB, head=head, tail=tail)
             sq = _sq(head=f"qh{rng.integers(100)}", tail=f"qt{rng.integers(100)}")
-            got = score_semantic(sq, raw, hash_encoder, default_cfg)
+            got = _pair(sq, raw, default_cfg, hash_encoder).s_sem
             cos = lambda a, b: float(
                 hash_encoder.encode_one(a) @ hash_encoder.encode_one(b)
             )
@@ -139,7 +152,7 @@ class TestScoreTriple:
     def test_both_ceilings(self, default_cfg, hash_encoder):
         triple = _typed(WORK_SW, PRODUCT_DB, head="A", relation="r", tail="B")
         sq = _sq(head="A", relation="r", tail="B")
-        match = score_triple(sq, triple, default_cfg, hash_encoder)
+        match = _pair(sq, triple, default_cfg, hash_encoder)
         assert match.s_triple == pytest.approx(1.0, abs=1e-9)
 
     def test_half_struct_point_eight_sem(self):
@@ -148,7 +161,7 @@ class TestScoreTriple:
         encoder = _component_encoder(0.5)
         triple = _typed(WORK_SW, PERSON_SCI, head="A", relation="r", tail="C")
         sq = _sq(head="A", relation="r", tail="B")
-        match = score_triple(sq, triple, cfg, encoder)
+        match = _pair(sq, triple, cfg, encoder)
         assert match.s_struct == pytest.approx(0.5, abs=1e-12)
         assert match.s_sem == pytest.approx(0.8, abs=1e-12)
         assert match.s_triple == pytest.approx(0.65, abs=1e-12)
@@ -156,23 +169,38 @@ class TestScoreTriple:
     def test_alpha_one_is_structural_only(self, hash_encoder):
         cfg = _cfg(alpha=1.0)
         triple = _typed(WORK_SW, PRODUCT_DB, head="x", tail="y")
-        match = score_triple(_sq(), triple, cfg, hash_encoder)
+        match = _pair(_sq(), triple, cfg, hash_encoder)
         assert match.s_triple == match.s_struct
 
     def test_alpha_zero_is_semantic_only(self, hash_encoder):
         cfg = _cfg(alpha=0.0)
         triple = _typed(WORK_SW, PRODUCT_DB, head="x", tail="y")
-        match = score_triple(_sq(), triple, cfg, hash_encoder)
+        match = _pair(_sq(), triple, cfg, hash_encoder)
         assert match.s_triple == match.s_sem
 
     def test_mix_invariant_on_random_instances(self, hash_encoder):
         for seed in range(10):
             docs, sub_queries, cfg, _ = random_instance(seed)
-            for doc in docs:
-                for i, triple in enumerate(doc.triples):
-                    match = score_triple(sub_queries[0], triple, cfg, hash_encoder, i)
+            for [matches] in pair_scores(docs, sub_queries[:1], cfg, hash_encoder):
+                for match in matches:
                     expected = cfg.alpha * match.s_struct + (1 - cfg.alpha) * match.s_sem
                     assert match.s_triple == pytest.approx(expected, abs=1e-12)
+
+
+class TestPairScores:
+    def test_every_pair_by_document_then_subquery_then_triple(self, hash_encoder):
+        docs, sub_queries, cfg, _ = next(
+            i for i in map(random_instance, range(50))
+            if len(i[1]) >= 2 and sum(1 for d in i[0] if d.triples) >= 2
+        )
+        scores = pair_scores(docs, sub_queries, cfg, hash_encoder)
+        assert len(scores) == len(docs)
+        for doc, by_query in zip(docs, scores):
+            assert [[m.query_index for m in pairs] for pairs in by_query] == [
+                [sq.index] * len(doc.triples) for sq in sub_queries
+            ]
+            for pairs in by_query:
+                assert [m.doc_triple_index for m in pairs] == list(range(len(doc.triples)))
 
 
 def _best_match(sq, doc, cfg, encoder):
@@ -202,10 +230,7 @@ class TestBestTripleScore:
             doc.triples.append(triple)
         sq = _sq()
         best = _best_match(sq, doc, default_cfg, hash_encoder)
-        scores = [
-            score_triple(sq, triple, default_cfg, hash_encoder, i).s_triple
-            for i, triple in enumerate(doc.triples)
-        ]
+        scores = [m.s_triple for m in _pairs(sq, doc.triples, default_cfg, hash_encoder)]
         assert best.s_triple == max(scores)
         assert best.doc_triple_index == int(np.argmax(scores))
 
@@ -234,7 +259,7 @@ class TestAggregateDocumentScore:
             cfg = _cfg(gamma=gamma)
             (scored,) = filter_and_rank([doc], [sq], cfg, hash_encoder).all_scored
             assert scored.score == pytest.approx(
-                score_triple(sq, triple, cfg, hash_encoder).s_triple, abs=1e-12
+                _pair(sq, triple, cfg, hash_encoder).s_triple, abs=1e-12
             )
 
     def test_t_at_least_count_means_over_all(self):

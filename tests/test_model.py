@@ -61,6 +61,12 @@ class TestSlot:
         with pytest.raises(InvalidEntity):
             normalize_variable_name("?")
 
+    @pytest.mark.parametrize("raw", ["", "   ", "\t\n"])
+    def test_blank_bound_slot_rejected(self, raw):
+        for build in (Slot.bound, Slot.parse):
+            with pytest.raises(InvalidEntity):
+                build(raw)
+
 
 class TestBindingTable:
     def test_starts_empty(self):
@@ -101,3 +107,13 @@ class TestSubQuery:
     def test_render(self):
         sq = SubQuery(index=1, head=Slot.bound("x"), relation="uses", tail=Slot.variable("?Y"))
         assert sq.render() == "(x, uses, ?Y)"
+
+    def test_relation_is_trimmed(self):
+        sq = SubQuery(1, Slot.bound("a"), " developed_by\n", Slot.variable("?B"))
+        assert sq.relation == "developed_by"
+        assert sq.render() == "(a, developed_by, ?B)"
+
+    @pytest.mark.parametrize("raw", ["", "   ", "\t\n"])
+    def test_blank_relation_rejected(self, raw):
+        with pytest.raises(InvalidEntity):
+            SubQuery(1, Slot.bound("a"), raw, Slot.variable("?B"))
