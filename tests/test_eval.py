@@ -176,16 +176,18 @@ class TestRunBenchmark:
         assert first.report.to_dict() == second.report.to_dict()
         assert first.predictions == second.predictions
 
-    @pytest.mark.parametrize("mode", ["plain", "pre_extract"])
+    @pytest.mark.parametrize("mode", ["plain", "pre_extract", "pure"])
     def test_request_stream_matches_golden(
         self, mode, toy_corpus, taxonomy, hash_encoder, toy_backend, default_cfg, toy_dataset
     ):
         # every request the toy run sends: its role and a sha256 of both prompts. The golden
-        # stream repeats type selections that questions share; the pipeline's label map sends
-        # each once. Extractions, decompositions and type selections leave the request pool in
-        # timing order, so only each question's answers keep a fixed order, after the rest.
+        # plain and pre_extract streams repeat type selections that questions share; the
+        # pipeline's label map sends each once. Extractions, decompositions and type selections
+        # leave the request pool in timing order, so only each question's answers keep a fixed
+        # order, after the rest. "pure" is the plain run with typing_mode="pure".
+        cfg = validate_config(PipelineConfig(typing_mode="pure")) if mode == "pure" else default_cfg
         pipeline = Pipeline(
-            toy_corpus, taxonomy, hash_encoder, Gateway(backend=toy_backend), default_cfg,
+            toy_corpus, taxonomy, hash_encoder, Gateway(backend=toy_backend), cfg,
             pre_extract=mode == "pre_extract",
         )
         run_benchmark(toy_dataset, pipeline)
