@@ -51,9 +51,10 @@ print(f"top first-level candidates for {entity.surface!r}:")
 for l1, sim in candidates[:5]:
     print(f"  {l1:<14} similarity {sim:+.4f}")
 
-# the typer sends its requests on an executor it is given (a pipeline shares its own)
+# the typer types against the taxonomy its index holds, and sends its requests on an
+# executor it is given (a pipeline gives each question its own)
 with ThreadPoolExecutor(1) as requests:
-    typer = EntityTyper(taxonomy, index, gateway, cfg, requests)
+    typer = EntityTyper(index, gateway, cfg, requests)
     label = typer.type_entity(entity)
     print(f"\nselected type: {label}")
 

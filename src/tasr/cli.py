@@ -171,7 +171,7 @@ def cmd_type_entity(args: argparse.Namespace) -> int:
         encoder = _encoder(args.embed)
         index, gateway = TypeEmbeddingIndex(taxonomy, encoder), _gateway(args.llm)
         with request_pool() as requests:
-            typer = EntityTyper(taxonomy, index, gateway, _config(None), requests)
+            typer = EntityTyper(index, gateway, _config(None), requests)
             label = typer.type_entity(entity)
     print(json.dumps({"entity": entity.surface, "l1": label.l1, "l2": label.l2}))
     return 0

@@ -75,16 +75,14 @@ class Slot:
 
     @classmethod
     def variable(cls, name: str) -> "Slot":
-        name = name.strip()
-        if not name.startswith(LATENT_PREFIX):
-            name = LATENT_PREFIX + name
-        return cls(name, latent=True)
+        """A latent slot named by :func:`normalize_variable_name`, which rejects a blank name."""
+        return cls(normalize_variable_name(name), latent=True)
 
     @classmethod
     def parse(cls, raw: str) -> "Slot":
         raw = raw.strip()
         if raw.startswith(LATENT_PREFIX):
-            return cls.variable(normalize_variable_name(raw))
+            return cls.variable(raw)
         return cls.bound(raw)
 
 

@@ -194,7 +194,6 @@ class Pipeline:
         self.cfg = cfg
         self.encoder = encoder
         self.gateway = gateway
-        self.taxonomy = taxonomy
         self.type_index = TypeEmbeddingIndex(taxonomy, encoder)
         self.labels = LabelMap()
         self.pre_extract = pre_extract
@@ -220,9 +219,7 @@ class Pipeline:
             raise QueryFailure(str(exc), trace=trace) from exc
 
     def _typer(self, requests: Executor, encoder: CachingEncoder) -> EntityTyper:
-        return EntityTyper(
-            self.taxonomy, self.type_index, self.gateway, self.cfg, requests, self.labels, encoder
-        )
+        return EntityTyper(self.type_index, self.gateway, self.cfg, requests, self.labels, encoder)
 
     def _run(self, question: str, trace: ReasoningTrace) -> tuple[str, ReasoningTrace]:
         encoder = self.encoder.scope()  # the question's vectors, dropped when it ends

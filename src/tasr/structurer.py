@@ -126,7 +126,8 @@ def decompose_query(reply: Any) -> Decomposition:
     raw_hints = reply.get("type_hints", {})
     if isinstance(raw_hints, dict):
         for name, description in raw_hints.items():
-            hints[normalize_variable_name(str(name))] = str(description)
+            if isinstance(description, str):  # any other value is dropped, as a missing hint
+                hints[normalize_variable_name(str(name))] = description
     for sq in sub_queries:
         for name in sq.latent_names():
             hints.setdefault(name, _humanize_variable(name))

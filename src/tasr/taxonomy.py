@@ -4,10 +4,13 @@ Typing an entity takes the cheapest path that fires:
 
 1. rule-based patterns for structured strings (years, dates, percentages,
    money, bare counts), when the taxonomy has the pair the rule gives;
-2. embedding retrieval of candidate labels followed by LLM selection of the
-   first-level class and then the (first, second) pair.
+2. :meth:`EntityTyper.select_type`, LLM selection of the first-level class
+   and then the (first, second) pair. The config's ``typing_mode`` picks the
+   candidates of both stages in that one method: ``retrieval`` offers the
+   labels nearest the entity by embedding, ``pure`` offers every label.
 
-An :class:`EntityTyper` serves one question. :meth:`EntityTyper.submit`
+An :class:`EntityTyper` serves one question and types against the taxonomy
+its :class:`TypeEmbeddingIndex` holds. :meth:`EntityTyper.submit`
 starts typing (entity, context) jobs in the background on an executor the
 typer is given (the question's request pool), and :meth:`EntityTyper.collect`,
 called once per question, records fallback events in job order on the calling
@@ -57,9 +60,6 @@ class Taxonomy:
             (l1, l2): TaxonomyLabel(l1, l2) for l1 in self.l1_classes for l2 in self.children[l1]
         }
         object.__setattr__(self, "_labels", labels)
-
-    def has_l1(self, l1: str) -> bool:
-        return l1 in self.children
 
     def has_label(self, l1: str, l2: str) -> bool:
         return l2 in self.children.get(l1, ())
@@ -230,10 +230,10 @@ class EntityTyper:
     (a new, empty one by default), so a surface typed again is not sent again.
     ``events`` records every fallback a selection took (LLM protocol failure or
     out-of-vocabulary label), replayed when the selection is read from the map,
-    so traces can expose them. Retrieval mode searches ``index`` and encodes
-    entity texts through ``encoder`` (default: the index's own); pure mode shows
-    full label lists. ``events`` is written only by the thread that calls
-    :meth:`collect`.
+    so traces can expose them. Labels come from ``index.taxonomy``. Retrieval
+    mode searches ``index`` and encodes entity texts through ``encoder``
+    (default: the index's own); pure mode shows full label lists. ``events`` is
+    written only by the thread that calls :meth:`collect`.
 
     Jobs run on ``requests``, an executor the typer neither starts nor stops;
     its owner cancels the jobs not yet started when the question fails.
@@ -241,7 +241,6 @@ class EntityTyper:
 
     def __init__(
         self,
-        taxonomy: Taxonomy,
         index: TypeEmbeddingIndex,
         gateway: Gateway,
         cfg: PipelineConfig,
@@ -249,7 +248,7 @@ class EntityTyper:
         labels: Optional[LabelMap] = None,
         encoder: Optional[CachingEncoder] = None,
     ) -> None:
-        self.taxonomy = taxonomy
+        self.taxonomy = index.taxonomy
         self.index = index
         self.gateway = gateway
         self.cfg = cfg
@@ -294,32 +293,24 @@ class EntityTyper:
             return label, ()
         # an empty context shows the same prompt as none
         key = (entity.surface, context or None)
-        return self.labels.get(key, lambda: self._select(entity, context))
+        return self.labels.get(key, lambda: self.select_type(entity, context))
 
-    def _select(self, entity: Entity, context: Optional[str]) -> Typed:
-        events: list[str] = []
-        if self.cfg.typing_mode == "pure":
-            l1_candidates = list(self.taxonomy.l1_classes)
-        else:
-            hits = self.index.top_l1(entity.surface, self.cfg.n_l1_candidates, self.encoder)
-            l1_candidates = [l1 for l1, _ in hits]
-        label = self.select_type(entity, l1_candidates, events, context=context)
-        return label, tuple(events)
-
-    def select_type(
-        self,
-        entity: Entity,
-        l1_candidates: list[str],
-        events: list[str],
-        context: Optional[str] = None,
-    ) -> TaxonomyLabel:
+    def select_type(self, entity: Entity, context: Optional[str] = None) -> Typed:
         """Two-stage selection: keep first-level labels, then pick the final pair.
 
-        Each fallback taken is appended to ``events``.
+        Returns the label and the fallback events the selection took.
         """
-        if not l1_candidates:
-            raise ValueError("select_type requires non-empty candidates")
-        keep = 1 if self.cfg.typing_mode == "pure" else self.cfg.l1_keep
+        # stage-1 candidates, how many to keep, and the stage-2 (l1, l2, score) under a kept l1
+        if self.cfg.typing_mode == "pure":
+            l1_candidates, keep = list(self.taxonomy.l1_classes), 1
+            offer = lambda l1: [(l1, l2, 0.0) for l2 in self.taxonomy.children[l1]]
+        else:
+            hits = self.index.top_l1(entity.surface, self.cfg.n_l1_candidates, self.encoder)
+            l1_candidates, keep = [l1 for l1, _ in hits], self.cfg.l1_keep
+            offer = lambda l1: self.index.top_l2(
+                l1, entity.surface, self.cfg.m_l2_candidates, self.encoder
+            )
+        events: list[str] = []
         context_block = f"\nContext: {context}" if context else ""
         prompt = load_prompt("type_select_l1").format(
             keep=keep,
@@ -331,14 +322,7 @@ class EntityTyper:
             entity, 1, prompt, "\n\nOnly use labels from the candidate list.", events,
             lambda parsed: self._known_l1(parsed)[:keep],
         ) or l1_candidates[:keep]
-        if self.cfg.typing_mode == "pure":
-            union = [(l1, l2, 0.0) for l1 in kept for l2 in self.taxonomy.children[l1]]
-        else:
-            union = []
-            for l1 in kept:
-                union.extend(
-                    self.index.top_l2(l1, entity.surface, self.cfg.m_l2_candidates, self.encoder)
-                )
+        union = [candidate for l1 in kept for candidate in offer(l1)]
         offered = {(l1, l2) for l1, l2, _ in union}
         prompt = load_prompt("type_select_l2").format(
             candidates=", ".join(f"{l1}/{l2}" for l1, l2, _ in union),
@@ -349,7 +333,7 @@ class EntityTyper:
             entity, 2, prompt, "\n\nOnly use a candidate pair from the list.", events,
             lambda parsed: _offered_pair(parsed, offered),
         ) or max(union, key=lambda item: item[2])[:2]
-        return self.taxonomy.label(*pair)
+        return self.taxonomy.label(*pair), tuple(events)
 
     def _ask(
         self, entity: Entity, stage: int, prompt: str, hint: str, events: list[str], pick: Callable
@@ -373,7 +357,7 @@ class EntityTyper:
         labels = parsed.get("labels") if isinstance(parsed, dict) else None
         if not isinstance(labels, list):
             return []
-        known = [l for l in labels if isinstance(l, str) and self.taxonomy.has_l1(l)]
+        known = [l for l in labels if isinstance(l, str) and l in self.taxonomy.children]
         return list(dict.fromkeys(known))
 
 

@@ -291,7 +291,7 @@ def test_criterion_8_typing_pipeline(taxonomy, default_cfg, request_pool):
 
         # rule-typed entities never reach the gateway
         backend = EchoSelectBackend()
-        typer = EntityTyper(taxonomy, index, Gateway(backend=backend), default_cfg, request_pool)
+        typer = EntityTyper(index, Gateway(backend=backend), default_cfg, request_pool)
         assert typer.type_entity(Entity("1998")) == TaxonomyLabel("TIME", "Year")
         assert typer.type_entity(Entity("37.5%")) == TaxonomyLabel("QUANTITY", "Percentage")
         assert backend.calls == []
@@ -311,7 +311,7 @@ def test_criterion_8_typing_pipeline(taxonomy, default_cfg, request_pool):
             ]
         )
         oov_typer = EntityTyper(
-            taxonomy, index, Gateway(backend=oov_backend), default_cfg, request_pool
+            index, Gateway(backend=oov_backend), default_cfg, request_pool
         )
         label = oov_typer.type_entity(Entity("Beowulf"))
         stage2 = [c for c in oov_backend.calls if "Final two-level type" in c.user_prompt]

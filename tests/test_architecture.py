@@ -4,9 +4,10 @@ Chat traffic flows through the gateway module only, requests are sent and
 parsed by ``Gateway`` alone, each role's requests are sent from one module,
 the structurer reads labels without typing, only the matching module spells a
 triple's component texts or computes a pair or document score, JSON is decoded only where outside input enters,
-only dense search over a large matrix multiplies matrices, thread pools are
-built in two places and their private state is left alone, the demos run, and
-every function the benchmark's traced run wraps still exists under its name.
+only dense search over a large matrix multiplies matrices, the typing mode is
+read in one place, thread pools are built in two places and their private
+state is left alone, the demos run, and every function the benchmark's traced
+run wraps still exists under its name.
 """
 
 import ast
@@ -147,6 +148,19 @@ def test_matrix_product_only_in_large_dense_search():
                     f"{name}:{node.lineno} calls {node.attr} in {scope or 'module scope'}"
                 )
     assert multiplied == [("embedding.py", "VectorIndex.search")]
+
+
+def test_typing_mode_read_once_outside_config():
+    # EntityTyper.select_type picks both typing stages' candidates in one branch on the mode
+    reads = []
+    for name, text in _sources().items():
+        if name == "config.py":  # defines, parses and validates the field
+            continue
+        for scope, node in _scoped_nodes(ast.parse(text)):
+            named = getattr(node, "attr", None) or getattr(node, "value", None)
+            if named == "typing_mode":  # cfg.typing_mode, or a getattr by name
+                reads.append((name, scope))
+    assert reads == [("taxonomy.py", "EntityTyper.select_type")]
 
 
 def test_thread_pools_built_in_two_places_and_not_reached_into():

@@ -1,6 +1,8 @@
 import dataclasses
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tasr.errors import DuplicateBinding, InvalidEntity
 from tasr.model import (
@@ -66,6 +68,25 @@ class TestSlot:
         for build in (Slot.bound, Slot.parse):
             with pytest.raises(InvalidEntity):
                 build(raw)
+
+    @pytest.mark.parametrize("name", ["", "  ", "?", " ? ", "?_-"])
+    def test_blank_variable_name_rejected(self, name):
+        with pytest.raises(InvalidEntity):
+            Slot.variable(name)
+
+    def test_variable_name_follows_the_parse_rule(self):
+        assert Slot.variable("database system") == Slot.parse("?database system")
+        assert Slot.variable("database system").text == "?DatabaseSystem"
+
+    @given(st.text(max_size=12).map("?".__add__))
+    def test_variable_equals_parse_for_any_latent_name(self, name):
+        try:
+            expected = Slot.parse(name)
+        except InvalidEntity:
+            with pytest.raises(InvalidEntity):
+                Slot.variable(name)
+        else:
+            assert Slot.variable(name) == expected
 
 
 class TestBindingTable:

@@ -6,6 +6,7 @@ from tasr.model import Document, Entity, Slot, SubQuery, TaxonomyLabel, Triple
 from tasr.errors import TasrError
 from tasr.structurer import (
     Decomposition,
+    decompose_query,
     extraction_request,
     request_decomposition,
     subquery_typing_jobs,
@@ -125,7 +126,6 @@ class TestTypeDocumentTriples:
         from tasr.config import PipelineConfig, validate_config
 
         return EntityTyper(
-            taxonomy,
             TypeEmbeddingIndex(taxonomy, hash_encoder),
             Gateway(backend=backend),
             validate_config(PipelineConfig()),
@@ -247,6 +247,16 @@ class TestDecomposeQuery:
         dec = send_decomposition("fill hints", Gateway(backend=backend))
         assert dec.type_hints["?BigThing"] == "big thing"
 
+    @pytest.mark.parametrize("hint", [None, 7, 2.5, True, ["gadget"], {"kind": "gadget"}])
+    def test_non_string_hint_is_typed_as_a_missing_one(self, hint):
+        sub_queries = [{"head": "x", "relation": "r", "tail": "?BigThing"}]
+
+        def job_texts(reply):
+            return [entity.surface for entity, _ in subquery_typing_jobs(decompose_query(reply))]
+
+        hinted = {"sub_queries": sub_queries, "type_hints": {"?BigThing": hint}}
+        assert job_texts(hinted) == job_texts({"sub_queries": sub_queries})
+
     def test_latent_names_normalized(self):
         backend = scripted_mock(
             [
@@ -305,7 +315,6 @@ class TestTypeSubqueries:
         from tasr.config import PipelineConfig, validate_config
 
         return EntityTyper(
-            taxonomy,
             TypeEmbeddingIndex(taxonomy, hash_encoder),
             Gateway(backend=backend),
             validate_config(PipelineConfig()),
@@ -317,7 +326,7 @@ class TestTypeSubqueries:
     ):
         dec = send_decomposition(RUNNING_QUESTION, toy_gateway)
         typer = EntityTyper(
-            taxonomy, TypeEmbeddingIndex(taxonomy, hash_encoder), toy_gateway, toy_pipeline_cfg(),
+            TypeEmbeddingIndex(taxonomy, hash_encoder), toy_gateway, toy_pipeline_cfg(),
             request_pool,
         )
         typed = _type_subqueries(dec, typer)

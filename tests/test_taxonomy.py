@@ -132,7 +132,7 @@ class TestRetrieveCandidates:
 
 def _typer(taxonomy, encoder, backend, cfg, requests):
     index = TypeEmbeddingIndex(taxonomy, encoder)
-    return EntityTyper(taxonomy, index, Gateway(backend=backend), cfg, requests)
+    return EntityTyper(index, Gateway(backend=backend), cfg, requests)
 
 
 class TestSelectType:
@@ -178,7 +178,7 @@ class TestSelectType:
             ]
         )
         index = TypeEmbeddingIndex(taxonomy, hash_encoder)
-        typer = EntityTyper(taxonomy, index, Gateway(backend=backend), default_cfg, request_pool)
+        typer = EntityTyper(index, Gateway(backend=backend), default_cfg, request_pool)
         label = typer.type_entity(Entity("Beowulf"))
 
         stage2_calls = [c for c in backend.calls if "Final two-level type" in c.user_prompt]
@@ -490,7 +490,7 @@ class TestLabelMap:
         labels = LabelMap()
         first, second = (
             EntityTyper(
-                taxonomy, index, Gateway(backend=backend), default_cfg, request_pool, labels
+                index, Gateway(backend=backend), default_cfg, request_pool, labels
             )
             for _ in range(2)
         )
