@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional, Sequence
 
-from tasr.errors import DatasetParseError, QueryFailure, json_field, read_json
+from tasr.errors import DatasetParseError, QueryFailure, RangeViolation, json_field, read_json
 from tasr.metrics import exact_match, token_f1
 from tasr.model import Document, ReasoningTrace
 from tasr.reasoner import Pipeline
@@ -146,6 +146,8 @@ def run_benchmark(
     """
     if not dataset:
         raise DatasetParseError("dataset has no examples")
+    if parallel < 1:
+        raise RangeViolation("parallel", f"must be at least 1, got {parallel}")
 
     def run_one(example: QaExample) -> tuple[ExampleResult, int]:
         try:

@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import dataclasses
 import re
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Any, Callable, Mapping, Optional
 
-from tasr.errors import InvalidDecomposition, LlmProtocolError, TasrError, json_field
+from tasr.errors import InvalidDecomposition, InvalidEntity, LlmProtocolError, TasrError, json_field
 from tasr.llm import Gateway, load_prompt
 from tasr.model import (
     Document,
@@ -127,7 +128,8 @@ def decompose_query(reply: Any) -> Decomposition:
     if isinstance(raw_hints, dict):
         for name, description in raw_hints.items():
             if isinstance(description, str):  # any other value is dropped, as a missing hint
-                hints[normalize_variable_name(str(name))] = description
+                with suppress(InvalidEntity):  # and so is a hint whose name is empty
+                    hints[normalize_variable_name(str(name))] = description
     for sq in sub_queries:
         for name in sq.latent_names():
             hints.setdefault(name, _humanize_variable(name))

@@ -10,16 +10,16 @@ Typing an entity takes the cheapest path that fires:
    labels nearest the entity by embedding, ``pure`` offers every label.
 
 An :class:`EntityTyper` serves one question and types against the taxonomy
-its :class:`TypeEmbeddingIndex` holds. :meth:`EntityTyper.submit`
-starts typing (entity, context) jobs in the background on an executor the
-typer is given (the question's request pool), and :meth:`EntityTyper.collect`,
-called once per question, records fallback events in job order on the calling
-thread and returns the labels by surface, each selected with the context of
-the surface's first job. The selections themselves live in a :class:`LabelMap`
-by (surface, context), shared by every question of a pipeline, so a pair is
-sent to the LLM once however many questions ask for it; this module alone
-sends ``type_select`` requests. Every label is the taxonomy's own object for
-its pair.
+its :class:`TypeEmbeddingIndex` holds. :meth:`EntityTyper.submit` reads a rule
+label, or a selection the pipeline's :class:`LabelMap` holds for the job's
+(surface, context), on the asking thread, and starts only the other selections
+on an executor the typer is given (the question's request pool).
+:meth:`EntityTyper.collect`, called once per question, records fallback events
+in job order on the calling thread and returns the labels by surface, each
+typed with the context of the surface's first job. The map is shared by every
+question of a pipeline, so a pair is sent to the LLM once however many
+questions ask for it; this module alone sends ``type_select`` requests. Every
+label is the taxonomy's own object for its pair.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import sys
 import threading
 from concurrent.futures import Executor, Future
 from dataclasses import dataclass
+from functools import partial
 from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Optional
@@ -161,13 +162,13 @@ class TypeEmbeddingIndex:
     ) -> list[tuple[str, float]]:
         """The ``n`` nearest first-level labels; ``encoder`` (default: the index's own)
         is the memo the entity text is encoded through."""
-        query = (encoder or self.encoder).encode_one(entity_text)
+        query = (self.encoder if encoder is None else encoder).encode_one(entity_text)
         return self.l1_index.search(query, n)
 
     def top_l2(
         self, l1: str, entity_text: str, m: int, encoder: Optional[CachingEncoder] = None
     ) -> list[tuple[str, str, float]]:
-        query = (encoder or self.encoder).encode_one(entity_text)
+        query = (self.encoder if encoder is None else encoder).encode_one(entity_text)
         hits = self.l2_indexes[l1].search(query, m)
         return [(l1, key[len(l1) + 1 :], score) for key, score in hits]  # l1 may hold "/"
 
@@ -192,6 +193,11 @@ class LabelMap:
 
     def __len__(self) -> int:
         return len(self._typed)
+
+    def held(self, key: tuple[str, Optional[str]]) -> Optional[Typed]:
+        """The entry for ``key`` if the map holds it; None otherwise, without waiting."""
+        with self._lock:
+            return self._typed.get(key)
 
     def get(self, key: tuple[str, Optional[str]], type_new: Callable[[], Typed]) -> Typed:
         """The entry for ``key``, from ``type_new`` on this thread if no one holds it."""
@@ -225,18 +231,17 @@ class EntityTyper:
     """Coarse-to-fine entity typing for one question, with fallback accounting.
 
     Callers submit a question's jobs and collect them once. Each surface
-    submitted before a collect gets one label, selected with the context of its
-    first job. Selections come from ``labels``, the pipeline's :class:`LabelMap`
-    (a new, empty one by default), so a surface typed again is not sent again.
-    ``events`` records every fallback a selection took (LLM protocol failure or
-    out-of-vocabulary label), replayed when the selection is read from the map,
-    so traces can expose them. Labels come from ``index.taxonomy``. Retrieval
-    mode searches ``index`` and encodes entity texts through ``encoder``
-    (default: the index's own); pure mode shows full label lists. ``events`` is
-    written only by the thread that calls :meth:`collect`.
+    submitted before a collect gets one label from ``index.taxonomy``, typed with
+    the context of its first job. A rule label, or a selection ``labels`` (the
+    pipeline's :class:`LabelMap`; a new, empty one by default) already holds, is
+    read on the submitting thread; only the other selections become jobs, on
+    ``requests``, an executor the typer neither starts nor stops, whose owner
+    cancels the jobs not yet started when the question fails.
 
-    Jobs run on ``requests``, an executor the typer neither starts nor stops;
-    its owner cancels the jobs not yet started when the question fails.
+    ``events`` records every fallback a selection took (LLM protocol failure or
+    out-of-vocabulary label), replayed when it is read from the map; only the
+    thread that calls :meth:`collect` writes it. Retrieval mode searches ``index``
+    and encodes entity texts through ``encoder`` (default: the index's own).
     """
 
     def __init__(
@@ -256,15 +261,20 @@ class EntityTyper:
         self.labels = LabelMap() if labels is None else labels
         self.encoder = encoder
         self.events: list[str] = []
-        self._pending: dict[str, Future[Typed]] = {}  # surfaces submitted, not yet collected
+        self._pending: dict[str, Typed | Future[Typed]] = {}  # submitted, not yet collected
 
     def submit(self, jobs: Iterable[TypingJob]) -> None:
-        """Start typing every surface of ``jobs`` not yet submitted since the last
-        collect, in the background, with the context of its first job."""
+        """Start typing every surface of ``jobs`` not yet submitted since the last collect,
+        with the context of its first job; only selections the map lacks go to ``requests``."""
         for entity, context in jobs:
             if entity.surface in self._pending:
                 continue
-            self._pending[entity.surface] = self.requests.submit(self._type_new, (entity, context))
+            key = (entity.surface, context or None)  # an empty context shows the same prompt
+            label = self.taxonomy.rule_label(entity)
+            held = (label, ()) if label is not None else self.labels.held(key)
+            self._pending[entity.surface] = held or self.requests.submit(
+                self.labels.get, key, partial(self.select_type, entity, context)
+            )
 
     def collect(self) -> Mapping[str, TaxonomyLabel]:
         """Wait for the jobs submitted since the last collect; their labels by surface.
@@ -273,7 +283,7 @@ class EntityTyper:
         not depend on thread timing. When jobs fail, the first failing job in job
         order raises.
         """
-        typed = [future.result() for future in self._pending.values()]
+        typed = [job if isinstance(job, tuple) else job.result() for job in self._pending.values()]
         labels = {surface: label for surface, (label, _) in zip(self._pending, typed)}
         self.events.extend(event for _, events in typed for event in events)
         self._pending = {}
@@ -283,17 +293,6 @@ class EntityTyper:
         """The label of one entity; earlier submits are collected with it."""
         self.submit([(entity, context)])
         return self.collect()[entity.surface]
-
-    def _type_new(self, job: TypingJob) -> Typed:
-        """The label of a submitted surface, and the fallback events it took: by rule,
-        else the LLM selection for its (surface, context) from the map."""
-        entity, context = job
-        label = self.taxonomy.rule_label(entity)
-        if label is not None:
-            return label, ()
-        # an empty context shows the same prompt as none
-        key = (entity.surface, context or None)
-        return self.labels.get(key, lambda: self.select_type(entity, context))
 
     def select_type(self, entity: Entity, context: Optional[str] = None) -> Typed:
         """Two-stage selection: keep first-level labels, then pick the final pair.

@@ -100,6 +100,13 @@ class TestRunCommand:
         assert "TASR_LLM_URL" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize("parallel", ["0", "-2"])
+    def test_parallel_below_one_fails_cleanly(self, tmp_path, capsys, parallel):
+        assert main(_run_args(tmp_path, ["--parallel", parallel])) == 1
+        assert f"error: parallel: must be at least 1, got {parallel}" in capsys.readouterr().err
+        assert not (tmp_path / "predictions.jsonl").exists()
+
+
 class TestEvalCommand:
     def test_scores_predictions_file(self, tmp_path, capsys):
         run_dir = tmp_path / "run"

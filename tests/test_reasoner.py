@@ -36,7 +36,7 @@ from tasr.model import (
 from tasr import reasoner
 from tasr.reasoner import Pipeline, answer_subquery, bind, resolve
 from tasr.structurer import subquery_typing_jobs
-from tasr.taxonomy import EntityTyper, load_default_taxonomy
+from tasr.taxonomy import EntityTyper, LabelMap, load_default_taxonomy
 
 from conftest import (
     FIXTURES,
@@ -657,6 +657,26 @@ class TestOneTypingStep:
 
 class TestRequestPool:
     """A question sends every request before its answers on a bounded pool of its own."""
+
+    @pytest.mark.parametrize("pre_extract", [False, True])
+    def test_a_repeated_question_puts_no_typing_job_on_its_pool(self, monkeypatch, pre_extract):
+        # its labels are held by the pipeline's map: they are read on the question's thread
+        typing_jobs = []
+
+        class CountingPool(ThreadPoolExecutor):
+            def submit(self, fn, /, *args, **kwargs):
+                if isinstance(getattr(fn, "__self__", None), (EntityTyper, LabelMap)):
+                    typing_jobs.append(args)
+                return super().submit(fn, *args, **kwargs)
+
+        monkeypatch.setattr(reasoner, "ThreadPoolExecutor", CountingPool)
+        pipeline = _fresh_pipeline(ScriptedFaults(), pre_extract=pre_extract)
+        first_answer, first = pipeline.run_query(RUNNING_QUESTION)
+        assert typing_jobs
+        typing_jobs.clear()
+        answer, trace = pipeline.run_query(RUNNING_QUESTION)
+        assert typing_jobs == []
+        assert (answer, trace.to_dict()) == (first_answer, first.to_dict())
 
     def test_failed_pre_extraction_stops_the_pool(self):
         # the set-up's typed error reaches the caller, and no request thread outlives it

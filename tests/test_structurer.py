@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tasr.errors import InvalidDecomposition, LlmProtocolError
 from tasr.llm import Gateway, scripted_mock
@@ -256,6 +258,30 @@ class TestDecomposeQuery:
 
         hinted = {"sub_queries": sub_queries, "type_hints": {"?BigThing": hint}}
         assert job_texts(hinted) == job_texts({"sub_queries": sub_queries})
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        empty=st.lists(
+            st.tuples(st.sampled_from(["", "?"]), st.text(alphabet="_- \t", max_size=3)).map(
+                "".join
+            ),
+            min_size=1,
+        ),
+        hints=st.dictionaries(
+            st.sampled_from(["?BigThing", "small_thing", "?other-thing"]), st.text(max_size=8)
+        ),
+        description=st.text(max_size=8),
+        empty_first=st.booleans(),
+    )
+    def test_a_hint_whose_name_is_empty_is_dropped(self, empty, hints, description, empty_first):
+        sub_queries = [
+            {"head": "x", "relation": "r", "tail": "?BigThing"},
+            {"head": "?BigThing", "relation": "r2", "tail": "?SmallThing"},
+        ]
+        dropped = {name: description for name in empty}
+        type_hints = {**dropped, **hints} if empty_first else {**hints, **dropped}
+        dec = decompose_query({"sub_queries": sub_queries, "type_hints": type_hints})
+        assert dec == decompose_query({"sub_queries": sub_queries, "type_hints": hints})
 
     def test_latent_names_normalized(self):
         backend = scripted_mock(

@@ -4,9 +4,12 @@ import re
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tasr.config import PipelineConfig, validate_config
 from tasr.embedding import CachingEncoder, HashEncoderClient
@@ -128,6 +131,14 @@ class TestRetrieveCandidates:
         index = TypeEmbeddingIndex(tax, encoder)
         cands = index.top_l1("probe", default_cfg.n_l1_candidates)
         assert [l1 for l1, _ in cands] == ["AA", "ZZ"]
+
+    def test_an_empty_scope_holds_the_entity_vectors(self, taxonomy, hash_encoder):
+        # an empty memo is still the memo asked for, not the index's pipeline-lifetime one
+        index = TypeEmbeddingIndex(taxonomy, hash_encoder)
+        scope, held = hash_encoder.scope(), len(hash_encoder)
+        index.top_l1("a surface no one encoded", 3, scope)
+        index.top_l2("PRODUCT", "another surface no one encoded", 3, scope)
+        assert (len(hash_encoder), len(scope)) == (held, 2)
 
 
 def _typer(taxonomy, encoder, backend, cfg, requests):
@@ -505,3 +516,86 @@ class TestLabelMap:
             "type_select fallback (stage 1) for entity 'alpha entity'"
         ]
         assert len(labels) == 1  # rule-typed surfaces never reach the map
+
+
+class KeyedEchoBackend(OovEchoBackend):
+    """Echoes type selections and records the (surface, context) key of every request;
+    stage 1 of a ``gated`` surface waits for ``release``."""
+
+    def __init__(self, oov=(), gated=()):
+        super().__init__(oov)
+        self.gated, self.keys = set(gated), []
+        self.started, self.release = threading.Semaphore(0), threading.Event()
+
+    def complete(self, req):
+        entity = re.search(r'entity "(.*)"', req.user_prompt).group(1)
+        context = re.search(r"\nContext: (.*)", req.user_prompt)
+        self.keys.append((entity, context and context.group(1)))
+        if entity in self.gated and "First-level types" in req.user_prompt:
+            self.started.release()
+            assert self.release.wait(timeout=10)
+        return super().complete(req)
+
+
+SURFACES = ["alpha entity", "beta entity", "gamma entity", "delta entity", "1998", "37.5%"]
+
+
+class TestHeldSelections:
+    """A typer reads rule labels and held selections on the asking thread; only the keys
+    the map does not hold become jobs, and the outcome is the same either way."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        jobs=st.lists(
+            st.tuples(st.sampled_from(SURFACES), st.sampled_from([None, "", "title A", "title B"])),
+            min_size=1,
+            max_size=10,
+        ),
+        oov=st.sets(st.sampled_from(SURFACES)),
+        data=st.data(),
+    )
+    def test_held_and_in_flight_keys_collect_as_cold_ones(
+        self, taxonomy, default_cfg, jobs, oov, data
+    ):
+        index = TypeEmbeddingIndex(taxonomy, CachingEncoder(HashEncoderClient()))
+        first = {}  # each surface's key: the context of its first job, none when empty
+        for surface, context in jobs:
+            first.setdefault(surface, context or None)
+        selected = [key for key in first.items() if taxonomy.rule_label(Entity(key[0])) is None]
+        held = data.draw(
+            st.lists(st.sampled_from(selected), unique=True) if selected else st.just([])
+        )
+        held_jobs = [(Entity(surface), context) for surface, context in held]
+
+        def typer(backend, labels, requests):
+            return EntityTyper(index, Gateway(backend=backend), default_cfg, requests, labels)
+
+        def collect(backend, labels, before=lambda: None):
+            with ThreadPoolExecutor(4) as requests:
+                asking = typer(backend, labels, requests)
+                asking.submit((Entity(surface), context) for surface, context in jobs)
+                before()
+                return asking.collect(), asking.events
+
+        cold_backend = KeyedEchoBackend(oov)
+        cold = collect(cold_backend, LabelMap())
+        assert list(cold[0]) == list(first)
+        assert set(cold_backend.keys) == set(selected)
+
+        warm, warm_backend = LabelMap(), KeyedEchoBackend(oov)
+        with ThreadPoolExecutor(4) as requests:
+            other = typer(KeyedEchoBackend(oov), warm, requests)
+            other.submit(held_jobs)
+            other.collect()
+        assert collect(warm_backend, warm) == cold
+        assert not set(warm_backend.keys) & set(held)
+
+        in_flight, gated = LabelMap(), KeyedEchoBackend(oov, gated=[s for s, _ in held])
+        flight_backend = KeyedEchoBackend(oov)
+        with ThreadPoolExecutor(max(len(held), 1)) as requests:
+            other = typer(gated, in_flight, requests)
+            other.submit(held_jobs)
+            assert all(gated.started.acquire(timeout=10) for _ in held)
+            assert collect(flight_backend, in_flight, gated.release.set) == cold
+            other.collect()
+        assert not set(flight_backend.keys) & set(held)
