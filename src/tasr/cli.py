@@ -27,6 +27,7 @@ from tasr.config import PipelineConfig, load_config, validate_config
 from tasr.embedding import CachingEncoder, encoder_from_url
 from tasr.errors import DatasetParseError, TasrError, json_field, read_json
 from tasr.evaluation import (
+    check_parallel,
     load_corpus,
     load_dataset,
     load_predictions,
@@ -103,20 +104,13 @@ def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
     )
 
 
-def _llm_spec(flag: str | None) -> str:
+def _gateway(flag: str | None) -> Gateway:
     spec = flag or os.environ.get("TASR_LLM_URL", "")
     if not spec:
         raise TasrError("no LLM endpoint: pass --llm or set TASR_LLM_URL")
-    return spec
-
-
-def _gateway(flag: str | None) -> Gateway:
-    backend = backend_from_spec(
-        _llm_spec(flag),
-        model=os.environ.get("TASR_LLM_MODEL", "default"),
-        api_key=os.environ.get("TASR_LLM_API_KEY", ""),
-    )
-    return Gateway(backend=backend)
+    model = os.environ.get("TASR_LLM_MODEL", "default")
+    api_key = os.environ.get("TASR_LLM_API_KEY", "")
+    return Gateway(backend=backend_from_spec(spec, model=model, api_key=api_key))
 
 
 def _encoder(flag: str | None) -> CachingEncoder:
@@ -129,7 +123,16 @@ def _taxonomy(flag: str | None):
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    # the dataset, the flags and both directories are checked before set-up sends a request
     cfg = _resolve_config(args)
+    dataset = load_dataset(args.dataset)
+    check_parallel(args.parallel)
+    for flag, path in (("--out-dir", args.out_dir), ("--trace-dir", args.trace_dir)):
+        try:
+            if path is not None:
+                Path(path).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise TasrError(f"{flag} {path}: cannot make the directory: {exc.strerror}") from exc
     pipeline = Pipeline(
         documents=load_corpus(args.corpus),
         taxonomy=_taxonomy(args.taxonomy),
@@ -138,11 +141,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         cfg=cfg,
         pre_extract=args.pre_extract,
     )
-    dataset = load_dataset(args.dataset)
     run = run_benchmark(dataset, pipeline, trace_dir=args.trace_dir, parallel=args.parallel)
 
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     predictions_path = out_dir / "predictions.jsonl"
     with predictions_path.open("w", encoding="utf-8") as fh:
         for record in run.predictions:

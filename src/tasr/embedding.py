@@ -26,7 +26,7 @@ from tasr.errors import NonFiniteVector, clip, json_field, read_json
 from tasr.llm import post_json
 from tasr.model import Document
 
-CORPUS_CHUNK = 256  # texts per encoder request while building the corpus matrix
+CORPUS_CHUNK = 256  # texts per encoder request while building an index matrix
 SEARCH_BLAS_BYTES = 16 << 20  # a larger search matrix is scored by a matrix product
 
 class EncoderClient(Protocol):
@@ -196,29 +196,39 @@ def encoder_from_url(url: str) -> EncoderClient:
 
 
 class VectorIndex:
-    """Exact top-k search over unit vectors, keyed by string.
+    """Exact top-k search over unit vectors, keyed by string, one row of ``vectors`` per key.
 
-    Up to :data:`SEARCH_BLAS_BYTES` of vectors, a key scores the same as it
-    would in an index of its vector alone.
+    A float64 matrix is used without a copy. Up to :data:`SEARCH_BLAS_BYTES` of
+    vectors, a key scores the same as it would in an index of its vector alone.
     """
 
-    def __init__(self, entries: Sequence[tuple[str, np.ndarray]]) -> None:
-        self.keys = [key for key, _ in entries]
-        if entries:
-            # one cast into the result; per-row float64 copies would double the peak
-            self._matrix = np.array([v for _, v in entries], dtype=np.float64)
-        else:
-            self._matrix = np.zeros((0, 0))
+    def __init__(self, keys: Sequence[str], vectors: Sequence[np.ndarray] | np.ndarray) -> None:
+        self.keys = list(keys)
+        self._matrix = np.asarray(vectors, dtype=np.float64)
 
     def __len__(self) -> int:
         return len(self.keys)
 
     @classmethod
-    def from_matrix(cls, keys: list[str], matrix: np.ndarray) -> "VectorIndex":
-        """An index over the rows of a float64 ``matrix``, one per key, used without a copy."""
-        index = cls([])
-        index.keys, index._matrix = keys, matrix
-        return index
+    def encode(
+        cls, keys: Sequence[str], texts: Sequence[str], encoder: CachingEncoder
+    ) -> "VectorIndex":
+        """An index over the vectors of ``texts``, one per key.
+
+        Texts are encoded in chunks of :data:`CORPUS_CHUNK` straight into one
+        float64 matrix, each chunk through a memo of its own that goes with it, so
+        the encoder's memo does not keep them and each vector is held once. The
+        matrix is a mapping of its own, unmapped with the index: in the malloc heap,
+        whether the next index reused a freed matrix hung on other threads' allocations.
+        """
+        matrix = np.zeros((0, 0))
+        for start in range(0, len(texts), CORPUS_CHUNK):
+            vectors = encoder.scope().encode(texts[start : start + CORPUS_CHUNK])
+            if start == 0:
+                shape = (len(texts), len(vectors[0]))
+                matrix = np.ndarray(shape, buffer=mmap.mmap(-1, max(8 * shape[0] * shape[1], 1)))
+            matrix[start : start + len(vectors)] = vectors
+        return cls(keys, matrix)
 
     def search(self, query: np.ndarray, k: int) -> list[tuple[str, float]]:
         """Top-k by inner product, descending; ties broken by key ascending."""
@@ -244,26 +254,12 @@ class VectorIndex:
 
 
 class CorpusIndex:
-    """Dense document index built over ``title\\n\\ntext``.
-
-    Texts are encoded in chunks of :data:`CORPUS_CHUNK` straight into one
-    float64 matrix, each chunk through a memo of its own that goes with it, so
-    the encoder's memo does not keep them and each vector is held once. The
-    matrix is a mapping of its own, unmapped with the index: in the malloc heap,
-    whether the next index reused a freed matrix hung on other threads' allocations.
-    """
+    """Dense document index built over ``title\\n\\ntext`` by :meth:`VectorIndex.encode`."""
 
     def __init__(self, documents: Sequence[Document], encoder: CachingEncoder) -> None:
         self.documents = {d.id: d for d in documents}
         texts = [d.embedding_text() for d in documents]
-        matrix = np.zeros((0, 0))
-        for start in range(0, len(texts), CORPUS_CHUNK):
-            vectors = encoder.scope().encode(texts[start : start + CORPUS_CHUNK])
-            if start == 0:
-                shape = (len(texts), len(vectors[0]))
-                matrix = np.ndarray(shape, buffer=mmap.mmap(-1, max(8 * shape[0] * shape[1], 1)))
-            matrix[start : start + len(vectors)] = vectors
-        self.index = VectorIndex.from_matrix([d.id for d in documents], matrix)
+        self.index = VectorIndex.encode([d.id for d in documents], texts, encoder)
 
 
 def dense_retrieve(

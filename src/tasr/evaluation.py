@@ -126,6 +126,12 @@ def write_trace(trace: ReasoningTrace, trace_dir: str | Path, question_id: str) 
     return path
 
 
+def check_parallel(parallel: int) -> None:
+    """A batch runs on ``parallel`` workers: fewer than one is a RangeViolation."""
+    if parallel < 1:
+        raise RangeViolation("parallel", f"must be at least 1, got {parallel}")
+
+
 @dataclass
 class BenchmarkRun:
     report: EvalReport
@@ -146,8 +152,7 @@ def run_benchmark(
     """
     if not dataset:
         raise DatasetParseError("dataset has no examples")
-    if parallel < 1:
-        raise RangeViolation("parallel", f"must be at least 1, got {parallel}")
+    check_parallel(parallel)
 
     def run_one(example: QaExample) -> tuple[ExampleResult, int]:
         try:
@@ -160,11 +165,8 @@ def run_benchmark(
             write_trace(trace, trace_dir, example.id)
         return _score_example(example, answer), sum(1 for hop in trace.hops if hop.fallback)
 
-    if parallel > 1:
-        with ThreadPoolExecutor(max_workers=parallel) as pool:
-            outcomes = list(pool.map(run_one, dataset))
-    else:
-        outcomes = [run_one(example) for example in dataset]
+    with ThreadPoolExecutor(max_workers=parallel) as pool:
+        outcomes = list(pool.map(run_one, dataset))
 
     results = [result for result, _ in outcomes]
     report = _report(results, sum(count for _, count in outcomes), pipeline.startup_events)

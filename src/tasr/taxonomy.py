@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import json
 import re
-import sys
 import threading
 from concurrent.futures import Executor, Future
 from dataclasses import dataclass
@@ -144,18 +143,16 @@ def rule_type_entity(entity: Entity) -> Optional[TaxonomyLabel]:
 # --- retrieval-first candidate generation ------------------------------------
 
 class TypeEmbeddingIndex:
-    """Global L1 label index plus one L2 index per first-level branch."""
+    """Global L1 label index plus one L2 index per first-level branch, keyed by l2 name."""
 
     def __init__(self, taxonomy: Taxonomy, encoder: CachingEncoder) -> None:
         self.taxonomy = taxonomy
         self.encoder = encoder
-        l1_vectors = encoder.encode(list(taxonomy.l1_classes))
-        self.l1_index = VectorIndex(list(zip(taxonomy.l1_classes, l1_vectors)))
+        self.l1_index = VectorIndex.encode(taxonomy.l1_classes, taxonomy.l1_classes, encoder)
         self.l2_indexes: dict[str, VectorIndex] = {}
         for l1 in taxonomy.l1_classes:
-            keys = [f"{l1}/{l2}" for l2 in taxonomy.children[l1]]
-            vectors = encoder.encode(keys)
-            self.l2_indexes[l1] = VectorIndex(list(zip(keys, vectors)))
+            l2s = taxonomy.children[l1]
+            self.l2_indexes[l1] = VectorIndex.encode(l2s, [f"{l1}/{l2}" for l2 in l2s], encoder)
 
     def top_l1(
         self, entity_text: str, n: int, encoder: Optional[CachingEncoder] = None
@@ -169,8 +166,7 @@ class TypeEmbeddingIndex:
         self, l1: str, entity_text: str, m: int, encoder: Optional[CachingEncoder] = None
     ) -> list[tuple[str, str, float]]:
         query = (self.encoder if encoder is None else encoder).encode_one(entity_text)
-        hits = self.l2_indexes[l1].search(query, m)
-        return [(l1, key[len(l1) + 1 :], score) for key, score in hits]  # l1 may hold "/"
+        return [(l1, l2, score) for l2, score in self.l2_indexes[l1].search(query, m)]
 
 
 class LabelMap:
@@ -188,6 +184,7 @@ class LabelMap:
     def __init__(self) -> None:
         self._typed: dict[tuple[str, Optional[str]], Typed] = {}
         self._plain: dict[TaxonomyLabel, Typed] = {}  # the shared event-free entries
+        self._surfaces: dict[str, str] = {}  # the shared string of each surface
         self._in_flight: dict[tuple[str, Optional[str]], threading.Event] = {}
         self._lock = threading.Lock()
 
@@ -218,8 +215,8 @@ class LabelMap:
                 if typed is not None:
                     if not typed[1]:
                         typed = self._plain.setdefault(typed[0], typed)
-                    # one string per surface, not one per question that parsed it
-                    self._typed[(sys.intern(key[0]), key[1])] = typed
+                    # one string per surface; interned strings are never freed on Python 3.12
+                    self._typed[(self._surfaces.setdefault(key[0], key[0]), key[1])] = typed
                 del self._in_flight[key]
             owner_done.set()
         return typed

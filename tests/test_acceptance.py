@@ -266,7 +266,7 @@ def test_criterion_7_vector_index_exactness():
             matrix = rng.standard_normal((n, dim))
             matrix /= np.linalg.norm(matrix, axis=1, keepdims=True)
             keys = [f"k{i:04d}" for i in range(n)]
-            index = VectorIndex(list(zip(keys, matrix)))
+            index = VectorIndex(keys, matrix)
             query = normalize(rng.standard_normal(dim))
             k = int(rng.integers(1, n + 1))
 

@@ -4,6 +4,7 @@ from importlib import resources
 import pytest
 
 from tasr.cli import main
+from tasr.llm import Gateway
 
 from conftest import FIXTURES
 
@@ -100,10 +101,32 @@ class TestRunCommand:
         assert "TASR_LLM_URL" in capsys.readouterr().err
 
 
-    @pytest.mark.parametrize("parallel", ["0", "-2"])
-    def test_parallel_below_one_fails_cleanly(self, tmp_path, capsys, parallel):
-        assert main(_run_args(tmp_path, ["--parallel", parallel])) == 1
-        assert f"error: parallel: must be at least 1, got {parallel}" in capsys.readouterr().err
+    @pytest.mark.parametrize("extra, message", [
+        pytest.param(["--parallel", "0"], "parallel: must be at least 1, got 0", id="0"),
+        pytest.param(["--parallel", "-2"], "parallel: must be at least 1, got -2", id="-2"),
+        pytest.param(
+            ["--pre-extract", "--parallel", "0"], "parallel: must be at least 1, got 0",
+            id="pre-extract",
+        ),
+        pytest.param(
+            ["--pre-extract", "--dataset", "{tmp}/no-question.jsonl"], "dataset ",
+            id="dataset-line-without-question",
+        ),
+        pytest.param(["--out-dir", "{tmp}/file"], "--out-dir ", id="out-dir-is-a-file"),
+        pytest.param(["--trace-dir", "{tmp}/file"], "--trace-dir ", id="trace-dir-is-a-file"),
+    ])
+    def test_parallel_below_one_fails_cleanly(
+        self, tmp_path, capsys, monkeypatch, extra, message
+    ):
+        # a bad flag, dataset or directory is found before the pipeline sends a request
+        (tmp_path / "file").write_text("")
+        (tmp_path / "no-question.jsonl").write_text('{"id": "q1", "answers": ["a"]}\n')
+        sent, call = [], Gateway.call
+        monkeypatch.setattr(Gateway, "call", lambda self, *a: sent.append(a[0]) or call(self, *a))
+        argv = _run_args(tmp_path, [arg.format(tmp=tmp_path) for arg in extra])
+        assert main(argv) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert sent == []
         assert not (tmp_path / "predictions.jsonl").exists()
 
 

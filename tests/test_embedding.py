@@ -241,21 +241,21 @@ class TestEncodeTripleComponents:
 
 class TestVectorIndexSearch:
     def test_singleton(self):
-        index = VectorIndex([("only", normalize(np.array([1.0, 0.0])))])
+        index = VectorIndex(["only"], [normalize(np.array([1.0, 0.0]))])
         assert index.search(normalize(np.array([0.0, 1.0])), 3) == [("only", 0.0)]
 
     def test_k_larger_than_index_truncates(self):
         vecs = HashEncoderClient(dim=8).encode(["a", "b", "c"])
-        index = VectorIndex(list(zip(["a", "b", "c"], vecs)))
+        index = VectorIndex(["a", "b", "c"], vecs)
         assert len(index.search(vecs[0], 10)) == 3
 
     def test_empty_index_rejected(self):
         with pytest.raises(EmptyIndex):
-            VectorIndex([]).search(np.ones(3), 1)
+            VectorIndex([], []).search(np.ones(3), 1)
 
     def test_equal_scores_tie_break_by_key(self):
         v = normalize(np.ones(4))
-        index = VectorIndex([("zeta", v), ("alpha", v)])
+        index = VectorIndex(["zeta", "alpha"], [v, v])
         hits = index.search(v, 2)
         assert [key for key, _ in hits] == ["alpha", "zeta"]
 
@@ -266,7 +266,7 @@ class TestVectorIndexSearch:
             dim = int(rng.integers(3, 16))
             keys = [f"k{i:03d}" for i in range(n)]
             vectors = [normalize(rng.standard_normal(dim)) for _ in range(n)]
-            index = VectorIndex(list(zip(keys, vectors)))
+            index = VectorIndex(keys, vectors)
             query = normalize(rng.standard_normal(dim))
             k = int(rng.integers(1, n + 1))
             got = index.search(query, k)
@@ -288,7 +288,7 @@ class TestVectorIndexSearch:
         rng = np.random.default_rng(seed)
         distinct = [normalize(rng.standard_normal(4)) for _ in range(4)]
         keys = [f"k{i:02d}" for i in rng.permutation(len(rows))]
-        index = VectorIndex([(key, distinct[row]) for key, row in zip(keys, rows)])
+        index = VectorIndex(keys, [distinct[row] for row in rows])
         query = normalize(rng.standard_normal(4))
         scores = {key: float(distinct[row] @ query) for key, row in zip(keys, rows)}
         expected = sorted(keys, key=lambda key: (-scores[key], key))[:k]
@@ -308,15 +308,16 @@ class TestVectorIndexSearch:
         keys = [f"k{i:03d}" for i in range(n)]
         vectors = [normalize(rng.standard_normal(dim)) for _ in range(n)]
         query = normalize(rng.standard_normal(dim))
-        scores = dict(VectorIndex(list(zip(keys, vectors))).search(query, n))
+        scores = dict(VectorIndex(keys, vectors).search(query, n))
         for key, vector in zip(keys, vectors):
-            assert scores[key] == VectorIndex([(key, vector)]).search(query, 1)[0][1], key
+            assert scores[key] == VectorIndex([key], [vector]).search(query, 1)[0][1], key
 
     def test_matrix_product_past_the_bound_ranks_as_row_dots(self, monkeypatch):
         rng = np.random.default_rng(11)
-        entries = [(f"k{i:02d}", normalize(rng.standard_normal(16))) for i in range(40)]
+        keys = [f"k{i:02d}" for i in range(40)]
+        vectors = [normalize(rng.standard_normal(16)) for _ in keys]
         query = normalize(rng.standard_normal(16))
-        index = VectorIndex(entries)
+        index = VectorIndex(keys, vectors)
         row_dots = index.search(query, 10)
         monkeypatch.setattr(embedding, "SEARCH_BLAS_BYTES", 0)
         product = index.search(query, 10)

@@ -469,12 +469,19 @@ class TestMalformedLlmOutput:
         assert run.report.error_count == sum(1 for r in per_example if r.error is not None)
         assert all(r.em == 0 and r.f1 == 0.0 for r in per_example if r.error is not None)
 
-    @pytest.mark.parametrize("blank", ["relation", "head"])
+    @pytest.mark.parametrize("blank", ["relation", "head", "extract"])
     def test_blank_subquery_field_fails_only_its_question(self, blank):
-        # a blank relation or bound head is no sub-query: that question scores 0/0
-        sub_query = {"head": "?Company", "relation": "acquired", "tail": "MySQL AB", blank: "  "}
-        reply = {"sub_queries": [sub_query]}
-        entries = [ScriptEntry("decompose", "acquired", reply), *self._toy_entries]
+        # a blank relation or bound head is no sub-query, and a blank relation in the question's
+        # extraction replies ("extract") no triple: either way that question alone scores 0/0
+        if blank == "extract":
+            triple = {"head": "Sun Microsystems", "relation": "  ", "tail": "MySQL AB"}
+            reply = {"triples": [triple]}
+            entry = ScriptEntry("extract", "Question: Which company acquired", reply)
+        else:
+            sub_query = {"head": "?Company", "relation": "acquired", "tail": "MySQL AB"}
+            sub_query[blank] = "  "
+            entry = ScriptEntry("decompose", "acquired", {"sub_queries": [sub_query]})
+        entries = [entry, *self._toy_entries]
         pipeline = Pipeline(
             documents=self._corpus,
             taxonomy=load_default_taxonomy(),

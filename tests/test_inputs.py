@@ -11,7 +11,7 @@ import json
 import uuid
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tasr.cli import main
@@ -68,7 +68,12 @@ def jsonl(values):
     return st.lists(line | st.just(b""), max_size=4).map(b"\n".join) | st.binary(max_size=300)
 
 
-LABELS = st.lists(st.text(max_size=8), min_size=2, max_size=2) | near(l1=st.text(), l2=st.text())
+LABELS = (
+    st.lists(st.text(max_size=8), min_size=2, max_size=2)
+    | near(l1=st.text(), l2=st.text())
+    | SCALARS  # neither a pair nor an object
+    | st.lists(st.text(max_size=8), max_size=3).filter(lambda labels: len(labels) != 2)
+)
 MATCH_ITEM = near(
     head=st.text(max_size=8),
     relation=st.text(max_size=8),
@@ -199,8 +204,15 @@ class TestEveryLoaderReturnsOrFailsTyped:
     @PROPERTY
     @given(jsonl(JSON_VALUES | near(
         text=st.text(),
-        vector=st.lists(st.integers() | st.floats() | st.just(10**400), min_size=2, max_size=2),
+        vector=st.lists(
+            st.integers() | st.floats() | st.just(10**400) | st.text() | st.booleans() | st.none(),
+            min_size=2,
+            max_size=2,
+        ),
     )))
+    @example(b'{"text": "a", "vector": [0.0, "1.0"]}')
+    @example(b'{"text": "a", "vector": [true, 0.0]}')
+    @example(b'{"text": "a", "vector": [0.0, null]}')
     def test_vector_cache(self, write, content):
         loads_or_fails_cleanly(
             lambda path: CachingEncoder(HashEncoderClient(dim=2), cache_path=path), write(content)
@@ -208,6 +220,8 @@ class TestEveryLoaderReturnsOrFailsTyped:
 
     @PROPERTY
     @given(document(JSON_VALUES | SUBQUERY))
+    @example(json.dumps({**VALID_SUBQUERY, "head_type": "X/Y"}).encode())
+    @example(json.dumps({**VALID_SUBQUERY, "tail_type": ["X", "Y", "Z"]}).encode())
     def test_match_subquery(self, write, content):
         path = write(content)
         doc_triples = write(json.dumps(VALID_DOC_TRIPLES).encode())
@@ -218,6 +232,7 @@ class TestEveryLoaderReturnsOrFailsTyped:
     @given(document(JSON_VALUES | near(
         doc_id=st.text(max_size=6), triples=st.lists(JSON_VALUES | MATCH_ITEM, max_size=3)
     )))
+    @example(json.dumps({"triples": [{**VALID_SUBQUERY, "tail": "b", "tail_type": 7}]}).encode())
     def test_match_doc_triples(self, write, content):
         path = write(content)
         subquery = write(json.dumps(VALID_SUBQUERY).encode())

@@ -336,6 +336,12 @@ class TestQuestionScopedMemory:
             validate_config(PipelineConfig()), pre_extract=pre_extract,
         )
 
+    def test_built_pipeline_leaves_its_memo_empty(self, toy_corpus, taxonomy, toy_backend):
+        # the corpus and taxonomy label vectors are held once, in their indexes
+        encoder = CachingEncoder(HashEncoderClient())
+        self._pipeline(toy_corpus, taxonomy, toy_backend, encoder)
+        assert len(encoder) == 0
+
     def test_held_memo_does_not_grow_with_distinct_questions(self, toy_pipeline, toy_dataset):
         toy_pipeline.run_query(toy_dataset[0].question)
         after_one = len(toy_pipeline.encoder)

@@ -491,6 +491,14 @@ class TestLabelMap:
         first, second = labels._typed
         assert first[0] is second[0]
 
+    def test_shared_surfaces_are_not_interned(self):
+        # interned strings are never freed on Python 3.12: the map keeps its own table
+        labels, surface = LabelMap(), f"surface {os.getpid()} {time.monotonic_ns()}"
+        labels.get((surface, None), lambda: self.TYPED)
+        equal = "".join(surface)
+        assert equal is not surface
+        assert sys.intern(equal) is equal
+
     def test_typers_sharing_a_map_replay_its_events(
         self, taxonomy, hash_encoder, default_cfg, request_pool
     ):
