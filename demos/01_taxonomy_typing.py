@@ -45,16 +45,18 @@ encoder = CachingEncoder(HashEncoderClient())
 index = TypeEmbeddingIndex(taxonomy, encoder)
 gateway = Gateway(backend=load_script(ROOT / "fixtures" / "toy" / "llm_script.json"))
 
+# the index keeps no encoder: a search scores the vector its caller encoded
 entity = Entity("MySQL database")
-candidates = index.top_l1(entity.surface, cfg.n_l1_candidates)
+candidates = index.top_l1(encoder.encode_one(entity.surface), cfg.n_l1_candidates)
 print(f"top first-level candidates for {entity.surface!r}:")
 for l1, sim in candidates[:5]:
     print(f"  {l1:<14} similarity {sim:+.4f}")
 
-# the typer types against the taxonomy its index holds, and sends its requests on an
-# executor it is given (a pipeline gives each question its own)
+# the typer types against the taxonomy its index holds, encodes through the memo it is
+# given and sends its requests on an executor it is given (a pipeline gives each question
+# its own memo and executor)
 with ThreadPoolExecutor(1) as requests:
-    typer = EntityTyper(index, gateway, cfg, requests)
+    typer = EntityTyper(index, encoder, gateway, cfg, requests)
     label = typer.type_entity(entity)
     print(f"\nselected type: {label}")
 

@@ -20,8 +20,9 @@ import json
 import os
 import re
 import sys
+from contextlib import contextmanager, suppress
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterator
 
 from tasr.config import PipelineConfig, load_config, validate_config
 from tasr.embedding import CachingEncoder, encoder_from_url
@@ -122,34 +123,50 @@ def _taxonomy(flag: str | None):
     return load_taxonomy(flag) if flag else load_default_taxonomy()
 
 
+@contextmanager
+def _directories(*flagged: tuple[str, str | None]) -> Iterator[None]:
+    """Make the missing directories of the (flag, path) pairs for the block. If making one
+    fails, or the block does, the directories made here that are still empty are removed."""
+    made: list[Path] = []  # innermost first
+    try:
+        for flag, path in flagged:
+            try:
+                if path is not None:
+                    made[:0] = [p for p in (Path(path), *Path(path).parents) if not p.exists()]
+                    Path(path).mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                message = f"{flag} {path}: cannot make the directory: {exc.strerror}"
+                raise TasrError(message) from exc
+        yield
+    except BaseException:
+        for directory in made:
+            with suppress(OSError):  # one that holds a file stays
+                directory.rmdir()
+        raise
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     # the dataset, the flags and both directories are checked before set-up sends a request
     cfg = _resolve_config(args)
     dataset = load_dataset(args.dataset)
     check_parallel(args.parallel)
-    for flag, path in (("--out-dir", args.out_dir), ("--trace-dir", args.trace_dir)):
-        try:
-            if path is not None:
-                Path(path).mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise TasrError(f"{flag} {path}: cannot make the directory: {exc.strerror}") from exc
-    pipeline = Pipeline(
-        documents=load_corpus(args.corpus),
-        taxonomy=_taxonomy(args.taxonomy),
-        encoder=_encoder(args.embed),
-        gateway=_gateway(args.llm),
-        cfg=cfg,
-        pre_extract=args.pre_extract,
-    )
-    run = run_benchmark(dataset, pipeline, trace_dir=args.trace_dir, parallel=args.parallel)
-
-    out_dir = Path(args.out_dir)
-    predictions_path = out_dir / "predictions.jsonl"
-    with predictions_path.open("w", encoding="utf-8") as fh:
-        for record in run.predictions:
-            fh.write(json.dumps(record) + "\n")
-    report_path = out_dir / "report.json"
-    report_path.write_text(json.dumps(run.report.to_dict(), indent=2) + "\n", encoding="utf-8")
+    with _directories(("--out-dir", args.out_dir), ("--trace-dir", args.trace_dir)):
+        pipeline = Pipeline(
+            documents=load_corpus(args.corpus),
+            taxonomy=_taxonomy(args.taxonomy),
+            encoder=_encoder(args.embed),
+            gateway=_gateway(args.llm),
+            cfg=cfg,
+            pre_extract=args.pre_extract,
+        )
+        run = run_benchmark(dataset, pipeline, trace_dir=args.trace_dir, parallel=args.parallel)
+        out_dir = Path(args.out_dir)
+        predictions_path = out_dir / "predictions.jsonl"
+        with predictions_path.open("w", encoding="utf-8") as fh:
+            for record in run.predictions:
+                fh.write(json.dumps(record) + "\n")
+        report_path = out_dir / "report.json"
+        report_path.write_text(json.dumps(run.report.to_dict(), indent=2) + "\n", encoding="utf-8")
 
     print(f"wrote {predictions_path} and {report_path}")
     print(f"em_avg={run.report.em_avg:.4f} f1_avg={run.report.f1_avg:.4f} "
@@ -172,7 +189,7 @@ def cmd_type_entity(args: argparse.Namespace) -> int:
         encoder = _encoder(args.embed)
         index, gateway = TypeEmbeddingIndex(taxonomy, encoder), _gateway(args.llm)
         with request_pool() as requests:
-            typer = EntityTyper(index, gateway, _config(None), requests)
+            typer = EntityTyper(index, encoder, gateway, _config(None), requests)
             label = typer.type_entity(entity)
     print(json.dumps({"entity": entity.surface, "l1": label.l1, "l2": label.l2}))
     return 0

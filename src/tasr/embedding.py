@@ -20,11 +20,9 @@ from typing import Any, Optional, Protocol, Sequence
 
 import numpy as np
 
-from tasr.config import PipelineConfig
 from tasr.errors import DimensionMismatch, EmptyIndex, EncoderCacheError, EncoderUnavailable
 from tasr.errors import NonFiniteVector, clip, json_field, read_json
 from tasr.llm import post_json
-from tasr.model import Document
 
 CORPUS_CHUNK = 256  # texts per encoder request while building an index matrix
 SEARCH_BLAS_BYTES = 16 << 20  # a larger search matrix is scored by a matrix product
@@ -252,19 +250,3 @@ class VectorIndex:
         order = sorted(candidates, key=lambda i: (-scores[i], self.keys[i]))
         return [(self.keys[i], float(scores[i])) for i in order[:k]]
 
-
-class CorpusIndex:
-    """Dense document index built over ``title\\n\\ntext`` by :meth:`VectorIndex.encode`."""
-
-    def __init__(self, documents: Sequence[Document], encoder: CachingEncoder) -> None:
-        self.documents = {d.id: d for d in documents}
-        texts = [d.embedding_text() for d in documents]
-        self.index = VectorIndex.encode([d.id for d in documents], texts, encoder)
-
-
-def dense_retrieve(
-    query: str, corpus: CorpusIndex, cfg: PipelineConfig, encoder: CachingEncoder
-) -> list[Document]:
-    """Top-k0 documents by cosine with the query, encoded through ``encoder``, best first."""
-    hits = corpus.index.search(encoder.encode_one(query), cfg.k0)
-    return [corpus.documents[key] for key, _ in hits]

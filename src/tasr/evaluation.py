@@ -66,13 +66,15 @@ class EvalReport:
 _field = functools.partial(json_field, error=DatasetParseError)
 
 
-def _document(record: Any) -> Document:
-    return Document(*(_field(record, name, str) for name in ("id", "title", "text")))
-
-
 def load_corpus(path: str | Path) -> list[Document]:
-    """Corpus JSONL: one ``{"id": str, "title": str, "text": str}`` object per line."""
-    documents = read_json(path, DatasetParseError, "corpus", _document, lines=True)
+    """Corpus JSONL: one ``{"id", "title", "text"}`` object per line; ids are unique."""
+    seen: set[str] = set()
+
+    def document(record: Any) -> Document:
+        doc_id, title, text = (_field(record, name, str) for name in ("id", "title", "text"))
+        return Document(_new_id(seen, doc_id), title, text)
+
+    documents = read_json(path, DatasetParseError, "corpus", document, lines=True)
     if not documents:
         raise DatasetParseError(f"corpus {path} is empty")
     return documents

@@ -33,7 +33,7 @@ from itertools import islice
 from typing import Iterator, Mapping, Optional, Sequence
 
 from tasr.config import PipelineConfig
-from tasr.embedding import CORPUS_CHUNK, CachingEncoder, CorpusIndex, dense_retrieve
+from tasr.embedding import CORPUS_CHUNK, CachingEncoder, VectorIndex
 from tasr.errors import AmbiguousBinding, LlmProtocolError, TasrError, QueryFailure, json_field
 from tasr.llm import Gateway, load_prompt
 from tasr.matching import RankedPool, filter_and_rank, triple_texts
@@ -47,7 +47,6 @@ from tasr.model import (
     TaxonomyLabel,
 )
 from tasr.structurer import (
-    Decomposition,
     decompose_query,
     extract_triples,
     extraction_request,
@@ -92,6 +91,14 @@ def bind(sq: SubQuery, answer: str, bindings: BindingTable) -> BindingTable:
             raise TasrError(f"sub-query {sq.index} answer is empty but {pending[0]} needs a value")
         bindings.insert(pending[0], value)
     return bindings
+
+
+def dense_retrieve(
+    question: str, corpus: VectorIndex, documents: Mapping[str, Document], k0: int,
+    encoder: CachingEncoder,
+) -> list[Document]:
+    """The ``k0`` documents nearest the question, encoded through ``encoder``, best first."""
+    return [documents[key] for key, _ in corpus.search(encoder.encode_one(question), k0)]
 
 
 def answer_subquery(resolved: SubQuery, docs: Sequence[Document], gateway: Gateway) -> str:
@@ -175,8 +182,8 @@ def request_pool() -> Iterator[ThreadPoolExecutor]:
 
 
 class Pipeline:
-    """Everything a query run needs: corpus index, taxonomy indexes, label map, gateway,
-    config.
+    """Everything a query run needs: documents by id and their index, taxonomy indexes,
+    label map, gateway, config.
 
     A pipeline holds no threads: each question, and the ``pre_extract`` set-up, sends
     its requests on a :func:`request_pool` of its own.
@@ -208,7 +215,9 @@ class Pipeline:
             texts = [text for doc in documents for t in doc.triples for text in triple_texts(t)]
             for start in range(0, len(texts), CORPUS_CHUNK):
                 encoder.encode(texts[start : start + CORPUS_CHUNK])
-        self.corpus = CorpusIndex(documents, encoder)
+        self.documents = {d.id: d for d in documents}
+        texts = [d.embedding_text() for d in documents]
+        self.corpus = VectorIndex.encode([d.id for d in documents], texts, encoder)
 
     def run_query(self, question: str) -> tuple[str, ReasoningTrace]:
         """Run the full loop; returns the final answer and the complete trace."""
@@ -219,11 +228,11 @@ class Pipeline:
             raise QueryFailure(str(exc), trace=trace) from exc
 
     def _typer(self, requests: Executor, encoder: CachingEncoder) -> EntityTyper:
-        return EntityTyper(self.type_index, self.gateway, self.cfg, requests, self.labels, encoder)
+        return EntityTyper(self.type_index, encoder, self.gateway, self.cfg, requests, self.labels)
 
     def _run(self, question: str, trace: ReasoningTrace) -> tuple[str, ReasoningTrace]:
         encoder = self.encoder.scope()  # the question's vectors, dropped when it ends
-        pool = dense_retrieve(question, self.corpus, self.cfg, encoder)
+        pool = dense_retrieve(question, self.corpus, self.documents, self.cfg.k0, encoder)
         trace.pool_ids = [d.id for d in pool]
         with request_pool() as requests:
             typer = self._typer(requests, encoder)
@@ -245,7 +254,11 @@ class Pipeline:
         answer = ""
         for position, sub_query in enumerate(decomposition.sub_queries):
             resolved = resolve(sub_query, bindings)
-            ranked = self._rerank(pool, decomposition, bindings, resolved, position, encoder)
+            if self.cfg.hop_scope == "chain":
+                chain = [resolve(sq, bindings) for sq in decomposition.sub_queries]
+                ranked = filter_and_rank(pool, chain, self.cfg, encoder, force_index=position)
+            else:
+                ranked = filter_and_rank(pool, [resolved], self.cfg, encoder)
             selected = [pool_by_id[s.doc_id] for s in ranked.documents]
             answer = answer_subquery(resolved, selected, self.gateway)
             bind(resolved, answer, bindings)
@@ -267,20 +280,6 @@ class Pipeline:
         trace.final_answer = answer
         trace.events.extend(typer.events)
         return answer, trace
-
-    def _rerank(
-        self,
-        pool: Sequence[Document],
-        decomposition: Decomposition,
-        bindings: BindingTable,
-        resolved: SubQuery,
-        position: int,
-        encoder: CachingEncoder,
-    ) -> RankedPool:
-        if self.cfg.hop_scope == "chain":
-            chain = [resolve(sq, bindings) for sq in decomposition.sub_queries]
-            return filter_and_rank(pool, chain, self.cfg, encoder, force_index=position)
-        return filter_and_rank(pool, [resolved], self.cfg, encoder)
 
 
 def _score_records(ranked: RankedPool) -> list[dict]:

@@ -34,6 +34,8 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Optional
 
+import numpy as np
+
 from tasr.config import PipelineConfig
 from tasr.embedding import CachingEncoder, VectorIndex
 from tasr.errors import EmptyBranch, LlmProtocolError, TaxonomyParseError
@@ -143,30 +145,24 @@ def rule_type_entity(entity: Entity) -> Optional[TaxonomyLabel]:
 # --- retrieval-first candidate generation ------------------------------------
 
 class TypeEmbeddingIndex:
-    """Global L1 label index plus one L2 index per first-level branch, keyed by l2 name."""
+    """Global L1 label index plus one L2 index per first-level branch, keyed by l2 name.
+    ``encoder`` encodes only the label texts: a search scores the vector its caller gives."""
 
     def __init__(self, taxonomy: Taxonomy, encoder: CachingEncoder) -> None:
         self.taxonomy = taxonomy
-        self.encoder = encoder
         self.l1_index = VectorIndex.encode(taxonomy.l1_classes, taxonomy.l1_classes, encoder)
         self.l2_indexes: dict[str, VectorIndex] = {}
         for l1 in taxonomy.l1_classes:
             l2s = taxonomy.children[l1]
             self.l2_indexes[l1] = VectorIndex.encode(l2s, [f"{l1}/{l2}" for l2 in l2s], encoder)
 
-    def top_l1(
-        self, entity_text: str, n: int, encoder: Optional[CachingEncoder] = None
-    ) -> list[tuple[str, float]]:
-        """The ``n`` nearest first-level labels; ``encoder`` (default: the index's own)
-        is the memo the entity text is encoded through."""
-        query = (self.encoder if encoder is None else encoder).encode_one(entity_text)
-        return self.l1_index.search(query, n)
+    def top_l1(self, vector: np.ndarray, n: int) -> list[tuple[str, float]]:
+        """The ``n`` first-level labels nearest ``vector``."""
+        return self.l1_index.search(vector, n)
 
-    def top_l2(
-        self, l1: str, entity_text: str, m: int, encoder: Optional[CachingEncoder] = None
-    ) -> list[tuple[str, str, float]]:
-        query = (self.encoder if encoder is None else encoder).encode_one(entity_text)
-        return [(l1, l2, score) for l2, score in self.l2_indexes[l1].search(query, m)]
+    def top_l2(self, l1: str, vector: np.ndarray, m: int) -> list[tuple[str, str, float]]:
+        """The ``m`` pairs of branch ``l1`` nearest ``vector``, as (l1, l2, score)."""
+        return [(l1, l2, score) for l2, score in self.l2_indexes[l1].search(vector, m)]
 
 
 class LabelMap:
@@ -237,26 +233,26 @@ class EntityTyper:
 
     ``events`` records every fallback a selection took (LLM protocol failure or
     out-of-vocabulary label), replayed when it is read from the map; only the
-    thread that calls :meth:`collect` writes it. Retrieval mode searches ``index``
-    and encodes entity texts through ``encoder`` (default: the index's own).
+    thread that calls :meth:`collect` writes it. Retrieval mode searches ``index`` with
+    each surface's vector, encoded once through ``encoder`` (the question's memo).
     """
 
     def __init__(
         self,
         index: TypeEmbeddingIndex,
+        encoder: CachingEncoder,
         gateway: Gateway,
         cfg: PipelineConfig,
         requests: Executor,
         labels: Optional[LabelMap] = None,
-        encoder: Optional[CachingEncoder] = None,
     ) -> None:
         self.taxonomy = index.taxonomy
         self.index = index
+        self.encoder = encoder
         self.gateway = gateway
         self.cfg = cfg
         self.requests = requests
         self.labels = LabelMap() if labels is None else labels
-        self.encoder = encoder
         self.events: list[str] = []
         self._pending: dict[str, Typed | Future[Typed]] = {}  # submitted, not yet collected
 
@@ -301,11 +297,10 @@ class EntityTyper:
             l1_candidates, keep = list(self.taxonomy.l1_classes), 1
             offer = lambda l1: [(l1, l2, 0.0) for l2 in self.taxonomy.children[l1]]
         else:
-            hits = self.index.top_l1(entity.surface, self.cfg.n_l1_candidates, self.encoder)
+            vector = self.encoder.encode_one(entity.surface)
+            hits = self.index.top_l1(vector, self.cfg.n_l1_candidates)
             l1_candidates, keep = [l1 for l1, _ in hits], self.cfg.l1_keep
-            offer = lambda l1: self.index.top_l2(
-                l1, entity.surface, self.cfg.m_l2_candidates, self.encoder
-            )
+            offer = lambda l1: self.index.top_l2(l1, vector, self.cfg.m_l2_candidates)
         events: list[str] = []
         context_block = f"\nContext: {context}" if context else ""
         prompt = load_prompt("type_select_l1").format(

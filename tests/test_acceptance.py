@@ -291,7 +291,7 @@ def test_criterion_8_typing_pipeline(taxonomy, default_cfg, request_pool):
 
         # rule-typed entities never reach the gateway
         backend = EchoSelectBackend()
-        typer = EntityTyper(index, Gateway(backend=backend), default_cfg, request_pool)
+        typer = EntityTyper(index, encoder, Gateway(backend=backend), default_cfg, request_pool)
         assert typer.type_entity(Entity("1998")) == TaxonomyLabel("TIME", "Year")
         assert typer.type_entity(Entity("37.5%")) == TaxonomyLabel("QUANTITY", "Percentage")
         assert backend.calls == []
@@ -311,14 +311,16 @@ def test_criterion_8_typing_pipeline(taxonomy, default_cfg, request_pool):
             ]
         )
         oov_typer = EntityTyper(
-            index, Gateway(backend=oov_backend), default_cfg, request_pool
+            index, encoder, Gateway(backend=oov_backend), default_cfg, request_pool
         )
         label = oov_typer.type_entity(Entity("Beowulf"))
         stage2 = [c for c in oov_backend.calls if "Final two-level type" in c.user_prompt]
         assert len(stage2) == 2
         union = []
         for l1 in ["WORK", "PRODUCT", "CONCEPT"]:
-            union.extend(index.top_l2(l1, "Beowulf", default_cfg.m_l2_candidates))
+            union.extend(
+                index.top_l2(l1, encoder.encode_one("Beowulf"), default_cfg.m_l2_candidates)
+            )
         top = max(union, key=lambda item: item[2])
         assert label == TaxonomyLabel(top[0], top[1])
 

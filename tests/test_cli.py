@@ -129,6 +129,31 @@ class TestRunCommand:
         assert sent == []
         assert not (tmp_path / "predictions.jsonl").exists()
 
+    @pytest.mark.parametrize("extra, message", [
+        pytest.param(
+            ["--out-dir", "{tmp}/new/out", "--trace-dir", "{tmp}/file"], "--trace-dir ",
+            id="trace-dir-fails-after-out-dir",
+        ),
+        pytest.param(
+            ["--trace-dir", "{tmp}/new/traces", "--out-dir", "{tmp}/file/out"], "--out-dir ",
+            id="out-dir-fails-before-trace-dir",
+        ),
+        pytest.param(
+            ["--out-dir", "{tmp}/old", "--trace-dir", "{tmp}/old/new/traces",
+             "--corpus", "{tmp}/missing.jsonl"], "corpus ",
+            id="set-up-fails-after-both",
+        ),
+    ])
+    def test_a_failed_run_leaves_no_directory_it_made(self, tmp_path, capsys, extra, message):
+        # directories that were there before the run stay
+        (tmp_path / "file").write_text("")
+        (tmp_path / "old").mkdir()
+        argv = _run_args(tmp_path, [arg.format(tmp=tmp_path) for arg in extra])
+        assert main(argv) == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "old"]
+        assert list((tmp_path / "old").iterdir()) == []
+
 
 class TestEvalCommand:
     def test_scores_predictions_file(self, tmp_path, capsys):

@@ -13,10 +13,8 @@ from tasr import embedding
 from tasr.config import PipelineConfig
 from tasr.embedding import (
     CachingEncoder,
-    CorpusIndex,
     HashEncoderClient,
     VectorIndex,
-    dense_retrieve,
     encoder_from_url,
     normalize,
 )
@@ -24,6 +22,7 @@ from tasr.errors import DimensionMismatch, EmptyIndex, EncoderCacheError, NonFin
 from tasr.evaluation import load_corpus
 from tasr.matching import component_texts
 from tasr.model import Document
+from tasr.reasoner import dense_retrieve
 
 from conftest import RecordingEncoderClient
 
@@ -337,6 +336,11 @@ class Float32Client:
         return [v.astype(np.float32) for v in self._inner.encode(texts)]
 
 
+def _corpus_index(docs, encoder):
+    """The corpus index a pipeline builds over ``docs``, by :meth:`VectorIndex.encode`."""
+    return VectorIndex.encode([d.id for d in docs], [d.embedding_text() for d in docs], encoder)
+
+
 class TestCorpusIndex:
     _docs = [Document(id=f"d{i}", title=f"title {i}", text=f"body {i}") for i in range(10)]
 
@@ -345,34 +349,52 @@ class TestCorpusIndex:
         monkeypatch.setattr(embedding, "CORPUS_CHUNK", 4)  # three chunks, the last one short
 
     def test_matrix_is_one_exact_cast_of_the_vectors(self):
-        corpus = CorpusIndex(self._docs, CachingEncoder(Float32Client()))
+        index = _corpus_index(self._docs, CachingEncoder(Float32Client()))
         texts = [d.embedding_text() for d in self._docs]
         expected = np.array(Float32Client().encode(texts), dtype=np.float64)
-        assert corpus.index._matrix.dtype == np.float64
-        assert corpus.index._matrix.tobytes() == expected.tobytes()
-        assert corpus.index.keys == [d.id for d in self._docs]
+        assert index._matrix.dtype == np.float64
+        assert index._matrix.tobytes() == expected.tobytes()
+        assert index.keys == [d.id for d in self._docs]
 
     def test_corpus_texts_stay_out_of_the_memo(self):
         client = Float32Client()
         encoder = CachingEncoder(client)
-        CorpusIndex(self._docs, encoder)
+        _corpus_index(self._docs, encoder)
         text = self._docs[0].embedding_text()
         encoder.encode_one(text)
         assert client.seen.count(text) == 2
 
     def test_second_build_over_the_disk_cache_calls_no_client(self, tmp_path):
         path = tmp_path / "cache.jsonl"
-        first = CorpusIndex(self._docs, CachingEncoder(Float32Client(), cache_path=path))
+        first = _corpus_index(self._docs, CachingEncoder(Float32Client(), cache_path=path))
         client = Float32Client()
-        second = CorpusIndex(self._docs, CachingEncoder(client, cache_path=path))
+        second = _corpus_index(self._docs, CachingEncoder(client, cache_path=path))
         assert client.seen == []
-        assert np.array_equal(first.index._matrix, second.index._matrix)
+        assert np.array_equal(first._matrix, second._matrix)
+
+    def test_search_after_build_sends_nothing_to_the_client(self):
+        client = Float32Client()
+        index = _corpus_index(self._docs, CachingEncoder(client))
+        sent = len(client.seen)
+        query = HashEncoderClient(dim=8).encode(["a question"])[0]
+        assert [key for key, _ in index.search(query, 3)]
+        assert len(client.seen) == sent
 
 
 class TestDenseRetrieve:
     def _retrieve(self, query, docs, cfg):
         encoder = CachingEncoder(HashEncoderClient())
-        return dense_retrieve(query, CorpusIndex(docs, encoder), cfg, encoder.scope())
+        corpus, by_id = _corpus_index(docs, encoder), {d.id: d for d in docs}
+        return dense_retrieve(query, corpus, by_id, cfg.k0, encoder.scope())
+
+    def test_question_goes_through_the_memo_it_is_given(self, toy_corpus, default_cfg):
+        client = RecordingEncoderClient()
+        encoder = CachingEncoder(client)
+        corpus, by_id = _corpus_index(toy_corpus, encoder), {d.id: d for d in toy_corpus}
+        scope, sent = encoder.scope(), len(client.seen)
+        dense_retrieve("a question", corpus, by_id, default_cfg.k0, scope)
+        assert client.seen[sent:] == ["a question"]
+        assert (len(encoder), len(scope)) == (0, 1)
 
     def test_pool_smaller_than_k0_returns_all(self, toy_corpus, default_cfg):
         pool = self._retrieve("any question at all", toy_corpus, default_cfg)

@@ -68,6 +68,15 @@ class TestLoaders:
         with pytest.raises(DatasetParseError, match=r"line 3: duplicate id 'q1'"):
             load_dataset(path)
 
+    def test_duplicate_corpus_id_error_names_the_line(self, tmp_path):
+        # a repeated id would hide the first document: retrieval maps ids to documents
+        corpus = tmp_path / "c.jsonl"
+        toy = (FIXTURES / "corpus.jsonl").read_text(encoding="utf-8")
+        extra = {"id": "doc1", "title": "Another", "text": "Other text."}
+        corpus.write_text(toy + json.dumps(extra) + "\n", encoding="utf-8")
+        with pytest.raises(DatasetParseError, match=r"line 7: duplicate id 'doc1'"):
+            load_corpus(corpus)
+
     @pytest.mark.parametrize("separator", ["\u2028", "\u2029", "\u0085"])
     def test_lines_end_only_at_newline(self, tmp_path, separator):
         # JSON lets these stand unescaped inside strings; str.splitlines() would split there

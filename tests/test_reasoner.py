@@ -304,7 +304,7 @@ class TestPreExtract:
         startup_extracts = [r for r in toy_backend.calls if r.role_tag == "extract"]
         assert len(startup_extracts) == 6
         assert all("Question:" not in r.user_prompt for r in startup_extracts)
-        assert all(doc.triples for doc in pipeline.corpus.documents.values())
+        assert all(doc.triples for doc in pipeline.documents.values())
 
         answer, _ = pipeline.run_query(RUNNING_QUESTION)
         assert answer == "MySQL AB"
@@ -383,7 +383,7 @@ class TestQuestionScopedMemory:
         )
         components = {
             text
-            for doc in pipeline.corpus.documents.values()
+            for doc in pipeline.documents.values()
             for t in doc.triples
             for text in triple_texts(t)
         }

@@ -129,6 +129,7 @@ class TestTypeDocumentTriples:
 
         return EntityTyper(
             TypeEmbeddingIndex(taxonomy, hash_encoder),
+            hash_encoder,
             Gateway(backend=backend),
             validate_config(PipelineConfig()),
             request_pool,
@@ -342,6 +343,7 @@ class TestTypeSubqueries:
 
         return EntityTyper(
             TypeEmbeddingIndex(taxonomy, hash_encoder),
+            hash_encoder,
             Gateway(backend=backend),
             validate_config(PipelineConfig()),
             request_pool,
@@ -352,8 +354,8 @@ class TestTypeSubqueries:
     ):
         dec = send_decomposition(RUNNING_QUESTION, toy_gateway)
         typer = EntityTyper(
-            TypeEmbeddingIndex(taxonomy, hash_encoder), toy_gateway, toy_pipeline_cfg(),
-            request_pool,
+            TypeEmbeddingIndex(taxonomy, hash_encoder), hash_encoder, toy_gateway,
+            toy_pipeline_cfg(), request_pool,
         )
         typed = _type_subqueries(dec, typer)
         s1, s2 = typed.sub_queries

@@ -30,7 +30,7 @@ from tasr.taxonomy import (
     taxonomy_from_dict,
 )
 
-from conftest import EchoSelectBackend, FIXTURES, PresetEncoderClient
+from conftest import EchoSelectBackend, FIXTURES, PresetEncoderClient, RecordingEncoderClient
 from tasr.llm import load_script
 
 
@@ -106,21 +106,24 @@ class TestRuleTyping:
 class TestRetrieveCandidates:
     def test_default_width_is_ten(self, taxonomy, hash_encoder, default_cfg):
         index = TypeEmbeddingIndex(taxonomy, hash_encoder)
-        cands = index.top_l1("MySQL database", default_cfg.n_l1_candidates)
+        vector = hash_encoder.encode_one("MySQL database")
+        cands = index.top_l1(vector, default_cfg.n_l1_candidates)
         assert len(cands) == 10
         sims = [s for _, s in cands]
         assert sims == sorted(sims, reverse=True)
 
     def test_singleton_taxonomy_returns_its_branch(self, default_cfg):
         tax = taxonomy_from_dict({"l1": [{"name": "X", "l2": ["Y"]}]})
-        index = TypeEmbeddingIndex(tax, CachingEncoder(HashEncoderClient()))
-        cands = index.top_l1("anything", default_cfg.n_l1_candidates)
+        encoder = CachingEncoder(HashEncoderClient())
+        index = TypeEmbeddingIndex(tax, encoder)
+        cands = index.top_l1(encoder.encode_one("anything"), default_cfg.n_l1_candidates)
         assert [l1 for l1, _ in cands] == ["X"]
 
     def test_second_level_names_survive_a_slash_in_the_class_name(self, default_cfg):
         tax = taxonomy_from_dict({"l1": [{"name": "A/B", "l2": ["c/d", "e"]}]})
-        index = TypeEmbeddingIndex(tax, CachingEncoder(HashEncoderClient()))
-        cands = index.top_l2("A/B", "anything", default_cfg.m_l2_candidates)
+        encoder = CachingEncoder(HashEncoderClient())
+        index = TypeEmbeddingIndex(tax, encoder)
+        cands = index.top_l2("A/B", encoder.encode_one("anything"), default_cfg.m_l2_candidates)
         assert sorted(l2 for _, l2, _ in cands) == ["c/d", "e"]
         assert all(tax.has_label(l1, l2) for l1, l2, _ in cands)
 
@@ -129,21 +132,44 @@ class TestRetrieveCandidates:
         same = list(np.eye(4)[0])
         encoder = CachingEncoder(PresetEncoderClient({"ZZ": same, "AA": same, "probe": same}))
         index = TypeEmbeddingIndex(tax, encoder)
-        cands = index.top_l1("probe", default_cfg.n_l1_candidates)
+        cands = index.top_l1(encoder.encode_one("probe"), default_cfg.n_l1_candidates)
         assert [l1 for l1, _ in cands] == ["AA", "ZZ"]
 
-    def test_an_empty_scope_holds_the_entity_vectors(self, taxonomy, hash_encoder):
-        # an empty memo is still the memo asked for, not the index's pipeline-lifetime one
+    def test_an_empty_scope_holds_the_entity_vectors(
+        self, taxonomy, hash_encoder, default_cfg, request_pool
+    ):
+        # an empty memo is still the memo the typer encodes through, not the pipeline's one
         index = TypeEmbeddingIndex(taxonomy, hash_encoder)
         scope, held = hash_encoder.scope(), len(hash_encoder)
-        index.top_l1("a surface no one encoded", 3, scope)
-        index.top_l2("PRODUCT", "another surface no one encoded", 3, scope)
+        gateway = Gateway(backend=EchoSelectBackend())
+        typer = EntityTyper(index, scope, gateway, default_cfg, request_pool)
+        typer.select_type(Entity("a surface no one encoded"))
+        typer.select_type(Entity("another surface no one encoded"))
         assert (len(hash_encoder), len(scope)) == (held, 2)
+
+    def test_retrieval_selection_encodes_its_surface_once(
+        self, taxonomy, hash_encoder, default_cfg, request_pool, monkeypatch
+    ):
+        # both stages search with one vector: stage 2 searches each of the kept branches
+        typer = _typer(taxonomy, hash_encoder, EchoSelectBackend(), default_cfg, request_pool)
+        encoded, encode = [], CachingEncoder.encode
+        record = lambda self, texts: encoded.append(texts) or encode(self, texts)
+        monkeypatch.setattr(CachingEncoder, "encode", record)
+        assert default_cfg.typing_mode == "retrieval" and default_cfg.l1_keep > 1
+        typer.select_type(Entity("Science Activity Planner"))
+        assert encoded == [["Science Activity Planner"]]
+
+    def test_search_after_build_sends_nothing_to_the_client(self, taxonomy):
+        client = RecordingEncoderClient()
+        index = TypeEmbeddingIndex(taxonomy, CachingEncoder(client))
+        sent, vector = len(client.seen), HashEncoderClient(dim=64).encode(["probe"])[0]
+        assert index.top_l1(vector, 3) and index.top_l2("PRODUCT", vector, 3)
+        assert len(client.seen) == sent
 
 
 def _typer(taxonomy, encoder, backend, cfg, requests):
     index = TypeEmbeddingIndex(taxonomy, encoder)
-    return EntityTyper(index, Gateway(backend=backend), cfg, requests)
+    return EntityTyper(index, encoder, Gateway(backend=backend), cfg, requests)
 
 
 class TestSelectType:
@@ -189,15 +215,16 @@ class TestSelectType:
             ]
         )
         index = TypeEmbeddingIndex(taxonomy, hash_encoder)
-        typer = EntityTyper(index, Gateway(backend=backend), default_cfg, request_pool)
+        gateway = Gateway(backend=backend)
+        typer = EntityTyper(index, hash_encoder, gateway, default_cfg, request_pool)
         label = typer.type_entity(Entity("Beowulf"))
 
         stage2_calls = [c for c in backend.calls if "Final two-level type" in c.user_prompt]
         assert len(stage2_calls) == 2  # exactly one retry
         # fallback is the highest-similarity candidate across the kept branches
-        union = []
+        union, vector = [], hash_encoder.encode_one("Beowulf")
         for l1 in ["WORK", "PRODUCT", "CONCEPT"]:
-            union.extend(index.top_l2(l1, "Beowulf", default_cfg.m_l2_candidates))
+            union.extend(index.top_l2(l1, vector, default_cfg.m_l2_candidates))
         best = max(union, key=lambda item: item[2])
         assert label == TaxonomyLabel(best[0], best[1])
         assert any("fallback" in e for e in typer.events)
@@ -509,7 +536,7 @@ class TestLabelMap:
         labels = LabelMap()
         first, second = (
             EntityTyper(
-                index, Gateway(backend=backend), default_cfg, request_pool, labels
+                index, hash_encoder, Gateway(backend=backend), default_cfg, request_pool, labels
             )
             for _ in range(2)
         )
@@ -565,7 +592,8 @@ class TestHeldSelections:
     def test_held_and_in_flight_keys_collect_as_cold_ones(
         self, taxonomy, default_cfg, jobs, oov, data
     ):
-        index = TypeEmbeddingIndex(taxonomy, CachingEncoder(HashEncoderClient()))
+        encoder = CachingEncoder(HashEncoderClient())
+        index = TypeEmbeddingIndex(taxonomy, encoder)
         first = {}  # each surface's key: the context of its first job, none when empty
         for surface, context in jobs:
             first.setdefault(surface, context or None)
@@ -576,7 +604,9 @@ class TestHeldSelections:
         held_jobs = [(Entity(surface), context) for surface, context in held]
 
         def typer(backend, labels, requests):
-            return EntityTyper(index, Gateway(backend=backend), default_cfg, requests, labels)
+            return EntityTyper(
+                index, encoder, Gateway(backend=backend), default_cfg, requests, labels
+            )
 
         def collect(backend, labels, before=lambda: None):
             with ThreadPoolExecutor(4) as requests:
