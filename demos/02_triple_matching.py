@@ -6,9 +6,10 @@ A sub-query is matched against a document's triples with two signals:
 structural (do the entity types line up?) and semantic (how close are the
 role-prefixed embeddings?). Scoring is two steps. pair_scores scores every
 (sub-query, triple) pair of a pool, and the alpha knob mixes the two signals
-there. filter_and_rank keeps each document's best triple per sub-query,
-aggregates them into one document score with gamma and top-t, and filters
-with theta.
+there. filter_and_rank reads those pairs: it keeps each document's best triple
+per sub-query, aggregates them into one document score with gamma and top-t,
+and filters with theta. So a pool is scored once per alpha, and ranked from the
+same pairs at every theta.
 """
 
 from tasr import (
@@ -64,32 +65,37 @@ distractor = make_doc(
 )
 empty = make_doc("doc-empty", [])
 
+pool = [supporting, distractor, empty]
+# pairs by sub-query, then document, then triple: one sub-query here
+pairs = pair_scores(pool, [sub_query], cfg, encoder)
+
 print("per-triple score decomposition against the supporting document:")
-# pairs by document, then sub-query, then triple: one document and one sub-query here
-[[matches]] = pair_scores([supporting], [sub_query], cfg, encoder)
-for triple, match in zip(supporting.triples, matches):
+for triple, match in zip(supporting.triples, pairs[0][0]):
     print(
         f"  ({triple.head.surface}, {triple.relation}, {triple.tail.surface})"
         f"  struct={match.s_struct:.3f} sem={match.s_sem:.3f} -> triple={match.s_triple:.3f}"
     )
 print()
 
-pool = [supporting, distractor, empty]
-ranked = filter_and_rank(pool, [sub_query], cfg, encoder)
+ranked = filter_and_rank(pool, [sub_query], pairs, cfg)
 print(f"document scores (theta={cfg.theta}):")
 for scored in ranked.all_scored:
     kept = "kept" if any(d.doc_id == scored.doc_id for d in ranked.documents) else "filtered"
     print(f"  {scored.doc_id:<14} S(d)={scored.score:+.4f}  {kept}")
 print()
 
-# ablations: alpha=1 scores with types alone, alpha=0 with embeddings alone
+# ablations: alpha=1 scores with types alone, alpha=0 with embeddings alone; alpha
+# mixes each pair's score, so each ablation scores the pool again
 for alpha, name in ((1.0, "structural-only"), (0.0, "semantic-only")):
-    ranked_abl = filter_and_rank(pool, [sub_query], cfg.with_overrides(alpha=alpha), encoder)
+    cfg_abl = cfg.with_overrides(alpha=alpha)
+    pairs_abl = pair_scores(pool, [sub_query], cfg_abl, encoder)
+    ranked_abl = filter_and_rank(pool, [sub_query], pairs_abl, cfg_abl)
     order = ", ".join(s.doc_id for s in ranked_abl.all_scored)
     print(f"{name:<16} (alpha={alpha}): ranking = {order}")
 print()
 
 # an aggressive threshold empties the pool; the best document is retained
-# anyway so the answering step always has context, and the trace flags it
-strict = filter_and_rank(pool, [sub_query], cfg.with_overrides(theta=0.99), encoder)
+# anyway so the answering step always has context, and the trace flags it.
+# theta does not change a pair's score, so the first pairs are ranked again
+strict = filter_and_rank(pool, [sub_query], pairs, cfg.with_overrides(theta=0.99))
 print(f"theta=0.99 -> fallback={strict.fallback}, retained={strict.documents[0].doc_id}")

@@ -246,7 +246,7 @@ def cmd_match(args: argparse.Namespace) -> int:
     encoder = _encoder(args.embed)
     sub_query = read_json(args.subquery, DatasetParseError, "sub-query", _parse_subquery)
     doc = read_json(args.doc_triples, DatasetParseError, "doc triples", _parse_doc_triples)
-    [[matches]] = pair_scores([doc], [sub_query], cfg, encoder)
+    pairs = [[matches]] = pair_scores([doc], [sub_query], cfg, encoder)  # printed, then ranked
 
     print(f"sub-query: {sub_query.render()}   "
           f"types: {sub_query.head_type}, {sub_query.tail_type}")
@@ -260,7 +260,7 @@ def cmd_match(args: argparse.Namespace) -> int:
         print(f"{text:<60} {cos_h:>8.4f} {cos_r:>8.4f} {cos_t:>8.4f} {st_h:>6.2f} {st_t:>6.2f} "
               f"{m.s_struct:>6.2f} {m.s_sem:>8.4f} {m.s_triple:>8.4f}")
     if matches:
-        (scored,) = filter_and_rank([doc], [sub_query], cfg, encoder).all_scored
+        (scored,) = filter_and_rank([doc], [sub_query], pairs, cfg).all_scored
         print(f"\nbest triple score: {scored.best_matches[0].s_triple:.6f}   "
               f"document score: {scored.score:.6f} (threshold {cfg.theta})")
     return 0

@@ -70,6 +70,10 @@ class EmptyPool(TasrError):
     """Reranking called with an empty document pool."""
 
 
+class DuplicateDocument(TasrError):
+    """A pipeline was given two documents with the same id."""
+
+
 class LlmUnavailable(TasrError):
     """LLM transport failed after retries, or the endpoint rejected the request.
 

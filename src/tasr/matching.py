@@ -1,7 +1,7 @@
 """Hybrid triple matching and document reranking.
 
 Scoring is two steps. The pair-score step, :func:`pair_scores`, reads the
-component vectors of a whole chain and pool with one encoder call, then
+component vectors of the sub-queries and the pool with one encoder call, then
 scores every (sub-query, document triple) pair with one formula:
 
 * type-pair score: weighted L1/L2 label equality;
@@ -9,10 +9,10 @@ scores every (sub-query, document triple) pair with one formula:
 * semantic score: weighted cosines between role-prefixed component embeddings;
 * triple score: alpha-mix of structural and semantic.
 
-The rank step, :func:`filter_and_rank`, keeps per sub-query the best of each
-document's triples, takes a gamma-mix of the max and the mean over the top-t
-sub-queries as the document score, then threshold-filters and ranks, with a
-top-1 fallback when the filter empties.
+The rank step, :func:`filter_and_rank`, reads those pairs and scores nothing.
+It keeps per sub-query the best of each document's triples, takes a gamma-mix
+of the max and the mean over the top-t sub-queries as the document score, then
+threshold-filters and ranks, with a top-1 fallback when the filter empties.
 
 All functions are pure; determinism is guaranteed by explicit tie rules (doc
 id ascending, sub-query position ascending, the first of equally scored
@@ -42,7 +42,6 @@ class TripleMatch:
     """Score breakdown for one (sub-query, document triple) pair."""
 
     query_index: int
-    doc_id: str
     doc_triple_index: Optional[int]  # None for the tripleless-document sentinel
     s_struct: float
     s_sem: float
@@ -109,7 +108,6 @@ def _match(
     s_sem = cfg.lh * cos_h + cfg.lr * cos_r + cfg.lt * cos_t
     return TripleMatch(
         query_index=qs.index,
-        doc_id=triple.source_doc or "",
         doc_triple_index=index,
         s_struct=s_struct,
         s_sem=s_sem,
@@ -125,23 +123,23 @@ def pair_scores(
     cfg: PipelineConfig,
     encoder: CachingEncoder,
 ) -> list[list[list[TripleMatch]]]:
-    """Every pair's match, by document, then sub-query, then triple, in input order.
+    """Every pair's match, by sub-query, then document, then triple, in input order.
 
-    The chain's and the pool's component vectors come from one encoder call.
+    The sub-queries' and the pool's component vectors come from one encoder call.
     """
     triples = [t for doc in pool for t in doc.triples]
     vectors = encoder.encode([text for x in (*sub_queries, *triples) for text in triple_texts(x)])
     components = zip(vectors[0::3], vectors[1::3], vectors[2::3])  # (head, relation, tail)
     query_vectors = [next(components) for _ in sub_queries]
+    doc_vectors = [[next(components) for _ in doc.triples] for doc in pool]
     scores = []
-    for doc in pool:
-        doc_vectors = [next(components) for _ in doc.triples]
+    for sq, q_vectors in zip(sub_queries, query_vectors):
         scores.append([
             [
                 _match(sq, triple, q_vectors, d_vectors, cfg, i)
-                for i, (triple, d_vectors) in enumerate(zip(doc.triples, doc_vectors))
+                for i, (triple, d_vectors) in enumerate(zip(doc.triples, by_triple))
             ]
-            for sq, q_vectors in zip(sub_queries, query_vectors)
+            for doc, by_triple in zip(pool, doc_vectors)
         ])
     return scores
 
@@ -168,11 +166,11 @@ def aggregate_document_score(
 def filter_and_rank(
     pool: Sequence[Document],
     sub_queries: Sequence[SubQuery],
+    pairs: Sequence[Sequence[Sequence[TripleMatch]]],
     cfg: PipelineConfig,
-    encoder: CachingEncoder,
     force_index: Optional[int] = None,
 ) -> RankedPool:
-    """Threshold-filter and rank the candidate pool.
+    """Threshold-filter and rank the candidate pool from its :func:`pair_scores` rows.
 
     Documents scoring below theta are dropped; if that empties the list, the
     single best document is retained so the answering step always has context,
@@ -181,13 +179,13 @@ def filter_and_rank(
     if not pool:
         raise EmptyPool("cannot rerank an empty candidate pool")
     scored = []
-    for doc, by_query in zip(pool, pair_scores(pool, sub_queries, cfg, encoder)):
+    for d, doc in enumerate(pool):
         # max keeps the first of equal scores; a document with no triples carries no
         # matchable structure and scores 0
         matches = [
-            max(pairs, key=lambda m: m.s_triple, default=None)
-            or TripleMatch(sq.index, doc.id, None, 0.0, 0.0, 0.0)
-            for sq, pairs in zip(sub_queries, by_query)
+            max(rows[d], key=lambda m: m.s_triple, default=None)
+            or TripleMatch(sq.index, None, 0.0, 0.0, 0.0)
+            for sq, rows in zip(sub_queries, pairs)
         ]
         score = aggregate_document_score([m.s_triple for m in matches], cfg, force_index)
         scored.append(ScoredDocument(doc_id=doc.id, score=score, best_matches=tuple(matches)))

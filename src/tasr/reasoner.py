@@ -34,9 +34,16 @@ from typing import Iterator, Mapping, Optional, Sequence
 
 from tasr.config import PipelineConfig
 from tasr.embedding import CORPUS_CHUNK, CachingEncoder, VectorIndex
-from tasr.errors import AmbiguousBinding, LlmProtocolError, TasrError, QueryFailure, json_field
+from tasr.errors import (
+    AmbiguousBinding,
+    DuplicateDocument,
+    LlmProtocolError,
+    QueryFailure,
+    TasrError,
+    json_field,
+)
 from tasr.llm import Gateway, load_prompt
-from tasr.matching import RankedPool, filter_and_rank, triple_texts
+from tasr.matching import RankedPool, filter_and_rank, pair_scores, triple_texts
 from tasr.model import (
     BindingTable,
     Document,
@@ -198,6 +205,11 @@ class Pipeline:
         cfg: PipelineConfig,
         pre_extract: bool = False,
     ) -> None:
+        ids: set[str] = set()
+        for doc in documents:  # checked before anything is encoded or sent
+            if doc.id in ids:
+                raise DuplicateDocument(f"document id {doc.id!r} is repeated")
+            ids.add(doc.id)
         self.cfg = cfg
         self.encoder = encoder
         self.gateway = gateway
@@ -252,13 +264,15 @@ class Pipeline:
 
         bindings = BindingTable()
         answer = ""
-        for position, sub_query in enumerate(decomposition.sub_queries):
+        scored: dict[SubQuery, list] = {}  # each resolved sub-query's pair rows, scored once
+        for sub_query in decomposition.sub_queries:
             resolved = resolve(sub_query, bindings)
-            if self.cfg.hop_scope == "chain":
-                chain = [resolve(sq, bindings) for sq in decomposition.sub_queries]
-                ranked = filter_and_rank(pool, chain, self.cfg, encoder, force_index=position)
-            else:
-                ranked = filter_and_rank(pool, [resolved], self.cfg, encoder)
+            chain = decomposition.sub_queries if self.cfg.hop_scope == "chain" else [sub_query]
+            scope = [resolve(sq, bindings) for sq in chain]
+            missing = [sq for sq in scope if sq not in scored]
+            scored.update(zip(missing, pair_scores(pool, missing, self.cfg, encoder)))
+            rows = [scored[sq] for sq in scope]
+            ranked = filter_and_rank(pool, scope, rows, self.cfg, force_index=scope.index(resolved))
             selected = [pool_by_id[s.doc_id] for s in ranked.documents]
             answer = answer_subquery(resolved, selected, self.gateway)
             bind(resolved, answer, bindings)

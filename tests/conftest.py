@@ -14,6 +14,7 @@ from tasr.config import PipelineConfig, validate_config
 from tasr.embedding import CachingEncoder, HashEncoderClient
 from tasr.evaluation import load_corpus, load_dataset
 from tasr.llm import Gateway, load_script
+from tasr.matching import filter_and_rank, pair_scores
 from tasr.reasoner import Pipeline
 from tasr.structurer import (
     decompose_query,
@@ -83,6 +84,12 @@ def send_extraction(doc, query, gateway):
 def send_decomposition(question, gateway):
     """The decomposition of one question: its request sent, its reply parsed."""
     return decompose_query(request_decomposition(question, gateway))
+
+
+def rerank(pool, sub_queries, cfg, encoder, force_index=None):
+    """One hop's rerank: the pool's pairs scored once, then ranked from those rows."""
+    pairs = pair_scores(pool, sub_queries, cfg, encoder)
+    return filter_and_rank(pool, sub_queries, pairs, cfg, force_index)
 
 
 class PresetEncoderClient:

@@ -19,13 +19,13 @@ from tasr.config import PipelineConfig, validate_config
 from tasr.embedding import CachingEncoder, HashEncoderClient, VectorIndex, normalize
 from tasr.errors import AmbiguousBinding
 from tasr.llm import Gateway, load_script, scripted_mock
-from tasr.matching import aggregate_document_score, filter_and_rank, pair_scores
+from tasr.matching import aggregate_document_score, pair_scores
 from tasr.metrics import exact_match, token_f1
 from tasr.model import BindingTable, Document, Entity, Slot, SubQuery, TaxonomyLabel
 from tasr.reasoner import Pipeline, bind, resolve
 from tasr.taxonomy import EntityTyper, TypeEmbeddingIndex
 
-from conftest import DATA, EchoSelectBackend, FIXTURES, PresetEncoderClient
+from conftest import DATA, EchoSelectBackend, FIXTURES, PresetEncoderClient, rerank
 from instances import random_instance
 from reference_scoring import brute_force_rank
 
@@ -74,7 +74,7 @@ def test_criterion_2_matching_oracle_equivalence(hash_encoder):
         start = time.perf_counter()
         for seed in range(200):
             docs, sub_queries, cfg, force = random_instance(seed)
-            ranked = filter_and_rank(docs, sub_queries, cfg, hash_encoder, force_index=force)
+            ranked = rerank(docs, sub_queries, cfg, hash_encoder, force_index=force)
             kept, all_ranked, fallback = brute_force_rank(
                 docs, sub_queries, cfg, hash_encoder, force_index=force
             )
@@ -192,7 +192,7 @@ def test_criterion_4_ablation_reductions(hash_encoder):
 
             for alpha, score_fn in ((1.0, structural), (0.0, semantic)):
                 cfg_abl = cfg.with_overrides(alpha=alpha)
-                ranked = filter_and_rank(docs, sub_queries, cfg_abl, hash_encoder)
+                ranked = rerank(docs, sub_queries, cfg_abl, hash_encoder)
                 expected = _rank_with_scores(docs, sub_queries, cfg_abl, hash_encoder, score_fn)
                 assert [d.doc_id for d in ranked.all_scored] == [i for i, _ in expected]
                 for scored, (_, value) in zip(ranked.all_scored, expected):
@@ -207,7 +207,7 @@ def test_criterion_5_threshold_monotonicity(hash_encoder):
             previous = None
             for theta in thetas:
                 cfg = base_cfg.with_overrides(theta=theta)
-                ranked = filter_and_rank(docs, sub_queries, cfg, hash_encoder, force_index=force)
+                ranked = rerank(docs, sub_queries, cfg, hash_encoder, force_index=force)
                 above = {s.doc_id for s in ranked.all_scored if s.score >= theta}
                 assert ranked.fallback == (len(above) == 0)
                 if not ranked.fallback:

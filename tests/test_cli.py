@@ -260,6 +260,21 @@ class TestMatchCommand:
         assert main(argv) == 0
         assert capsys.readouterr().out == expected
 
+    def test_pool_is_scored_once(self, tmp_path, monkeypatch):
+        # the printed rows and the document score are read from one pair table
+        from tasr import cli, matching
+
+        calls, score = [], matching.pair_scores
+        for module in (cli, matching):  # wherever the command or the rank step looks it up
+            monkeypatch.setattr(module, "pair_scores", lambda *a: calls.append(a) or score(*a))
+        sq_path, dt_path = tmp_path / "sq.json", tmp_path / "dt.json"
+        sq_path.write_text(json.dumps(_PLANNER_SUBQUERY))
+        triples = [_PLANNER_USES_MYSQL, _MYSQL_BY_COMPANY, _PLANNER_USES_MYSQL]
+        dt_path.write_text(json.dumps({"doc_id": "d", "triples": triples}))
+        argv = ["match", "--subquery", str(sq_path), "--doc-triples", str(dt_path), "--embed", "mock:"]
+        assert main(argv) == 0
+        assert len(calls) == 1
+
 
 def _bad_input_argv(kind, path, tmp_path):
     if kind == "eval":

@@ -12,7 +12,7 @@ from tasr.matching import (
 )
 from tasr.model import Document, Entity, Slot, SubQuery, TaxonomyLabel, Triple
 
-from conftest import PresetEncoderClient
+from conftest import PresetEncoderClient, rerank
 from instances import random_instance
 from reference_scoring import brute_force_rank
 
@@ -181,31 +181,32 @@ class TestScoreTriple:
     def test_mix_invariant_on_random_instances(self, hash_encoder):
         for seed in range(10):
             docs, sub_queries, cfg, _ = random_instance(seed)
-            for [matches] in pair_scores(docs, sub_queries[:1], cfg, hash_encoder):
+            [by_doc] = pair_scores(docs, sub_queries[:1], cfg, hash_encoder)
+            for matches in by_doc:
                 for match in matches:
                     expected = cfg.alpha * match.s_struct + (1 - cfg.alpha) * match.s_sem
                     assert match.s_triple == pytest.approx(expected, abs=1e-12)
 
 
 class TestPairScores:
-    def test_every_pair_by_document_then_subquery_then_triple(self, hash_encoder):
+    def test_every_pair_by_subquery_then_document_then_triple(self, hash_encoder):
         docs, sub_queries, cfg, _ = next(
             i for i in map(random_instance, range(50))
             if len(i[1]) >= 2 and sum(1 for d in i[0] if d.triples) >= 2
         )
         scores = pair_scores(docs, sub_queries, cfg, hash_encoder)
-        assert len(scores) == len(docs)
-        for doc, by_query in zip(docs, scores):
-            assert [[m.query_index for m in pairs] for pairs in by_query] == [
-                [sq.index] * len(doc.triples) for sq in sub_queries
+        assert len(scores) == len(sub_queries)
+        for sq, by_doc in zip(sub_queries, scores):
+            assert [[m.query_index for m in pairs] for pairs in by_doc] == [
+                [sq.index] * len(doc.triples) for doc in docs
             ]
-            for pairs in by_query:
+            for doc, pairs in zip(docs, by_doc):
                 assert [m.doc_triple_index for m in pairs] == list(range(len(doc.triples)))
 
 
 def _best_match(sq, doc, cfg, encoder):
     """The document's best match for one sub-query, as a one-document rerank reports it."""
-    (scored,) = filter_and_rank([doc], [sq], cfg, encoder).all_scored
+    (scored,) = rerank([doc], [sq], cfg, encoder).all_scored
     return scored.best_matches[0]
 
 
@@ -257,7 +258,7 @@ class TestAggregateDocumentScore:
         sq = _sq()
         for gamma in (0.0, 0.3, 1.0):
             cfg = _cfg(gamma=gamma)
-            (scored,) = filter_and_rank([doc], [sq], cfg, hash_encoder).all_scored
+            (scored,) = rerank([doc], [sq], cfg, hash_encoder).all_scored
             assert scored.score == pytest.approx(
                 _pair(sq, triple, cfg, hash_encoder).s_triple, abs=1e-12
             )
@@ -286,7 +287,7 @@ class TestFilterAndRank:
         cfg = _cfg(
             theta=0.0, alpha=1.0, gamma=cfg.gamma, top_t=cfg.top_t
         )  # alpha=1: scores are non-negative, so theta=0 keeps everything
-        ranked = filter_and_rank(docs, sub_queries, cfg, hash_encoder, force_index=force)
+        ranked = rerank(docs, sub_queries, cfg, hash_encoder, force_index=force)
         assert len(ranked.documents) == len(docs)
         scores = [d.score for d in ranked.documents]
         assert scores == sorted(scores, reverse=True)
@@ -295,7 +296,7 @@ class TestFilterAndRank:
     def test_all_below_threshold_falls_back_to_single_best(self, hash_encoder):
         docs, sub_queries, _, _ = random_instance(6)
         cfg = _cfg(theta=0.99)
-        ranked = filter_and_rank(docs, sub_queries, cfg, hash_encoder)
+        ranked = rerank(docs, sub_queries, cfg, hash_encoder)
         assert ranked.fallback
         assert len(ranked.documents) == 1
         assert ranked.documents[0].doc_id == ranked.all_scored[0].doc_id
@@ -311,21 +312,21 @@ class TestFilterAndRank:
         monkeypatch.setattr(
             hash_encoder, "encode", lambda texts: calls.append(texts) or encode(texts)
         )
-        ranked = filter_and_rank(docs, sub_queries, cfg, hash_encoder, force_index=force)
+        ranked = rerank(docs, sub_queries, cfg, hash_encoder, force_index=force)
         assert len(calls) == 1
         kept, _, _ = brute_force_rank(docs, sub_queries, cfg, hash_encoder, force_index=force)
         assert [d.doc_id for d in ranked.documents] == [doc_id for doc_id, _ in kept]
 
     def test_empty_pool_rejected(self, default_cfg, hash_encoder):
         with pytest.raises(EmptyPool):
-            filter_and_rank([], [_sq()], default_cfg, hash_encoder)
+            filter_and_rank([], [_sq()], [[]], default_cfg)
 
     def test_tie_break_doc_id_ascending(self, default_cfg, hash_encoder):
         triple_z = _typed(WORK_SW, PRODUCT_DB, doc="zz")
         triple_a = _typed(WORK_SW, PRODUCT_DB, doc="aa")
         doc_z = Document(id="zz", title="", text="x", triples=[triple_z])
         doc_a = Document(id="aa", title="", text="x", triples=[triple_a])
-        ranked = filter_and_rank([doc_z, doc_a], [_sq()], default_cfg, hash_encoder)
+        ranked = rerank([doc_z, doc_a], [_sq()], default_cfg, hash_encoder)
         assert [d.doc_id for d in ranked.documents] == ["aa", "zz"]
 
     def test_threshold_monotone_nesting_and_fallback(self, hash_encoder):
@@ -334,7 +335,7 @@ class TestFilterAndRank:
             previous: set[str] | None = None
             for theta in [round(0.1 * i, 1) for i in range(10)]:
                 cfg = base_cfg.with_overrides(theta=theta)
-                ranked = filter_and_rank(docs, sub_queries, cfg, hash_encoder, force_index=force)
+                ranked = rerank(docs, sub_queries, cfg, hash_encoder, force_index=force)
                 above = {s.doc_id for s in ranked.all_scored if s.score >= theta}
                 assert ranked.fallback == (not above)
                 kept = {s.doc_id for s in ranked.documents}
@@ -346,18 +347,18 @@ class TestFilterAndRank:
 
     def test_pool_permutation_changes_nothing(self, hash_encoder):
         docs, sub_queries, cfg, force = random_instance(9)
-        ranked = filter_and_rank(docs, sub_queries, cfg, hash_encoder, force_index=force)
+        ranked = rerank(docs, sub_queries, cfg, hash_encoder, force_index=force)
         rng = np.random.default_rng(0)
         shuffled = list(docs)
         rng.shuffle(shuffled)
-        again = filter_and_rank(shuffled, sub_queries, cfg, hash_encoder, force_index=force)
+        again = rerank(shuffled, sub_queries, cfg, hash_encoder, force_index=force)
         assert [d.doc_id for d in ranked.documents] == [d.doc_id for d in again.documents]
         assert [d.score for d in ranked.documents] == [d.score for d in again.documents]
 
     def test_matches_brute_force_oracle(self, hash_encoder):
         for seed in range(30):
             docs, sub_queries, cfg, force = random_instance(seed)
-            ranked = filter_and_rank(docs, sub_queries, cfg, hash_encoder, force_index=force)
+            ranked = rerank(docs, sub_queries, cfg, hash_encoder, force_index=force)
             kept, all_ranked, fallback = brute_force_rank(
                 docs, sub_queries, cfg, hash_encoder, force_index=force
             )
@@ -370,7 +371,7 @@ class TestFilterAndRank:
         for seed in range(10):
             docs, sub_queries, cfg, _ = random_instance(seed)
             cfg = cfg.with_overrides(alpha=1.0, theta=0.0)
-            ranked = filter_and_rank(docs, sub_queries, cfg, hash_encoder)
+            ranked = rerank(docs, sub_queries, cfg, hash_encoder)
             for scored in ranked.all_scored:
                 assert 0.0 <= scored.score <= 1.0 + 1e-12
                 for match in scored.best_matches:
@@ -381,7 +382,7 @@ class TestScoredDocumentDecomposability:
     def test_score_recomputable_from_best_matches(self, hash_encoder):
         for seed in range(15):
             docs, sub_queries, cfg, force = random_instance(seed)
-            ranked = filter_and_rank(docs, sub_queries, cfg, hash_encoder, force_index=force)
+            ranked = rerank(docs, sub_queries, cfg, hash_encoder, force_index=force)
             for scored in ranked.all_scored:
                 replayed = aggregate_document_score(
                     [m.s_triple for m in scored.best_matches], cfg, force_index=force

@@ -17,6 +17,7 @@ from tasr.embedding import CachingEncoder, HashEncoderClient
 from tasr.errors import (
     AmbiguousBinding,
     DuplicateBinding,
+    DuplicateDocument,
     LlmUnavailable,
     QueryFailure,
     TasrError,
@@ -33,7 +34,7 @@ from tasr.model import (
     TaxonomyLabel,
     Triple,
 )
-from tasr import reasoner
+from tasr import matching, reasoner
 from tasr.reasoner import Pipeline, answer_subquery, bind, resolve
 from tasr.structurer import subquery_typing_jobs
 from tasr.taxonomy import EntityTyper, LabelMap, load_default_taxonomy
@@ -289,6 +290,26 @@ class TestHopScope:
         assert answer == "MySQL AB"
 
 
+class TestRepeatedDocumentIds:
+    @pytest.mark.parametrize("pre_extract", [False, True])
+    def test_rejected_before_any_request_or_encode(self, pre_extract):
+        corpus = load_corpus(FIXTURES / "corpus.jsonl")
+        corpus.append(Document(id="doc1", title="Another", text="Other text under doc1's id."))
+        sent = []
+
+        class Recording(ScriptedFaults):
+            def complete(self, req):
+                sent.append(req)
+                return super().complete(req)
+
+        client = RecordingEncoderClient()
+        with pytest.raises(DuplicateDocument, match="'doc1'"):
+            Pipeline(corpus, load_default_taxonomy(), CachingEncoder(client), Gateway(Recording()),
+                     validate_config(PipelineConfig()), pre_extract=pre_extract)
+        assert sent == []
+        assert client.seen == []
+
+
 class TestPreExtract:
     def test_corpus_extracted_once_without_query_context(
         self, toy_corpus, taxonomy, hash_encoder, toy_backend
@@ -396,7 +417,7 @@ class TestQuestionScopedMemory:
 
 
 class TestThreeHopChain:
-    def _pipeline(self, taxonomy, hash_encoder):
+    def _pipeline(self, taxonomy, hash_encoder, **overrides):
         docs = [
             Document(id="dA", title="A", text="alpha links to beta"),
             Document(id="dB", title="B", text="beta links to gamma"),
@@ -423,7 +444,7 @@ class TestThreeHopChain:
             ("answer", "(beta, linked_to, ?C)", {"answer": "gamma"}),
             ("answer", "(gamma, linked_to, ?D)", {"answer": "delta"}),
         ]
-        cfg = validate_config(PipelineConfig())
+        cfg = validate_config(PipelineConfig(**overrides))
         return Pipeline(
             documents=docs,
             taxonomy=taxonomy,
@@ -443,24 +464,57 @@ class TestThreeHopChain:
         ]
         assert [hop.answer for hop in trace.hops] == ["beta", "gamma", "delta"]
 
-    def test_hop_reranking_matches_brute_force(self, taxonomy, hash_encoder):
-        pipeline, cfg = self._pipeline(taxonomy, hash_encoder)
-        _, trace = pipeline.run_query("chain question")
+    @staticmethod
+    def _typed_docs():
+        """The pool as the pipeline types it: one labelled triple per document."""
         label = TaxonomyLabel("CONCEPT", "Method")
         chain = [("alpha", "beta", "dA"), ("beta", "gamma", "dB"), ("gamma", "delta", "dC")]
         docs = []
         for head, tail, doc_id in chain:
             triple = Triple(Entity(head), "linked_to", Entity(tail), doc_id, label, label)
             docs.append(Document(id=doc_id, title="", text="", triples=[triple]))
+        return docs
+
+    @staticmethod
+    def _assert_hop_matches(hop, ranked):
+        kept, all_ranked, fallback = ranked
+        assert hop.fallback == fallback
+        assert hop.selected == [doc_id for doc_id, _ in kept]
+        got = [(r["doc_id"], r["score"]) for r in hop.document_scores]
+        for (gid, gscore), (eid, escore) in zip(got, all_ranked):
+            assert gid == eid
+            assert gscore == pytest.approx(escore, abs=1e-9)
+
+    def test_hop_reranking_matches_brute_force(self, taxonomy, hash_encoder):
+        pipeline, cfg = self._pipeline(taxonomy, hash_encoder)
+        _, trace = pipeline.run_query("chain question")
+        docs = self._typed_docs()
         for hop in trace.hops:
             resolved = hop.resolved
-            kept, all_ranked, fallback = brute_force_rank(docs, [resolved], cfg, hash_encoder)
-            assert hop.fallback == fallback
-            assert hop.selected == [doc_id for doc_id, _ in kept]
-            got = [(r["doc_id"], r["score"]) for r in hop.document_scores]
-            for (gid, gscore), (eid, escore) in zip(got, all_ranked):
-                assert gid == eid
-                assert gscore == pytest.approx(escore, abs=1e-9)
+            self._assert_hop_matches(hop, brute_force_rank(docs, [resolved], cfg, hash_encoder))
+
+    def test_chain_scope_scores_each_resolved_subquery_once(
+        self, monkeypatch, taxonomy, hash_encoder
+    ):
+        pipeline, cfg = self._pipeline(taxonomy, hash_encoder, hop_scope="chain")
+        scored, score = [], matching.pair_scores
+
+        def counted(pool, sub_queries, *rest):
+            scored.extend(sub_queries)
+            return score(pool, sub_queries, *rest)
+
+        for module in (reasoner, matching):  # wherever the pipeline or the rank step looks it up
+            monkeypatch.setattr(module, "pair_scores", counted, raising=False)
+        answer, trace = pipeline.run_query("chain question")
+        assert answer == "delta"
+        # hop 1 scores the three unresolved sub-queries; hops 2 and 3 each resolve two anew
+        assert len(scored) == len(set(scored)) == 7
+        docs, bindings = self._typed_docs(), BindingTable()
+        for position, hop in enumerate(trace.hops):
+            chain = [resolve(h.sub_query, bindings) for h in trace.hops]
+            ranked = brute_force_rank(docs, chain, cfg, hash_encoder, force_index=position)
+            self._assert_hop_matches(hop, ranked)
+            bind(hop.resolved, hop.answer, bindings)
 
 
 class ScriptedFaults:
