@@ -24,7 +24,7 @@ from contextlib import contextmanager, suppress
 from pathlib import Path
 from typing import Any, Iterator
 
-from tasr.config import PipelineConfig, load_config, validate_config
+from tasr.config import HOP_SCOPES, PipelineConfig, load_config, validate_config
 from tasr.embedding import CachingEncoder, encoder_from_url
 from tasr.errors import DatasetParseError, TasrError, json_field, read_json
 from tasr.evaluation import (
@@ -61,7 +61,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--alpha", type=float, default=None)
     run.add_argument("--gamma", type=float, default=None)
     run.add_argument("--top-t", type=int, default=None, dest="top_t")
-    run.add_argument("--hop-scope", choices=("current", "chain"), default=None, dest="hop_scope")
+    run.add_argument("--hop-scope", choices=HOP_SCOPES, default=None, dest="hop_scope")
     run.add_argument("--llm", default=None, help="chat endpoint URL or mock:<script-file>")
     run.add_argument("--embed", default=None, help="encoder endpoint URL or mock:")
     run.add_argument("--trace-dir", default=None, help="write one trace JSON per question")

@@ -11,7 +11,7 @@ import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, get_type_hints
 
 from tasr.errors import ConfigError, RangeViolation, WeightSumViolation, read_json
 
@@ -49,7 +49,7 @@ class PipelineConfig:
         return validate_config(dataclasses.replace(self, **changes))
 
 
-_INT_FIELDS = ("k0", "top_t", "n_l1_candidates", "l1_keep", "m_l2_candidates")
+_INT_FIELDS = tuple(name for name, kind in get_type_hints(PipelineConfig).items() if kind is int)
 _UNIT_FIELDS = ("theta", "alpha", "gamma")
 _WEIGHT_GROUPS = {
     "w1+w2": ("w1", "w2"),
@@ -93,6 +93,9 @@ def _number(cfg: PipelineConfig, name: str) -> float:
 
 
 def _key_values(text: str) -> dict[str, Any]:
+    """Each value parsed as its field's type; an unknown key keeps its text for the
+    caller's unknown-key check."""
+    kinds = get_type_hints(PipelineConfig)
     values: dict[str, Any] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -102,7 +105,7 @@ def _key_values(text: str) -> dict[str, Any]:
             raise RangeViolation("config", f"line {lineno}: expected key=value, got {line!r}")
         key, _, raw = line.partition("=")
         key, raw = key.strip(), raw.strip()
-        kind = int if key in _INT_FIELDS else str if key in ("hop_scope", "typing_mode") else float
+        kind = kinds.get(key, str)
         try:
             values[key] = kind(raw)
         except ValueError as exc:

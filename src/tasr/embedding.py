@@ -15,6 +15,7 @@ import hashlib
 import json
 import mmap
 import threading
+import time
 from pathlib import Path
 from typing import Any, Optional, Protocol, Sequence
 
@@ -22,14 +23,16 @@ import numpy as np
 
 from tasr.errors import DimensionMismatch, EmptyIndex, EncoderCacheError, EncoderUnavailable
 from tasr.errors import NonFiniteVector, clip, json_field, read_json
-from tasr.llm import post_json
+from tasr.llm import post_json, send_with_retries
 
 CORPUS_CHUNK = 256  # texts per encoder request while building an index matrix
 SEARCH_BLAS_BYTES = 16 << 20  # a larger search matrix is scored by a matrix product
 
 class EncoderClient(Protocol):
     def encode(self, texts: Sequence[str]) -> list[np.ndarray]:
-        """Return one unit-normalized float64 vector per input text, in order."""
+        """Return one unit-normalized float64 vector per input text, in order; raise
+        EncoderUnavailable on transport failure, which :class:`CachingEncoder` sends again
+        when it is ``retryable``."""
         ...
 
 
@@ -63,22 +66,21 @@ class HashEncoderClient:
 
 
 class HttpEncoderClient:
-    """Encoder behind ``POST /embed`` with ``{"texts": [...]}`` JSON bodies."""
+    """Encoder behind ``POST /embed`` with ``{"texts": [...]}`` JSON bodies; ``url`` is the
+    base URL or the full path."""
 
     def __init__(self, url: str, timeout: float = 30.0) -> None:
-        self.url = url.rstrip("/")
+        self.url = url.rstrip("/").removesuffix("/embed")
         self.timeout = timeout
 
     def encode(self, texts: Sequence[str]) -> list[np.ndarray]:
-        def unavailable(message: str, retryable: bool = True) -> EncoderUnavailable:
-            return EncoderUnavailable(f"encoder at {message}")
-
-        reply = post_json(f"{self.url}/embed", {"texts": list(texts)}, self.timeout, unavailable)
+        payload = {"texts": list(texts)}
+        reply = post_json(f"{self.url}/embed", payload, self.timeout, EncoderUnavailable)
         try:
             return [normalize(np.asarray(e, dtype=np.float64)) for e in reply["embeddings"]]
         # OverflowError: a reply holds an integer too large for a float64
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise unavailable(f"{self.url}: {exc}") from exc
+            raise EncoderUnavailable(f"{self.url}: {exc}") from exc
 
 
 class CachingEncoder:
@@ -125,7 +127,8 @@ class CachingEncoder:
         return scope
 
     def encode(self, texts: Sequence[str]) -> list[np.ndarray]:
-        """One vector per text."""
+        """One vector per text. The missing texts go to the client in one call, sent again
+        on a retryable failure by :func:`tasr.llm.send_with_retries`; the checks run once."""
         held, base = self._cache, self._base
         found: dict[str, Optional[np.ndarray]] = {}
         for text in texts:
@@ -134,7 +137,7 @@ class CachingEncoder:
                 found[text] = base.get(text) if vector is None else vector
         missing = [text for text, vector in found.items() if vector is None]
         if missing:
-            vectors = self.client.encode(missing)
+            vectors = send_with_retries(lambda: self.client.encode(missing), time.sleep)
             with self._root._lock:
                 self._admit(missing, vectors)
             # a text another thread admitted first keeps that thread's vector

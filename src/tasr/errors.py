@@ -46,8 +46,17 @@ class EmptyBranch(TaxonomyParseError):
     """A first-level taxonomy class has no children."""
 
 
-class EncoderUnavailable(TasrError):
-    """Embedding backend could not be reached."""
+class EndpointUnavailable(TasrError):
+    """An endpoint failed a request, or rejected it; ``retryable`` is False when another
+    attempt cannot help (a 4xx client error)."""
+
+    def __init__(self, message: str, retryable: bool = True) -> None:
+        self.retryable = retryable
+        super().__init__(message)
+
+
+class EncoderUnavailable(EndpointUnavailable):
+    """Embedding backend could not be reached, or rejected the request."""
 
 
 class EncoderCacheError(TasrError):
@@ -74,16 +83,12 @@ class DuplicateDocument(TasrError):
     """A pipeline was given two documents with the same id."""
 
 
-class LlmUnavailable(TasrError):
-    """LLM transport failed after retries, or the endpoint rejected the request.
-
-    ``retryable`` is False when another attempt cannot help (a 4xx client error).
-    """
+class LlmUnavailable(EndpointUnavailable):
+    """LLM transport failed, or the endpoint rejected the request."""
 
     def __init__(self, role_tag: str, message: str, retryable: bool = True) -> None:
         self.role_tag = role_tag
-        self.retryable = retryable
-        super().__init__(f"[{role_tag}] {message}")
+        super().__init__(f"[{role_tag}] {message}", retryable)
 
 
 class LlmProtocolError(TasrError):

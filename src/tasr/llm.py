@@ -1,12 +1,14 @@
-"""The one request path to the LLM.
+"""The one request path to the LLM, and the transport policy of both endpoints.
 
 Extraction, decomposition, type selection and hop answering all call
-:meth:`Gateway.call`, which owns the request policy: transport retries with
-back-off, code-fence stripping, JSON parsing and one format retry; callers
-check a reply's shape with :func:`tasr.errors.json_field`. Backends only move
-text: a chat-completion HTTP endpoint (temperature 0) or a scripted mock.
-:func:`post_json` is the one HTTP request, on the standard library; the HTTP
-encoder client sends through it too.
+:meth:`Gateway.call`, which owns the reply policy: code-fence stripping, JSON
+parsing and one format retry; callers check a reply's shape with
+:func:`tasr.errors.json_field`. Backends only move text: a chat-completion HTTP
+endpoint (temperature 0) or a scripted mock. :func:`post_json` is the one HTTP
+request, on the standard library, and classifies every failure as retryable or
+not; the HTTP encoder client sends through it too. :func:`send_with_retries` is
+the one transport retry loop: the gateway sends each chat attempt through it,
+and :class:`tasr.embedding.CachingEncoder` each encoder client call.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from importlib import resources
 from pathlib import Path
 from typing import Any, Callable, Optional, Protocol, Sequence
 
-from tasr.errors import ConfigError, LlmProtocolError, LlmUnavailable, MockMiss, TasrError
+from tasr.errors import ConfigError, EndpointUnavailable, LlmProtocolError, LlmUnavailable, MockMiss
 from tasr.errors import json_field, read_json
 
 ROLE_TAGS = ("extract", "decompose", "type_select", "answer")
@@ -49,7 +51,8 @@ class LlmRequest:
 
 class Backend(Protocol):
     def complete(self, req: LlmRequest) -> str:
-        """Return the raw completion text; raise LlmUnavailable on transport failure."""
+        """Return the raw completion text; raise LlmUnavailable on transport failure, which
+        :func:`send_with_retries` sends again when it is ``retryable``."""
         ...
 
 
@@ -63,14 +66,14 @@ def post_json(
     url: str,
     payload: Any,
     timeout: float,
-    unavailable: Callable[[str, bool], TasrError],
+    unavailable: Callable[[str, bool], EndpointUnavailable],
     headers: Optional[dict[str, str]] = None,
 ) -> Any:
     """POST ``payload`` as JSON and return the JSON value of the reply.
 
     Every failure raises ``unavailable(message, retryable)``: a 4xx other than 408
-    and 429 is not retryable; other statuses, connection errors, timeouts and a
-    reply that is not JSON are.
+    and 429 is not retryable, as the endpoint will answer it the same way again;
+    other statuses, connection errors, timeouts and a reply that is not JSON are.
     """
     request = urllib.request.Request(
         url,
@@ -82,34 +85,42 @@ def post_json(
         with urllib.request.urlopen(request, timeout=timeout) as resp:
             return json.loads(resp.read())
     except urllib.error.HTTPError as exc:
-        retryable = not _is_rejection(exc.code)
+        exc.close()  # the error reply holds its connection open until closed
+        retryable = not 400 <= exc.code < 500 or exc.code in RETRYABLE_CLIENT_STATUSES
         raise unavailable(f"{url}: HTTP {exc.code} {exc.reason}", retryable) from exc
     except (OSError, http.client.HTTPException, ValueError, RecursionError) as exc:
         # URLError and timeouts are OSErrors; a non-JSON body is a ValueError or RecursionError
         raise unavailable(f"{url}: {exc}", True) from exc
 
 
-def _is_rejection(status: int) -> bool:
-    """A 4xx the endpoint will answer the same way again; 408 and 429 are transient."""
-    return 400 <= status < 500 and status not in RETRYABLE_CLIENT_STATUSES
+def send_with_retries(send: Callable[[], Any], sleep: Callable[[float], None]) -> Any:
+    """``send()``; a retryable :class:`EndpointUnavailable` is sent again, up to
+    :data:`TRANSPORT_RETRIES` times, each after ``sleep(TRANSPORT_BACKOFF_S)``."""
+    for _ in range(TRANSPORT_RETRIES):
+        try:
+            return send()
+        except EndpointUnavailable as exc:
+            if not exc.retryable:
+                raise
+            sleep(TRANSPORT_BACKOFF_S)
+    return send()
 
 
 class HttpChatBackend:
-    """Chat-completion endpoint speaking the common ``/v1/chat/completions`` format."""
+    """Chat-completion endpoint speaking the common ``/v1/chat/completions`` format; ``url``
+    is the base URL, with or without ``/v1``, or the full path."""
 
     def __init__(self, url: str, model: str, api_key: str = "", timeout: float = 120.0) -> None:
-        base = url.rstrip("/")
-        if not base.endswith("/chat/completions"):
-            base = base + "/v1/chat/completions"
-        self.url = base
+        url = url.rstrip("/")
+        if not url.endswith("/chat/completions"):
+            url += "/chat/completions" if url.endswith("/v1") else "/v1/chat/completions"
+        self.url = url
         self.model = model
         self.api_key = api_key
         self.timeout = timeout
 
     def complete(self, req: LlmRequest) -> str:
-        def unavailable(message: str, retryable: bool = True) -> LlmUnavailable:
-            return LlmUnavailable(req.role_tag, f"chat endpoint {message}", retryable=retryable)
-
+        unavailable = functools.partial(LlmUnavailable, req.role_tag)
         headers = {"Authorization": f"Bearer {self.api_key}"} if self.api_key else {}
         payload = {
             "model": self.model,
@@ -194,28 +205,19 @@ class Gateway:
     def call(self, role_tag: str, system_prompt: str, user_prompt: str) -> Any:
         """Send one request and return the JSON value of the reply, code fence stripped.
 
-        A reply that does not parse is asked for once more with :data:`FORMAT_RETRY_SUFFIX`
-        appended; a second one raises :class:`LlmProtocolError`.
+        Each attempt goes through :func:`send_with_retries`. A reply that does not parse is
+        asked for once more with :data:`FORMAT_RETRY_SUFFIX` appended; a second one raises
+        :class:`LlmProtocolError`.
         """
         prompt = user_prompt
         for _ in range(2):
-            raw = self._send(LlmRequest(role_tag, system_prompt, prompt))
+            req = LlmRequest(role_tag, system_prompt, prompt)
+            raw = send_with_retries(functools.partial(self.backend.complete, req), self.sleep)
             try:
                 return json.loads(strip_code_fences(raw))
             except (ValueError, RecursionError):  # not JSON, or nested too deeply to parse
                 prompt = user_prompt + FORMAT_RETRY_SUFFIX
         raise LlmProtocolError(role_tag, f"non-JSON output after retry: {raw[:200]!r}")
-
-    def _send(self, req: LlmRequest) -> str:
-        """Completion text; a retryable transport failure is tried again after a back-off."""
-        for _ in range(TRANSPORT_RETRIES):
-            try:
-                return self.backend.complete(req)
-            except LlmUnavailable as exc:
-                if not exc.retryable:
-                    raise
-                self.sleep(TRANSPORT_BACKOFF_S)
-        return self.backend.complete(req)
 
 
 @functools.cache

@@ -92,6 +92,13 @@ class TestLoadConfig:
         with pytest.raises(RangeViolation):
             load_config(path)
 
+    def test_unknown_flat_key_rejected_whatever_its_value(self, tmp_path):
+        # a value is parsed as its field's type; an unknown key has none and is named
+        path = tmp_path / "cfg.txt"
+        path.write_text("k0=7\nhop_scop=chain\n")
+        with pytest.raises(RangeViolation, match="unknown keys: hop_scop"):
+            load_config(path)
+
     def test_invalid_values_rejected_on_load(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text('{"w1": 0.9, "w2": 0.9}')

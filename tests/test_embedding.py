@@ -3,6 +3,7 @@ import os
 import sys
 import threading
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -18,8 +19,10 @@ from tasr.embedding import (
     encoder_from_url,
     normalize,
 )
-from tasr.errors import DimensionMismatch, EmptyIndex, EncoderCacheError, NonFiniteVector, TasrError
+from tasr.errors import DimensionMismatch, EmptyIndex, EncoderCacheError, EncoderUnavailable
+from tasr.errors import NonFiniteVector, TasrError
 from tasr.evaluation import load_corpus
+from tasr.llm import TRANSPORT_BACKOFF_S, TRANSPORT_RETRIES
 from tasr.matching import component_texts
 from tasr.model import Document
 from tasr.reasoner import dense_retrieve
@@ -217,6 +220,58 @@ class TestCachingEncoder:
         assert len({r["text"] for r in records}) == len(lines)
         reloaded = CachingEncoder(HashEncoderClient(dim=8), cache_path=path)
         assert np.array_equal(reloaded.encode_one("t0-0"), encoder.encode_one("t0-0"))
+
+
+ENCODER_OUTCOMES = ("ok", "retryable", "fatal")
+
+
+class _PlayedClient:
+    """Answers the n-th call with the n-th drawn outcome."""
+
+    def __init__(self, outcomes):
+        self.outcomes = outcomes
+        self.calls = []
+
+    def encode(self, texts):
+        self.calls.append(list(texts))
+        outcome = self.outcomes[len(self.calls) - 1]
+        if outcome == "ok":
+            return HashEncoderClient(dim=4).encode(texts)
+        raise EncoderUnavailable("down", retryable=outcome == "retryable")
+
+
+def _expected_encode(outcomes):
+    """What one memo miss does: (client calls, sleeps, vectors or error type)."""
+    sleeps = []
+    for calls, outcome in enumerate(outcomes, start=1):
+        if outcome == "ok":
+            return calls, sleeps, "vectors"
+        if outcome == "fatal" or calls == 1 + TRANSPORT_RETRIES:
+            return calls, sleeps, EncoderUnavailable
+        sleeps.append(TRANSPORT_BACKOFF_S)
+    raise AssertionError("a miss makes at most 1 + TRANSPORT_RETRIES client calls")
+
+
+class TestEncoderRequestPolicy:
+    """The memo sends its client call through the chat endpoint's transport policy."""
+
+    @given(st.lists(st.sampled_from(ENCODER_OUTCOMES), min_size=3, max_size=3))
+    def test_calls_sleeps_and_result_follow_the_model(self, outcomes):
+        calls, sleeps, expected = _expected_encode(outcomes)
+        client = _PlayedClient(outcomes)
+        encoder = CachingEncoder(client)
+        slept = []
+        with mock.patch.object(time, "sleep", slept.append):
+            try:
+                vectors = encoder.encode(["a", "b", "a"])
+                result = "vectors"
+                assert np.array_equal(vectors, _encode(["a", "b", "a"], HashEncoderClient(dim=4)))
+            except EncoderUnavailable:
+                result = EncoderUnavailable
+        assert result == expected
+        assert client.calls == [["a", "b"]] * calls
+        assert slept == sleeps
+        assert len(encoder) == (2 if result == "vectors" else 0)
 
 
 class TestEncodeTripleComponents:

@@ -13,10 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tasr import embedding
+from tasr import embedding, llm
 from tasr.config import PipelineConfig, validate_config
 from tasr.embedding import CachingEncoder, HashEncoderClient
-from tasr.errors import DatasetParseError, LlmUnavailable
+from tasr.errors import DatasetParseError, EncoderUnavailable, LlmUnavailable
 from tasr.evaluation import (
     QaExample,
     load_corpus,
@@ -25,7 +25,8 @@ from tasr.evaluation import (
     score_predictions,
     write_trace,
 )
-from tasr.llm import FORMAT_RETRY_SUFFIX, Gateway, ScriptEntry, ScriptedMockBackend, load_script
+from tasr.llm import FORMAT_RETRY_SUFFIX, TRANSPORT_BACKOFF_S, Gateway, ScriptEntry
+from tasr.llm import ScriptedMockBackend, load_script
 from tasr.reasoner import Pipeline
 from tasr.taxonomy import load_default_taxonomy
 
@@ -164,6 +165,7 @@ class TestRunBenchmark:
             return {"embeddings": vectors}
 
         monkeypatch.setattr(embedding, "post_json", stub_post_json)
+        monkeypatch.setattr(llm, "TRANSPORT_BACKOFF_S", 0)  # the bad reply is retryable
         encoder = CachingEncoder(embedding.HttpEncoderClient("http://encoder.invalid"))
         pipeline = Pipeline(toy_corpus, taxonomy, encoder, Gateway(toy_backend), default_cfg)
         report = run_benchmark(toy_dataset, pipeline).report
@@ -301,6 +303,60 @@ def _toy_run(mode, delays_ms, parallel):
 @functools.lru_cache(maxsize=None)
 def _undelayed_toy_run(mode):
     return _toy_run(mode, [0.0], 1)
+
+
+class FlakyEncoderClient:
+    """The hash encoder, whose first call fails with a transport error."""
+
+    def __init__(self, retryable):
+        self.inner = HashEncoderClient()
+        self.retryable, self.calls = retryable, 0
+
+    def encode(self, texts):
+        self.calls += 1
+        if self.calls == 1:
+            raise EncoderUnavailable("encoder restarting", retryable=self.retryable)
+        return self.inner.encode(texts)
+
+
+class TestFlakyEncoder:
+    """An encoder failure follows the chat policy: a retryable one is sent again after one
+    back-off and changes no output; a fatal one fails the build at once."""
+
+    def _build(self, client, monkeypatch):
+        slept = []
+        with monkeypatch.context() as patch:
+            patch.setattr(time, "sleep", slept.append)
+            pipeline = Pipeline(
+                load_corpus(FIXTURES / "corpus.jsonl"),
+                load_default_taxonomy(),
+                CachingEncoder(client),
+                Gateway(backend=load_script(FIXTURES / "llm_script.json")),
+                validate_config(PipelineConfig()),
+            )
+        return pipeline, slept
+
+    def _run(self, pipeline):
+        with tempfile.TemporaryDirectory() as trace_dir:
+            dataset = load_dataset(FIXTURES / "questions.jsonl")
+            run = run_benchmark(dataset, pipeline, trace_dir=trace_dir)
+            traces = {p.name: p.read_bytes() for p in Path(trace_dir).iterdir()}
+        return run.predictions, run.report.to_dict(), traces
+
+    def test_retryable_failure_at_build_changes_no_output(self, monkeypatch):
+        flaky = FlakyEncoderClient(retryable=True)
+        pipeline, slept = self._build(flaky, monkeypatch)
+        assert slept == [TRANSPORT_BACKOFF_S]
+        clean, _ = self._build(HashEncoderClient(), monkeypatch)
+        predictions, report, traces = self._run(pipeline)
+        assert (predictions, report, traces) == self._run(clean)
+        assert len(traces) == len(predictions) == 3
+
+    def test_fatal_failure_fails_the_build_after_one_call(self, monkeypatch):
+        flaky = FlakyEncoderClient(retryable=False)
+        with pytest.raises(EncoderUnavailable, match="encoder restarting"):
+            self._build(flaky, monkeypatch)
+        assert flaky.calls == 1
 
 
 class GatedBackend:

@@ -4,14 +4,23 @@ from __future__ import annotations
 
 import json
 import threading
+import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import numpy as np
 import pytest
 
-from tasr.embedding import HttpEncoderClient
+from tasr import llm
+from tasr.embedding import CachingEncoder, HttpEncoderClient
 from tasr.errors import EncoderUnavailable, LlmUnavailable
-from tasr.llm import ROLE_TAGS, TRANSPORT_RETRIES, Gateway, HttpChatBackend, LlmRequest
+from tasr.llm import (
+    ROLE_TAGS,
+    TRANSPORT_BACKOFF_S,
+    TRANSPORT_RETRIES,
+    Gateway,
+    HttpChatBackend,
+    LlmRequest,
+)
 
 
 class _StubHandler(BaseHTTPRequestHandler):
@@ -78,10 +87,23 @@ class TestHttpEncoderClient:
         assert sent["path"] == "/embed"
         assert sent["body"] == {"texts": ["alpha", "beta"]}
 
-    def test_unreachable_server(self):
+    def test_explicit_embed_path_not_doubled(self, stub_server):
+        urls = [f"{stub_server}{path}" for path in ("", "/", "/embed", "/embed/")]
+        for url in urls:
+            HttpEncoderClient(url).encode(["x"])
+        assert [seen["path"] for seen in _StubHandler.requests_seen] == ["/embed"] * len(urls)
+
+    def test_unreachable_server(self, monkeypatch):
+        # a refused connection is retryable: the memo sends it 1 + TRANSPORT_RETRIES times
+        monkeypatch.setattr(llm, "TRANSPORT_BACKOFF_S", 0)
         client = HttpEncoderClient("http://127.0.0.1:9", timeout=0.2)
-        with pytest.raises(EncoderUnavailable):
-            client.encode(["x"])
+        attempts = []
+        send = client.encode
+        monkeypatch.setattr(client, "encode", lambda texts: attempts.append(texts) or send(texts))
+        with pytest.raises(EncoderUnavailable) as exc:
+            CachingEncoder(client).encode(["x"])
+        assert exc.value.retryable
+        assert attempts == [["x"]] * (1 + TRANSPORT_RETRIES)
 
 
 class TestHttpChatBackend:
@@ -125,10 +147,13 @@ class TestHttpChatBackend:
         assert len(_StubHandler.requests_seen) == 1 + TRANSPORT_RETRIES
 
     def test_explicit_completions_path_not_doubled(self, stub_server):
-        backend = HttpChatBackend(f"{stub_server}/v1/chat/completions", model="m")
+        # the base URL, with or without /v1, or the full path: all post to one path
         req = LlmRequest(role_tag="answer", system_prompt="s", user_prompt="u")
-        backend.complete(req)
-        assert _StubHandler.requests_seen[0]["path"] == "/v1/chat/completions"
+        urls = [f"{stub_server}{path}" for path in ("", "/", "/v1", "/v1/", "/v1/chat/completions")]
+        for url in urls:
+            HttpChatBackend(url, model="m").complete(req)
+        paths = [seen["path"] for seen in _StubHandler.requests_seen]
+        assert paths == ["/v1/chat/completions"] * len(urls)
 
     def test_unreachable_server(self):
         backend = HttpChatBackend("http://127.0.0.1:9", model="m", timeout=0.2)
@@ -138,20 +163,41 @@ class TestHttpChatBackend:
         assert exc.value.role_tag == "extract"
 
 
+def _endpoints(statuses):
+    """Each status on both endpoints; the chat cases keep the bare status as their id."""
+    ids = {"chat": "{}", "encoder": "{}-encoder"}
+    return [pytest.param(e, s, id=ids[e].format(s)) for e in ids for s in statuses]
+
+
 class TestHttpRetryPolicy:
-    def _call(self, base, status):
-        slept = []
-        backend = HttpChatBackend(f"{base}/status/{status}", model="m")
-        gateway = Gateway(backend=backend, sleep=slept.append)
-        with pytest.raises(LlmUnavailable):
-            gateway.call("answer", "s", "u")
-        return len(_StubHandler.requests_seen), len(slept)
+    """One transport policy: each status makes as many attempts on either endpoint."""
 
-    @pytest.mark.parametrize("status", [400, 401, 404, 422])
-    def test_client_error_fails_on_first_attempt(self, stub_server, status):
-        assert self._call(stub_server, status) == (1, 0)
+    @pytest.fixture(autouse=True)
+    def slept(self, monkeypatch):
+        self.slept = []
+        monkeypatch.setattr(time, "sleep", self.slept.append)  # the encoder memo's back-off
 
-    @pytest.mark.parametrize("status", [408, 429, 500, 503])
-    def test_transient_errors_keep_the_retry_budget(self, stub_server, status):
+    def _call(self, base, endpoint, status):
+        url = f"{base}/status/{status}"
+        if endpoint == "chat":
+            gateway = Gateway(backend=HttpChatBackend(url, model="m"), sleep=self.slept.append)
+            with pytest.raises(LlmUnavailable) as exc:
+                gateway.call("answer", "s", "u")
+        else:
+            with pytest.raises(EncoderUnavailable) as exc:
+                CachingEncoder(HttpEncoderClient(url)).encode(["x"])
+            paths = {seen["path"] for seen in _StubHandler.requests_seen}
+            assert paths == {f"/status/{status}/embed"}
+        # the error keeps the flag post_json classified, and every back-off is the one policy's
+        assert exc.value.retryable == bool(self.slept)
+        assert set(self.slept) <= {TRANSPORT_BACKOFF_S}
+        return len(_StubHandler.requests_seen), len(self.slept)
+
+    @pytest.mark.parametrize("endpoint, status", _endpoints([400, 401, 404, 422]))
+    def test_client_error_fails_on_first_attempt(self, stub_server, endpoint, status):
+        assert self._call(stub_server, endpoint, status) == (1, 0)
+
+    @pytest.mark.parametrize("endpoint, status", _endpoints([408, 429, 500, 503]))
+    def test_transient_errors_keep_the_retry_budget(self, stub_server, endpoint, status):
         attempts = 1 + TRANSPORT_RETRIES
-        assert self._call(stub_server, status) == (attempts, attempts - 1)
+        assert self._call(stub_server, endpoint, status) == (attempts, attempts - 1)
