@@ -151,9 +151,9 @@ class CachingEncoder:
         """Check a batch against the contract, then store it and append the texts the disk
         cache lacks; the caller holds the lock."""
         root = self._root
-        if len(vectors) != len(texts):
+        if len(vectors) != len(texts):  # found after the retries, so it fails at once
             raise EncoderUnavailable(
-                f"encoder returned {len(vectors)} vectors for {len(texts)} texts"
+                f"encoder returned {len(vectors)} vectors for {len(texts)} texts", retryable=False
             )
         shapes = {np.shape(v) for v in vectors}
         if root._shape is not None:

@@ -9,11 +9,11 @@ sub-queries: resolve bound variables, rerank the fixed candidate pool, answer
 the hop, bind its latent variable. The final answer is the last hop's answer.
 
 This module schedules requests and sends only the answers. The structurer
-sends the extractions and the decomposition, the typer the type selections,
-all on the question's own :func:`request_pool` of :data:`REQUEST_WORKERS`
-threads, which stops once the question's labels are collected. Replies are
-parsed on the question's own thread, so the outcome does not depend on which
-request returns first.
+builds the extractions, the decomposition and every typing job, and the typer
+the type selections; all are sent on the question's own :func:`request_pool` of
+:data:`REQUEST_WORKERS` threads, which stops once the question's labels are
+collected. Replies are parsed on the question's own thread, so the outcome does
+not depend on which request returns first.
 
 A pipeline keeps what it learns at set-up for its lifetime: the taxonomy label
 vectors and, with ``pre_extract``, the typed corpus triples with their
@@ -51,13 +51,13 @@ from tasr.model import (
     ReasoningTrace,
     Slot,
     SubQuery,
-    TaxonomyLabel,
 )
 from tasr.structurer import (
     decompose_query,
+    decomposition_request,
+    document_typing_jobs,
     extract_triples,
     extraction_request,
-    request_decomposition,
     subquery_typing_jobs,
     type_document_triples,
     type_subqueries,
@@ -139,10 +139,10 @@ def stream_documents(
     Each document's :func:`~tasr.structurer.extraction_request` is built on the
     calling thread and sent on ``requests``, at most ``2 * REQUEST_WORKERS``
     documents ahead of the one being parsed. Replies are parsed on the calling
-    thread in doc order, and each document's typing jobs (head then tail, with the
-    title as context) go to ``typer`` as its reply is parsed, so its entities are
-    typed while later documents are extracted. The first failing document raises,
-    and the requests still queued are left to the owner of ``requests`` to cancel.
+    thread in doc order, and each document's :func:`~tasr.structurer.document_typing_jobs`
+    go to ``typer`` as its reply is parsed, so its entities are typed while later documents
+    are extracted. The first failing document raises, and the requests still queued are
+    left to the owner of ``requests`` to cancel.
     ``query`` conditions extraction on the question; None pre-extracts without it.
     The caller's documents are left untouched.
     """
@@ -157,19 +157,9 @@ def stream_documents(
         doc, reply = ahead.popleft()
         ahead.extend(map(send, islice(waiting, 1)))
         doc = dataclasses.replace(doc, triples=extract_triples(doc, reply.result()))
-        typer.submit((entity, doc.title) for t in doc.triples for entity in (t.head, t.tail))
+        typer.submit(document_typing_jobs(doc))
         extracted.append(doc)
     return extracted
-
-
-def type_documents(
-    docs: Sequence[Document], labels: Mapping[str, TaxonomyLabel]
-) -> list[Document]:
-    """Copies of the documents with every triple labelled from ``labels``."""
-    return [
-        dataclasses.replace(doc, triples=type_document_triples(doc.triples, labels))
-        for doc in docs
-    ]
 
 
 @contextmanager
@@ -221,7 +211,8 @@ class Pipeline:
             with request_pool() as requests:
                 typer = self._typer(requests, encoder)
                 documents = stream_documents(documents, None, gateway, typer, requests)
-                documents = type_documents(documents, typer.collect())
+                labels = typer.collect()
+                documents = [type_document_triples(doc, labels) for doc in documents]
             self.startup_events.extend(typer.events)
             # every question reranks these triples: their vectors live as long as the pipeline
             texts = [text for doc in documents for t in doc.triples for text in triple_texts(t)]
@@ -243,13 +234,15 @@ class Pipeline:
         return EntityTyper(self.type_index, encoder, self.gateway, self.cfg, requests, self.labels)
 
     def _run(self, question: str, trace: ReasoningTrace) -> tuple[str, ReasoningTrace]:
+        # built before the question is encoded: a blank question raises here, having sent nothing
+        decompose = decomposition_request(question, self.gateway)
         encoder = self.encoder.scope()  # the question's vectors, dropped when it ends
         pool = dense_retrieve(question, self.corpus, self.documents, self.cfg.k0, encoder)
         trace.pool_ids = [d.id for d in pool]
         with request_pool() as requests:
             typer = self._typer(requests, encoder)
             # sent ahead of the extractions, read after them: their errors come first
-            decomposed = requests.submit(request_decomposition, question, self.gateway)
+            decomposed = requests.submit(decompose)
             if not self.pre_extract:
                 # per-query copies: extraction is query-conditioned
                 pool = stream_documents(pool, question, self.gateway, typer, requests)
@@ -259,7 +252,7 @@ class Pipeline:
             labels = typer.collect()
         decomposition = type_subqueries(decomposition, labels)
         if not self.pre_extract:
-            pool = type_documents(pool, labels)
+            pool = [type_document_triples(doc, labels) for doc in pool]
         pool_by_id = {d.id: d for d in pool}
 
         bindings = BindingTable()

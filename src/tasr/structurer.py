@@ -1,8 +1,8 @@
 """Turn documents into typed triples and queries into typed sub-query chains.
 
-Extraction and decomposition requests are sent from here alone, and each
-returns the parsed reply for :func:`extract_triples` or :func:`decompose_query`
-to read. Labels are read from a typer's table; the structurer never types.
+Every request a question sends before its answers is built here, on the calling thread,
+as a call returning the parsed reply for :func:`extract_triples` or :func:`decompose_query`;
+so is every typing job. Labels are read from a typer's table; the structurer never types.
 """
 
 from __future__ import annotations
@@ -84,31 +84,18 @@ def _triple_fields(role_tag: str, item: object) -> tuple[str, str, str]:
     return tuple(json_field(item, key, str, error) for key in ("head", "relation", "tail"))
 
 
-def type_document_triples(
-    triples: list[Triple], labels: Mapping[str, TaxonomyLabel]
-) -> list[Triple]:
-    """Typed copies of the triples: both entities get the label ``labels`` holds for
-    their surface, relations are untouched."""
-    return [
-        dataclasses.replace(
-            triple, head_type=labels[triple.head.surface], tail_type=labels[triple.tail.surface]
-        )
-        for triple in triples
-    ]
-
-
-def request_decomposition(query: str, gateway: Gateway) -> Any:
-    """Send a question's decomposition request and return the parsed reply; an empty
-    question sends none."""
+def decomposition_request(query: str, gateway: Gateway) -> Callable[[], Any]:
+    """A question's decomposition request, its prompt built on the calling thread (a blank
+    question raises here, having sent nothing); the call sends it and returns the parsed reply."""
     if not query.strip():
         raise TasrError("query is empty")
     prompt = load_prompt("decompose").format(question=query)
-    return gateway.call("decompose", DECOMPOSE_SYSTEM, prompt)
+    return partial(gateway.call, "decompose", DECOMPOSE_SYSTEM, prompt)
 
 
 def decompose_query(reply: Any) -> Decomposition:
     """The ordered chain of sub-queries with latent slots, read from the reply
-    :func:`request_decomposition` returned."""
+    :func:`decomposition_request` returned."""
     sub_queries: list[SubQuery] = []
     items = json_field(reply, "sub_queries", list, partial(LlmProtocolError, "decompose"))
     for position, item in enumerate(items, start=1):
@@ -157,6 +144,21 @@ def validate_chain(sub_queries: list[SubQuery]) -> None:
                 f"sub-query {sq.index} introduces {len(new)} unresolved variables: {new}"
             )
         produced.update(new)
+
+
+def document_typing_jobs(doc: Document) -> list[TypingJob]:
+    """Head then tail entity of each triple, in order, with the document's title as context."""
+    return [(entity, doc.title) for t in doc.triples for entity in (t.head, t.tail)]
+
+
+def type_document_triples(doc: Document, labels: Mapping[str, TaxonomyLabel]) -> Document:
+    """A copy of the document whose triples carry the label ``labels`` holds for each
+    entity's surface; relations are untouched."""
+    typed = [
+        dataclasses.replace(t, head_type=labels[t.head.surface], tail_type=labels[t.tail.surface])
+        for t in doc.triples
+    ]
+    return dataclasses.replace(doc, triples=typed)
 
 
 def subquery_typing_jobs(dec: Decomposition) -> list[TypingJob]:

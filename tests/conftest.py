@@ -18,9 +18,9 @@ from tasr.matching import filter_and_rank, pair_scores
 from tasr.reasoner import Pipeline
 from tasr.structurer import (
     decompose_query,
+    decomposition_request,
     extract_triples,
     extraction_request,
-    request_decomposition,
 )
 from tasr.taxonomy import load_default_taxonomy
 
@@ -83,7 +83,7 @@ def send_extraction(doc, query, gateway):
 
 def send_decomposition(question, gateway):
     """The decomposition of one question: its request sent, its reply parsed."""
-    return decompose_query(request_decomposition(question, gateway))
+    return decompose_query(decomposition_request(question, gateway)())
 
 
 def rerank(pool, sub_queries, cfg, encoder, force_index=None):

@@ -2,12 +2,13 @@
 
 Chat traffic flows through the gateway module only, requests are sent and
 parsed by ``Gateway`` alone, each role's requests are sent from one module,
-the structurer reads labels without typing, only the matching module spells a
-triple's component texts or computes a pair or document score, JSON is decoded only where outside input enters,
-only dense search over a large matrix multiplies matrices, the typing mode is
-read in one place, thread pools are built in two places and their private
-state is left alone, the demos run, and every function the benchmark's traced
-run wraps still exists under its name.
+the structurer reads labels without typing, the reasoner submits only calls and
+jobs built elsewhere, only the matching module spells a triple's component
+texts or computes a pair or document score, JSON is decoded only where outside
+input enters, only dense search over a large matrix multiplies matrices, the
+typing mode is read in one place, thread pools are built in two places and
+their private state is left alone, the demos run, and every function the
+benchmark's traced run wraps still exists under its name.
 """
 
 import ast
@@ -82,6 +83,19 @@ def test_no_module_imports_requests():
 def test_structurer_labels_by_lookup():
     # typing is one step of the question: the structurer reads labels, it never types
     assert "EntityTyper" not in _sources()["structurer.py"]
+
+
+def test_reasoner_submits_built_calls():
+    # the structurer builds each request and typing job on the question's thread: the
+    # reasoner hands each over whole, as .submit(one_argument)
+    submits = [
+        node for node in ast.walk(ast.parse(_sources()["reasoner.py"]))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "submit"
+    ]
+    assert submits
+    for node in submits:
+        assert len(node.args) == 1 and not node.keywords, f"reasoner.py:{node.lineno}"
 
 
 def test_component_texts_named_only_in_matching():

@@ -1,12 +1,17 @@
+import io
 import json
+import math
+import tempfile
+from contextlib import redirect_stdout
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
 from tasr.cli import main
 from tasr.llm import Gateway
 
-from conftest import FIXTURES
+from conftest import DATA, FIXTURES
 
 
 def _run_args(out_dir, extra=()):
@@ -153,6 +158,65 @@ class TestRunCommand:
         assert f"error: {message}" in capsys.readouterr().err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["file", "old"]
         assert list((tmp_path / "old").iterdir()) == []
+
+
+# the five toy runs whose outputs must not change: each mode's extra flags
+TOY_MODES = {
+    "plain": [],
+    "pre_extract": ["--pre-extract"],
+    "chain": ["--hop-scope", "chain"],
+    "parallel_2": ["--parallel", "2"],
+    "pure": ["--config", "{pure}"],
+}
+
+
+def _toy_outputs(root, extra):
+    """What a toy ``tasr run`` writes under ``root``: predictions, report, one parsed
+    trace per question and the stdout summary line."""
+    root.mkdir(parents=True)
+    pure = root / "pure.cfg"  # the config file the pure mode names
+    pure.write_text("typing_mode=pure\n")
+    stdout = io.StringIO()
+    with redirect_stdout(stdout):
+        extra = [arg.format(pure=pure) for arg in extra]
+        assert main(_run_args(root / "out", ["--trace-dir", str(root / "traces"), *extra])) == 0
+    return {
+        "predictions.jsonl": (root / "out" / "predictions.jsonl").read_text(),
+        "report.json": (root / "out" / "report.json").read_text(),
+        "traces": {p.name: json.loads(p.read_text()) for p in sorted((root / "traces").iterdir())},
+        "summary": stdout.getvalue().splitlines()[-1],
+    }
+
+
+def _same_json(actual, expected):
+    """Equal parsed JSON, floats within 1e-9 relative (1e-12 absolute near 0): component
+    cosines go through BLAS, whose last bits may differ between hosts."""
+    if isinstance(expected, float):
+        return isinstance(actual, float) and math.isclose(
+            actual, expected, rel_tol=1e-9, abs_tol=1e-12
+        )
+    if isinstance(expected, dict):
+        return (
+            isinstance(actual, dict) and actual.keys() == expected.keys()
+            and all(_same_json(actual[key], value) for key, value in expected.items())
+        )
+    if isinstance(expected, list):
+        return (
+            isinstance(actual, list) and len(actual) == len(expected)
+            and all(map(_same_json, actual, expected))
+        )
+    return type(actual) is type(expected) and actual == expected
+
+
+@pytest.mark.parametrize("mode", TOY_MODES)
+def test_toy_run_matches_golden_outputs(tmp_path, mode):
+    golden = json.loads((DATA / "toy_outputs.json").read_text())[mode]
+    outputs = _toy_outputs(tmp_path / mode, TOY_MODES[mode])
+    for name in ("predictions.jsonl", "report.json", "summary"):
+        assert outputs[name] == golden[name], name
+    assert outputs["traces"].keys() == golden["traces"].keys()
+    for name, trace in golden["traces"].items():
+        assert _same_json(outputs["traces"][name], trace), name
 
 
 class TestEvalCommand:
@@ -427,3 +491,9 @@ def test_pre_extract_typing_fallbacks_reach_report(tmp_path):
 
     assert main(_run_args(tmp_path / "plain")) == 0
     assert json.loads((tmp_path / "plain" / "report.json").read_text())["startup_events"] == []
+
+
+if __name__ == "__main__":  # rewrite the golden outputs: PYTHONPATH=src python tests/test_cli.py
+    with tempfile.TemporaryDirectory() as tmp:
+        golden = {mode: _toy_outputs(Path(tmp) / mode, extra) for mode, extra in TOY_MODES.items()}
+    (DATA / "toy_outputs.json").write_text(json.dumps(golden, indent=1, sort_keys=True) + "\n")

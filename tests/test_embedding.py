@@ -20,7 +20,7 @@ from tasr.embedding import (
     normalize,
 )
 from tasr.errors import DimensionMismatch, EmptyIndex, EncoderCacheError, EncoderUnavailable
-from tasr.errors import NonFiniteVector, TasrError
+from tasr.errors import NonFiniteVector
 from tasr.evaluation import load_corpus
 from tasr.llm import TRANSPORT_BACKOFF_S, TRANSPORT_RETRIES
 from tasr.matching import component_texts
@@ -129,12 +129,19 @@ class TestCachingEncoder:
             encoder.encode_one("second")
 
     def test_short_batch_is_a_typed_error(self):
-        class ShortClient:
-            def encode(self, texts):
-                return HashEncoderClient(dim=4).encode(texts[:-1])
+        # a short or a long batch is found after the retries: sent once, not marked retryable
+        for miscount in (lambda vectors: vectors[:-1], lambda vectors: vectors + vectors[:1]):
+            calls = []
 
-        with pytest.raises(TasrError):
-            CachingEncoder(ShortClient()).encode(["a", "b"])
+            class MiscountingClient:
+                def encode(self, texts):
+                    calls.append(texts)
+                    return miscount(list(HashEncoderClient(dim=4).encode(texts)))
+
+            with pytest.raises(EncoderUnavailable) as exc:
+                CachingEncoder(MiscountingClient()).encode(["a", "b"])
+            assert len(calls) == 1
+            assert exc.value.retryable is False
 
     def test_truncated_last_line_names_path_and_line(self, tmp_path):
         path = tmp_path / "cache.jsonl"

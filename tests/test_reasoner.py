@@ -264,9 +264,20 @@ class TestRunQueryGolden:
             pipeline.run_query(RUNNING_QUESTION)
         assert exc.value.trace.pool_ids == []  # retrieval could not run
 
-    def test_blank_question_is_a_query_failure(self, toy_pipeline):
-        with pytest.raises(QueryFailure, match="query is empty"):
-            toy_pipeline.run_query("   ")
+    def test_blank_question_is_a_query_failure(self, toy_corpus, taxonomy, default_cfg):
+        # it fails where its decomposition request is built: nothing is encoded or sent
+        for pre_extract in (False, True):
+            client, backend = RecordingEncoderClient(), load_script(FIXTURES / "llm_script.json")
+            pipeline = Pipeline(
+                toy_corpus, taxonomy, CachingEncoder(client), Gateway(backend), default_cfg,
+                pre_extract=pre_extract,
+            )
+            client.seen.clear()
+            backend.calls.clear()
+            with pytest.raises(QueryFailure, match="query is empty") as exc:
+                pipeline.run_query("   ")
+            assert (backend.calls, client.seen) == ([], []), pre_extract
+            assert exc.value.trace.pool_ids == []
 
 
 class TestHopScope:

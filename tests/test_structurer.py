@@ -9,8 +9,9 @@ from tasr.errors import TasrError
 from tasr.structurer import (
     Decomposition,
     decompose_query,
+    decomposition_request,
+    document_typing_jobs,
     extraction_request,
-    request_decomposition,
     subquery_typing_jobs,
     type_document_triples,
     type_subqueries,
@@ -32,8 +33,9 @@ def toy_gateway(toy_backend):
 
 
 def _type_triples(triples, typer):
-    typer.submit((entity, None) for t in triples for entity in (t.head, t.tail))
-    return type_document_triples(triples, typer.collect())
+    doc = Document(id="d", title="", text="", triples=triples)  # an empty title shows no context
+    typer.submit(document_typing_jobs(doc))
+    return type_document_triples(doc, typer.collect()).triples
 
 
 def _type_subqueries(dec, typer):
@@ -155,9 +157,19 @@ class TestTypeDocumentTriples:
             Triple(Entity("alpha"), "uses", Entity("beta"), "d"),
             Triple(Entity("beta"), "r", Entity("alpha"), "d"),
         ]
-        typed = type_document_triples(triples, table)
+        typed = type_document_triples(Document("d", "t", "body", triples), table).triples
         assert [(t.head_type, t.tail_type) for t in typed] == [
             (table["alpha"], table["beta"]), (table["beta"], table["alpha"])
+        ]
+
+    def test_typing_jobs_are_head_then_tail_with_the_title(self):
+        triples = [
+            Triple(Entity("alpha"), "uses", Entity("beta"), "d"),
+            Triple(Entity("gamma"), "r", Entity("alpha"), "d"),
+        ]
+        jobs = document_typing_jobs(Document("d", "Title", "body", triples))
+        assert [(entity.surface, context) for entity, context in jobs] == [
+            ("alpha", "Title"), ("beta", "Title"), ("gamma", "Title"), ("alpha", "Title")
         ]
 
     def test_empty_list(self, taxonomy, hash_encoder, request_pool):
@@ -199,8 +211,15 @@ class TestDecomposeQuery:
     def test_empty_question_has_no_request(self):
         backend = scripted_mock([])
         with pytest.raises(TasrError, match="query is empty"):
-            request_decomposition(" \t ", Gateway(backend=backend))
+            decomposition_request(" \t ", Gateway(backend=backend))
         assert backend.calls == []
+
+    def test_building_the_request_sends_nothing(self, toy_backend):
+        call = decomposition_request(RUNNING_QUESTION, Gateway(backend=toy_backend))
+        assert toy_backend.calls == []
+        dec = decompose_query(call())
+        assert [req.role_tag for req in toy_backend.calls] == ["decompose"]
+        assert [sq.relation for sq in dec.sub_queries] == ["uses", "developed_by"]
 
     def test_single_hop(self, toy_gateway):
         dec = send_decomposition("Who developed the MySQL database?", toy_gateway)
