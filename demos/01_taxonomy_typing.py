@@ -22,7 +22,6 @@ from tasr import (
     load_default_taxonomy,
     load_script,
     rule_type_entity,
-    validate_config,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -40,7 +39,7 @@ print()
 
 # everything else: retrieve candidate labels by embedding similarity,
 # then let the (here: scripted) LLM pick
-cfg = validate_config(PipelineConfig())
+cfg = PipelineConfig()
 encoder = CachingEncoder(HashEncoderClient())
 index = TypeEmbeddingIndex(taxonomy, encoder)
 gateway = Gateway(backend=load_script(ROOT / "fixtures" / "toy" / "llm_script.json"))

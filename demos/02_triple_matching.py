@@ -24,10 +24,9 @@ from tasr import (
     Triple,
     filter_and_rank,
     pair_scores,
-    validate_config,
 )
 
-cfg = validate_config(PipelineConfig())
+cfg = PipelineConfig()
 encoder = CachingEncoder(HashEncoderClient())
 
 WORK_SW = TaxonomyLabel("WORK", "SoftwareProject")

@@ -19,7 +19,6 @@ from tasr import (
     load_corpus,
     load_default_taxonomy,
     load_script,
-    validate_config,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -31,7 +30,7 @@ pipeline = Pipeline(
     taxonomy=load_default_taxonomy(),
     encoder=CachingEncoder(HashEncoderClient()),
     gateway=Gateway(backend=load_script(TOY / "llm_script.json")),
-    cfg=validate_config(PipelineConfig()),
+    cfg=PipelineConfig(),
 )
 answer, trace = pipeline.run_query(question)
 

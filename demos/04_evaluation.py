@@ -24,7 +24,6 @@ from tasr import (
     normalize_answer,
     run_benchmark,
     token_f1,
-    validate_config,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -52,7 +51,7 @@ pipeline = Pipeline(
     taxonomy=load_default_taxonomy(),
     encoder=CachingEncoder(HashEncoderClient()),
     gateway=Gateway(backend=load_script(TOY / "llm_script.json")),
-    cfg=validate_config(PipelineConfig()),
+    cfg=PipelineConfig(),
 )
 run = run_benchmark(load_dataset(TOY / "questions.jsonl"), pipeline)
 

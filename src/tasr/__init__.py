@@ -10,7 +10,7 @@ The names below are the ones the demos and the README quick start use; the
 rest of the API lives in the submodules.
 """
 
-from tasr.config import PipelineConfig, validate_config
+from tasr.config import PipelineConfig
 from tasr.embedding import CachingEncoder, HashEncoderClient
 from tasr.evaluation import load_corpus, load_dataset, run_benchmark
 from tasr.llm import Gateway, load_script

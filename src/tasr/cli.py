@@ -24,7 +24,7 @@ from contextlib import contextmanager, suppress
 from pathlib import Path
 from typing import Any, Iterator
 
-from tasr.config import HOP_SCOPES, PipelineConfig, load_config, validate_config
+from tasr.config import HOP_SCOPES, PipelineConfig, load_config
 from tasr.embedding import CachingEncoder, encoder_from_url
 from tasr.errors import DatasetParseError, TasrError, json_field, read_json
 from tasr.evaluation import (
@@ -91,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config(path: str | None) -> PipelineConfig:
-    return load_config(path) if path else validate_config(PipelineConfig())
+    return load_config(path) if path else PipelineConfig()
 
 
 def _resolve_config(args: argparse.Namespace) -> PipelineConfig:
@@ -275,7 +275,14 @@ def main(argv: list[str] | None = None) -> int:
         "match": cmd_match,
     }
     try:
-        return handlers[args.command](args)
+        status = handlers[args.command](args)
+        sys.stdout.flush()  # a closed stdout fails here, not in the flush at exit
+        return status
+    except BrokenPipeError:
+        # what is left in stdout's buffer goes to devnull, so the flush at exit succeeds
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout was closed before all output was written", file=sys.stderr)
+        return 1
     except TasrError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -23,7 +23,7 @@ TYPING_MODES = ("retrieval", "pure")
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    """All pipeline hyperparameters with their default values."""
+    """All pipeline hyperparameters with their default values, checked when built."""
 
     k0: int = 10                 # dense-retrieval pool size
     theta: float = 0.3           # document score threshold
@@ -43,10 +43,12 @@ class PipelineConfig:
     hop_scope: str = "current"   # "current": score hop i with s_i only; "chain": all sub-queries
     typing_mode: str = "retrieval"  # "retrieval": candidate-pruned selection; "pure": full label lists
 
+    def __post_init__(self) -> None:
+        validate_config(self)
+
     def with_overrides(self, **overrides: Any) -> "PipelineConfig":
-        """Return a copy with non-None overrides applied and re-validated."""
-        changes = {k: v for k, v in overrides.items() if v is not None}
-        return validate_config(dataclasses.replace(self, **changes))
+        """Return a copy with non-None overrides applied; the copy is checked when built."""
+        return dataclasses.replace(self, **{k: v for k, v in overrides.items() if v is not None})
 
 
 _INT_FIELDS = tuple(name for name, kind in get_type_hints(PipelineConfig).items() if kind is int)
@@ -129,4 +131,4 @@ def load_config(path: str | Path) -> PipelineConfig:
     unknown = sorted(set(values) - {f.name for f in dataclasses.fields(PipelineConfig)})
     if unknown:
         raise RangeViolation("config", f"unknown keys: {', '.join(unknown)}")
-    return validate_config(PipelineConfig(**values))
+    return PipelineConfig(**values)

@@ -39,7 +39,7 @@ class InvalidEntity(TasrError):
 
 
 class TaxonomyParseError(TasrError):
-    """Taxonomy file could not be parsed."""
+    """A taxonomy is malformed, or its file could not be parsed."""
 
 
 class EmptyBranch(TaxonomyParseError):

@@ -24,11 +24,10 @@ label is the taxonomy's own object for its pair.
 
 from __future__ import annotations
 
-import json
 import re
 import threading
 from concurrent.futures import Executor, Future
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from importlib import resources
 from pathlib import Path
@@ -51,16 +50,23 @@ Typed = tuple[TaxonomyLabel, tuple[str, ...]]  # a label and the fallback events
 
 @dataclass(frozen=True)
 class Taxonomy:
-    """Ordered first-level classes, each with at least one second-level child."""
+    """Ordered first-level classes, each with one or more distinct second-level children."""
 
-    l1_classes: tuple[str, ...]
     children: dict[str, tuple[str, ...]]
+    l1_classes: tuple[str, ...] = field(init=False)
 
     def __post_init__(self) -> None:
-        # one label object per pair, so every label typed to a pair is that object
-        labels = {
-            (l1, l2): TaxonomyLabel(l1, l2) for l1 in self.l1_classes for l2 in self.children[l1]
-        }
+        if not self.children:
+            raise TaxonomyParseError("taxonomy has no first-level classes")
+        labels = {}  # one label object per pair, so every label typed to a pair is that object
+        for name, l2s in self.children.items():
+            if not l2s:
+                raise EmptyBranch(f"first-level class {name!r} has no children")
+            strings = isinstance(l2s, tuple) and all(isinstance(l2, str) for l2 in l2s)
+            if not strings or len(set(l2s)) < len(l2s):
+                raise TaxonomyParseError(f"class {name!r}: l2 must be distinct strings")
+            labels.update({(name, l2): TaxonomyLabel(name, l2) for l2 in l2s})
+        object.__setattr__(self, "l1_classes", tuple(self.children))
         object.__setattr__(self, "_labels", labels)
 
     def has_label(self, l1: str, l2: str) -> bool:
@@ -86,29 +92,20 @@ def load_taxonomy(source: str | Path) -> Taxonomy:
 
 
 def taxonomy_from_dict(data: Any) -> Taxonomy:
-    """The taxonomy of a JSON value; class names, and each class's l2 names, are distinct."""
+    """The taxonomy of a JSON value, whose list, unlike a dict, can repeat a class name."""
     children: dict[str, tuple[str, ...]] = {}
     for branch in json_field(data, "l1", list, TaxonomyParseError):
         name = json_field(branch, "name", str, TaxonomyParseError)
         l2 = json_field(branch, "l2", list, TaxonomyParseError)
         if name in children:
             raise TaxonomyParseError(f"duplicate first-level class {name!r}")
-        if not all(isinstance(child, str) for child in l2) or len(set(l2)) < len(l2):
-            raise TaxonomyParseError(f"class {name!r}: l2 must be distinct strings")
-        if not l2:
-            raise EmptyBranch(f"first-level class {name!r} has no children")
         children[name] = tuple(l2)
-    if not children:
-        raise TaxonomyParseError("taxonomy has no first-level classes")
-    return Taxonomy(l1_classes=tuple(children), children=children)
+    return Taxonomy(children)
 
 
 def load_default_taxonomy() -> Taxonomy:
     """Load the taxonomy bundled with the package."""
-    text = (resources.files("tasr") / "data" / "default_taxonomy.json").read_text(
-        encoding="utf-8"
-    )
-    return taxonomy_from_dict(json.loads(text))
+    return load_taxonomy(resources.files("tasr") / "data" / "default_taxonomy.json")
 
 
 # --- rule-based typing -------------------------------------------------------
@@ -152,8 +149,7 @@ class TypeEmbeddingIndex:
         self.taxonomy = taxonomy
         self.l1_index = VectorIndex.encode(taxonomy.l1_classes, taxonomy.l1_classes, encoder)
         self.l2_indexes: dict[str, VectorIndex] = {}
-        for l1 in taxonomy.l1_classes:
-            l2s = taxonomy.children[l1]
+        for l1, l2s in taxonomy.children.items():
             self.l2_indexes[l1] = VectorIndex.encode(l2s, [f"{l1}/{l2}" for l2 in l2s], encoder)
 
     def top_l1(self, vector: np.ndarray, n: int) -> list[tuple[str, float]]:

@@ -137,7 +137,7 @@ def _scoped_nodes(node, scope=""):
 
 def test_json_decoded_only_at_the_input_boundaries():
     # input files go through errors.read_json; replies are decoded where they are received
-    allowed = {"read_json", "Gateway.call", "post_json", "load_default_taxonomy"}
+    allowed = {"read_json", "Gateway.call", "post_json"}
     for name, text in _sources().items():
         for scope, node in _scoped_nodes(ast.parse(text)):
             func = getattr(node, "func", None)
@@ -216,6 +216,17 @@ def test_demos_run_to_completion():
             timeout=60,
         )
         assert done.returncode == 0, f"{demo.name}:\n{done.stderr}"
+
+
+def test_readme_quick_start_runs_as_written(monkeypatch):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Library quick start", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(ROOT)  # the block names the toy fixtures by relative path
+    names = {}
+    exec(compile(block, "README.md", "exec"), names)
+    assert names["answer"] == "MySQL AB"
+    assert {"?Database", "?Company"} <= names["trace"].final_bindings.keys()
 
 
 def test_benchmark_tracer_targets_resolve():

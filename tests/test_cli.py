@@ -1,6 +1,9 @@
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from contextlib import redirect_stdout
 from importlib import resources
@@ -217,6 +220,26 @@ def test_toy_run_matches_golden_outputs(tmp_path, mode):
     assert outputs["traces"].keys() == golden["traces"].keys()
     for name, trace in golden["traces"].items():
         assert _same_json(outputs["traces"][name], trace), name
+
+
+def test_closed_stdout_ends_in_one_error_line(tmp_path):
+    # ``tasr run ... | true``: the outputs are written, then stdout is found closed
+    paths = [str(FIXTURES.parent.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "tasr", *_run_args(tmp_path)],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert "Traceback" not in done.stderr
+    assert done.stderr.count("error:") <= 1
+    assert done.returncode == 1
+    golden = json.loads((DATA / "toy_outputs.json").read_text())["plain"]
+    assert (tmp_path / "predictions.jsonl").read_text() == golden["predictions.jsonl"]
 
 
 class TestEvalCommand:

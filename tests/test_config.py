@@ -1,7 +1,13 @@
+import dataclasses
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tasr.config import PipelineConfig, load_config, validate_config
-from tasr.errors import RangeViolation, WeightSumViolation
+from tasr.errors import ConfigError, RangeViolation, WeightSumViolation
+
+FIELDS = [field.name for field in dataclasses.fields(PipelineConfig)]
 
 
 class TestValidateConfig:
@@ -43,11 +49,16 @@ class TestValidateConfig:
             ({"l1_keep": 0}, "l1_keep"),
             ({"hop_scope": "both"}, "hop_scope"),
             ({"typing_mode": "hybrid"}, "typing_mode"),
+            ({"top_t": 0}, "top_t"),
+            ({"hop_scope": "chian"}, "hop_scope"),
+            ({"typing_mode": "pur"}, "typing_mode"),
+            ({"alpha": 2.0}, "alpha"),
         ],
     )
     def test_range_violations(self, kwargs, field):
+        # raised when the config is built: an invalid one never exists
         with pytest.raises(RangeViolation) as exc:
-            validate_config(PipelineConfig(**kwargs))
+            PipelineConfig(**kwargs)
         assert exc.value.field == field
 
     @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
@@ -70,6 +81,31 @@ class TestValidateConfig:
     def test_negative_weight_rejected(self):
         with pytest.raises(RangeViolation):
             validate_config(PipelineConfig(w1=-0.5, w2=1.5))
+
+
+class TestConfigIsCheckedWhenBuilt:
+    def test_replace_checks_the_copy(self):
+        with pytest.raises(RangeViolation) as exc:
+            dataclasses.replace(PipelineConfig(), top_t=0)
+        assert exc.value.field == "top_t"
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.dictionaries(
+            st.sampled_from(FIELDS),
+            st.one_of(
+                st.integers(), st.floats(), st.booleans(), st.text(max_size=12),
+                st.sampled_from(["current", "chain", "retrieval", "pure"]),
+            ),
+        )
+    )
+    def test_a_built_config_is_valid(self, kwargs):
+        # floats() draws NaN and both infinities
+        try:
+            cfg = PipelineConfig(**kwargs)
+        except ConfigError:
+            return
+        assert validate_config(cfg) is cfg
 
 
 class TestLoadConfig:

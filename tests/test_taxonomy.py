@@ -24,7 +24,9 @@ from tasr.model import Entity, TaxonomyLabel
 from tasr.taxonomy import (
     EntityTyper,
     LabelMap,
+    Taxonomy,
     TypeEmbeddingIndex,
+    load_default_taxonomy,
     load_taxonomy,
     rule_type_entity,
     taxonomy_from_dict,
@@ -59,6 +61,35 @@ class TestLoadTaxonomy:
     def test_duplicate_branch_rejected(self):
         with pytest.raises(TaxonomyParseError):
             taxonomy_from_dict({"l1": [{"name": "X", "l2": ["Y"]}, {"name": "X", "l2": ["Z"]}]})
+
+    def test_no_class_rejected_when_built(self):
+        with pytest.raises(TaxonomyParseError):
+            Taxonomy({})
+
+    def test_empty_branch_rejected_when_built(self):
+        with pytest.raises(EmptyBranch):
+            Taxonomy({"A": ()})
+
+    @pytest.mark.parametrize("l2", [("x", "x"), ["x"], ("x", 1)], ids=["repeated", "list", "int"])
+    def test_branch_of_distinct_strings_required_when_built(self, l2):
+        with pytest.raises(TaxonomyParseError) as exc:
+            Taxonomy({"A": l2})
+        assert not isinstance(exc.value, EmptyBranch)
+
+    def test_classes_are_the_order_of_the_branches(self):
+        tax = Taxonomy({"B": ("b2", "a2"), "A": ("x",)})
+        assert tax.l1_classes == ("B", "A")
+        assert [(label.l1, label.l2) for label in tax.all_pairs()] == [
+            ("B", "b2"), ("B", "a2"), ("A", "x")
+        ]
+
+    def test_damaged_bundled_table_is_a_parse_error(self, tmp_path, monkeypatch):
+        # the bundled table is read like any taxonomy file
+        (tmp_path / "data").mkdir()
+        (tmp_path / "data" / "default_taxonomy.json").write_text("{not json")
+        monkeypatch.setattr("tasr.taxonomy.resources.files", lambda package: tmp_path)
+        with pytest.raises(TaxonomyParseError, match="default_taxonomy.json"):
+            load_default_taxonomy()
 
     def test_label_order_preserved(self):
         tax = taxonomy_from_dict({"l1": [{"name": "B", "l2": ["b2", "a2"]}, {"name": "A", "l2": ["x"]}]})
