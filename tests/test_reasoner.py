@@ -678,6 +678,67 @@ class TestBlankDocuments:
         assert extracted and "blank" not in extracted
 
 
+class TestTraceEvents:
+    """A trace file lists its rerank fallbacks in hop order, then its typing fallbacks in
+    job order."""
+
+    OUT_OF_VOCABULARY = ("MySQL AB", "Science Activity Planner")
+
+    class FirstLevelOutOfVocabulary(ScriptedFaults):
+        """The toy script, but every first-level selection for the named entities picks a
+        class the taxonomy lacks."""
+
+        def __init__(self, names, **kwargs):
+            super().__init__(**kwargs)
+            self.names = names
+
+        def complete(self, req):
+            if req.role_tag == "type_select" and "First-level types" in req.user_prompt:
+                if any(f'entity "{name}"' in req.user_prompt for name in self.names):
+                    return json.dumps({"labels": ["NOT A CLASS"]})
+            return super().complete(req)
+
+    def _events(self, examples, **faults):
+        backend = self.FirstLevelOutOfVocabulary(self.OUT_OF_VOCABULARY, **faults)
+        pipeline = Pipeline(
+            load_corpus(FIXTURES / "corpus.jsonl"),
+            load_default_taxonomy(),
+            CachingEncoder(HashEncoderClient()),
+            Gateway(backend=backend),
+            PipelineConfig(theta=0.99),  # no toy document reaches it: every hop falls back
+        )
+        with tempfile.TemporaryDirectory() as trace_dir:
+            run_benchmark(examples, pipeline, trace_dir=trace_dir)
+            return {
+                path.stem: json.loads(path.read_text())["events"]
+                for path in Path(trace_dir).iterdir()
+            }
+
+    def test_rerank_fallbacks_then_typing_fallbacks(self):
+        def typing(name, stage):
+            return f"type_select fallback (stage {stage}) for entity {name!r}"
+
+        planner = [typing("Science Activity Planner", 1), typing("Science Activity Planner", 2)]
+        assert self._events(load_dataset(FIXTURES / "questions.jsonl")) == {
+            "q1": [
+                "rerank fallback at hop 1",
+                "rerank fallback at hop 2",
+                typing("MySQL AB", 1),
+                *planner,
+            ],
+            "q2": ["rerank fallback at hop 1", *planner, typing("MySQL AB", 1)],
+            "q3": ["rerank fallback at hop 1", typing("MySQL AB", 1), *planner],
+        }
+
+    def test_failed_question_keeps_the_fallbacks_of_its_answered_hops(self):
+        # the second hop's answer fails: the partial trace holds the first hop's fallback only
+        examples = [QaExample("q1", RUNNING_QUESTION, ("MySQL AB",))]
+        down = lambda req: req.role_tag == "answer" and "developed_by" in req.user_prompt
+        assert self._events(examples, fail=lambda req: down(req) and "answer is down") == {
+            "q1": ["rerank fallback at hop 1"]
+        }
+
+
 class TestOneTypingStep:
     """A question sends each typing job once and waits for its labels once."""
 
