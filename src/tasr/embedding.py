@@ -16,6 +16,7 @@ import json
 import mmap
 import threading
 import time
+from functools import partial
 from pathlib import Path
 from typing import Any, Optional, Protocol, Sequence
 
@@ -25,7 +26,7 @@ from tasr.errors import DimensionMismatch, EmptyIndex, EncoderCacheError, Encode
 from tasr.errors import NonFiniteVector, clip, json_field, read_json
 from tasr.llm import post_json, send_with_retries
 
-CORPUS_CHUNK = 256  # texts per encoder request while building an index matrix
+CORPUS_CHUNK = 256  # the most texts sent in one encoder client call
 SEARCH_BLAS_BYTES = 16 << 20  # a larger search matrix is scored by a matrix product
 
 class EncoderClient(Protocol):
@@ -127,8 +128,9 @@ class CachingEncoder:
         return scope
 
     def encode(self, texts: Sequence[str]) -> list[np.ndarray]:
-        """One vector per text. The missing texts go to the client in one call, sent again
-        on a retryable failure by :func:`tasr.llm.send_with_retries`; the checks run once."""
+        """One vector per text. The missing texts go to the client in calls of at most
+        :data:`CORPUS_CHUNK`, each sent again on a retryable failure by
+        :func:`tasr.llm.send_with_retries` and checked once."""
         held, base = self._cache, self._base
         found: dict[str, Optional[np.ndarray]] = {}
         for text in texts:
@@ -136,12 +138,13 @@ class CachingEncoder:
                 vector = held.get(text)
                 found[text] = base.get(text) if vector is None else vector
         missing = [text for text, vector in found.items() if vector is None]
-        if missing:
-            vectors = send_with_retries(lambda: self.client.encode(missing), time.sleep)
+        for start in range(0, len(missing), CORPUS_CHUNK):
+            batch = missing[start : start + CORPUS_CHUNK]
+            vectors = send_with_retries(partial(self.client.encode, batch), time.sleep)
             with self._root._lock:
-                self._admit(missing, vectors)
+                self._admit(batch, vectors)
             # a text another thread admitted first keeps that thread's vector
-            found.update((text, held.get(text, v)) for text, v in zip(missing, vectors))
+            found.update((text, held.get(text, v)) for text, v in zip(batch, vectors))
         return [found[text] for text in texts]
 
     def encode_one(self, text: str) -> np.ndarray:
@@ -200,12 +203,19 @@ class VectorIndex:
     """Exact top-k search over unit vectors, keyed by string, one row of ``vectors`` per key.
 
     A float64 matrix is used without a copy. Up to :data:`SEARCH_BLAS_BYTES` of
-    vectors, a key scores the same as it would in an index of its vector alone.
+    vectors, a key scores the same as it would in an index of its vector alone. Keys
+    without one row each of a 2-D matrix are a :class:`DimensionMismatch`; an index
+    with no keys may have any empty matrix.
     """
 
     def __init__(self, keys: Sequence[str], vectors: Sequence[np.ndarray] | np.ndarray) -> None:
         self.keys = list(keys)
         self._matrix = np.asarray(vectors, dtype=np.float64)
+        if self._matrix.shape[:1] != (len(self.keys),) or self.keys and self._matrix.ndim != 2:
+            raise DimensionMismatch(
+                f"{len(self.keys)} keys need one row each of a 2-D matrix, "
+                f"got shape {self._matrix.shape}"
+            )
 
     def __len__(self) -> int:
         return len(self.keys)

@@ -137,7 +137,10 @@ def check_parallel(parallel: int) -> None:
 @dataclass
 class BenchmarkRun:
     report: EvalReport
-    predictions: list[dict[str, str]] = field(default_factory=list)  # {"id", "answer"}
+
+    @property
+    def predictions(self) -> list[dict[str, str]]:  # {"id", "answer"}, in dataset order
+        return [{"id": r.id, "answer": r.answer} for r in self.report.per_example]
 
 
 def run_benchmark(
@@ -171,9 +174,8 @@ def run_benchmark(
         outcomes = list(pool.map(run_one, dataset))
 
     results = [result for result, _ in outcomes]
-    report = _report(results, sum(count for _, count in outcomes), pipeline.startup_events)
-    predictions = [{"id": r.id, "answer": r.answer} for r in results]
-    return BenchmarkRun(report=report, predictions=predictions)
+    fallbacks = sum(count for _, count in outcomes)
+    return BenchmarkRun(_report(results, fallbacks, pipeline.startup_events))
 
 
 def score_predictions(

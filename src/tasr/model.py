@@ -7,9 +7,12 @@ confined to a single query's sequential reasoning loop.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import TYPE_CHECKING, Any, Optional
 
 from tasr.errors import DuplicateBinding, InvalidEntity
+
+if TYPE_CHECKING:
+    from tasr.matching import RankedPool
 
 LATENT_PREFIX = "?"
 
@@ -182,17 +185,39 @@ def subquery_dict(sq: SubQuery) -> dict[str, Any]:
     }
 
 
-@dataclass
+@dataclass(frozen=True)
 class HopRecord:
-    """Everything one reasoning hop saw and decided."""
+    """What one reasoning hop computed; the rest of its trace record is read from it."""
 
-    index: int
     sub_query: SubQuery
     resolved: SubQuery
-    document_scores: list[dict[str, Any]]  # ranked: {"doc_id", "score", "best_matches"}
-    selected: list[str]
-    fallback: bool
+    ranked: RankedPool
     answer: str
+
+    @property
+    def index(self) -> int:
+        return self.sub_query.index
+
+    @property
+    def selected(self) -> list[str]:
+        return [s.doc_id for s in self.ranked.documents]
+
+    @property
+    def fallback(self) -> bool:
+        return self.ranked.fallback
+
+    @property
+    def document_scores(self) -> list[dict[str, Any]]:
+        """Every pool document, ranked: ``{"doc_id", "score", "best_matches"}``."""
+        keys = ("query_index", "doc_triple_index", "s_struct", "s_sem", "s_triple")
+        return [
+            {
+                "doc_id": doc.doc_id,
+                "score": doc.score,
+                "best_matches": [{key: getattr(m, key) for key in keys} for m in doc.best_matches],
+            }
+            for doc in self.ranked.all_scored
+        ]
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -215,14 +240,16 @@ class ReasoningTrace:
     final_bindings: dict[str, str] = field(default_factory=dict)
     final_answer: str = ""
     pool_ids: list[str] = field(default_factory=list)
-    events: list[str] = field(default_factory=list)  # typing fallbacks, rerank fallbacks
+    events: list[str] = field(default_factory=list)  # typing fallbacks, in job order
 
     def to_dict(self) -> dict[str, Any]:
+        # the hops' rerank fallbacks, in hop order, come before the typing fallbacks
+        reranks = [f"rerank fallback at hop {hop.index}" for hop in self.hops if hop.fallback]
         return {
             "question": self.question,
             "pool_ids": self.pool_ids,
             "sub_queries": [hop.to_dict() for hop in self.hops],
             "final_bindings": self.final_bindings,
             "final_answer": self.final_answer,
-            "events": self.events,
+            "events": reranks + self.events,
         }

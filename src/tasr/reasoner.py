@@ -33,7 +33,7 @@ from itertools import islice
 from typing import Iterator, Mapping, Optional, Sequence
 
 from tasr.config import PipelineConfig
-from tasr.embedding import CORPUS_CHUNK, CachingEncoder, VectorIndex
+from tasr.embedding import CachingEncoder, VectorIndex
 from tasr.errors import (
     AmbiguousBinding,
     DuplicateDocument,
@@ -43,7 +43,7 @@ from tasr.errors import (
     json_field,
 )
 from tasr.llm import Gateway, load_prompt
-from tasr.matching import RankedPool, filter_and_rank, pair_scores, triple_texts
+from tasr.matching import filter_and_rank, pair_scores, triple_texts
 from tasr.model import (
     BindingTable,
     Document,
@@ -215,9 +215,7 @@ class Pipeline:
                 documents = [type_document_triples(doc, labels) for doc in documents]
             self.startup_events.extend(typer.events)
             # every question reranks these triples: their vectors live as long as the pipeline
-            texts = [text for doc in documents for t in doc.triples for text in triple_texts(t)]
-            for start in range(0, len(texts), CORPUS_CHUNK):
-                encoder.encode(texts[start : start + CORPUS_CHUNK])
+            encoder.encode([text for d in documents for t in d.triples for text in triple_texts(t)])
         self.documents = {d.id: d for d in documents}
         texts = [d.embedding_text() for d in documents]
         self.corpus = VectorIndex.encode([d.id for d in documents], texts, encoder)
@@ -269,43 +267,10 @@ class Pipeline:
             selected = [pool_by_id[s.doc_id] for s in ranked.documents]
             answer = answer_subquery(resolved, selected, self.gateway)
             bind(resolved, answer, bindings)
-            if ranked.fallback:
-                trace.events.append(f"rerank fallback at hop {sub_query.index}")
-            trace.hops.append(
-                HopRecord(
-                    index=sub_query.index,
-                    sub_query=sub_query,
-                    resolved=resolved,
-                    document_scores=_score_records(ranked),
-                    selected=[s.doc_id for s in ranked.documents],
-                    fallback=ranked.fallback,
-                    answer=answer,
-                )
-            )
+            trace.hops.append(HopRecord(sub_query, resolved, ranked, answer))
 
         trace.final_bindings = bindings.as_dict()
         trace.final_answer = answer
         trace.events.extend(typer.events)
         return answer, trace
 
-
-def _score_records(ranked: RankedPool) -> list[dict]:
-    records = []
-    for scored in ranked.all_scored:
-        records.append(
-            {
-                "doc_id": scored.doc_id,
-                "score": scored.score,
-                "best_matches": [
-                    {
-                        "query_index": m.query_index,
-                        "doc_triple_index": m.doc_triple_index,
-                        "s_struct": m.s_struct,
-                        "s_sem": m.s_sem,
-                        "s_triple": m.s_triple,
-                    }
-                    for m in scored.best_matches
-                ],
-            }
-        )
-    return records

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from functools import partial
 from importlib import resources
 from pathlib import Path
+from types import MappingProxyType
 from typing import Any, Callable, Iterable, Mapping, Optional
 
 import numpy as np
@@ -52,10 +53,11 @@ Typed = tuple[TaxonomyLabel, tuple[str, ...]]  # a label and the fallback events
 class Taxonomy:
     """Ordered first-level classes, each with one or more distinct second-level children."""
 
-    children: dict[str, tuple[str, ...]]
+    children: Mapping[str, tuple[str, ...]]  # a read-only copy of the caller's mapping
     l1_classes: tuple[str, ...] = field(init=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "children", MappingProxyType(dict(self.children)))
         if not self.children:
             raise TaxonomyParseError("taxonomy has no first-level classes")
         labels = {}  # one label object per pair, so every label typed to a pair is that object

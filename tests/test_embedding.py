@@ -314,6 +314,20 @@ class TestVectorIndexSearch:
         with pytest.raises(EmptyIndex):
             VectorIndex([], []).search(np.ones(3), 1)
 
+    @pytest.mark.parametrize(
+        "keys, vectors",
+        [
+            (["a", "b", "c"], np.eye(2)),  # more keys than rows
+            (["a"], np.eye(2)),  # more rows than keys
+            ([], np.eye(2)),
+            (["a", "b"], np.ones(2)),  # one vector, not a matrix
+            (["a"], np.ones((1, 2, 2))),
+        ],
+    )
+    def test_keys_without_one_row_each_rejected_when_built(self, keys, vectors):
+        with pytest.raises(DimensionMismatch):
+            VectorIndex(keys, vectors)
+
     def test_equal_scores_tie_break_by_key(self):
         v = normalize(np.ones(4))
         index = VectorIndex(["zeta", "alpha"], [v, v])

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from tasr.config import PipelineConfig, validate_config
-from tasr.embedding import CachingEncoder
+from tasr import embedding
+from tasr.embedding import CachingEncoder, HashEncoderClient
 from tasr.errors import EmptyPool
 from tasr.matching import (
     aggregate_document_score,
@@ -316,6 +317,32 @@ class TestFilterAndRank:
         assert len(calls) == 1
         kept, _, _ = brute_force_rank(docs, sub_queries, cfg, hash_encoder, force_index=force)
         assert [d.doc_id for d in ranked.documents] == [doc_id for doc_id, _ in kept]
+
+    def test_client_calls_stay_within_the_encoder_batch_bound(self, monkeypatch, default_cfg):
+        # 100 documents of 8 triples: 2 406 component texts with the sub-queries, 912 distinct
+        docs = [
+            Document(id=f"d{i}", title="", text="x", triples=[
+                _typed(WORK_SW, PRODUCT_DB, f"h{i}", f"r{j}", f"t{i} {j}", f"d{i}")
+                for j in range(8)
+            ])
+            for i in range(100)
+        ]
+        sub_queries = [_sq(), _sq(head="h3", tail="?Product", index=2)]
+        batches = []
+
+        class BatchRecording(HashEncoderClient):
+            def encode(self, texts):
+                batches.append(len(texts))
+                return super().encode(texts)
+
+        bounded = pair_scores(docs, sub_queries, default_cfg, CachingEncoder(BatchRecording(16)))
+        bound = embedding.CORPUS_CHUNK
+        monkeypatch.setattr(embedding, "CORPUS_CHUNK", 10**6)  # every text in one call
+        unbounded = pair_scores(
+            docs, sub_queries, default_cfg, CachingEncoder(HashEncoderClient(16))
+        )
+        assert len(batches) > 1 and max(batches) <= bound
+        assert bounded == unbounded
 
     def test_empty_pool_rejected(self, default_cfg, hash_encoder):
         with pytest.raises(EmptyPool):

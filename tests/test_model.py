@@ -1,13 +1,19 @@
+import ast
 import dataclasses
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from tasr import model
 from tasr.errors import DuplicateBinding, InvalidEntity
+from tasr.matching import RankedPool, ScoredDocument, TripleMatch
 from tasr.model import (
     BindingTable,
     Entity,
+    HopRecord,
+    ReasoningTrace,
     Slot,
     SubQuery,
     TaxonomyLabel,
@@ -138,3 +144,40 @@ class TestSubQuery:
     def test_blank_relation_rejected(self, raw):
         with pytest.raises(InvalidEntity):
             SubQuery(1, Slot.bound("a"), raw, Slot.variable("?B"))
+
+
+class TestTraceRecords:
+    def _hop(self, index, fallback):
+        sq = SubQuery(index, Slot.bound("a"), "r", Slot.variable("?V"))
+        best = ScoredDocument("d2", 0.375, (TripleMatch(index, 0, 0.5, 0.25, 0.375),))
+        tripleless = ScoredDocument("d1", 0.0, (TripleMatch(index, None, 0.0, 0.0, 0.0),))
+        return HopRecord(sq, sq, RankedPool((best,), (best, tripleless), fallback), "v")
+
+    def test_hop_record_renders_what_its_hop_computed(self):
+        hop = self._hop(2, fallback=True)
+        assert [f.name for f in dataclasses.fields(HopRecord)] == [
+            "sub_query", "resolved", "ranked", "answer"
+        ]
+        assert (hop.index, hop.selected, hop.fallback) == (2, ["d2"], True)
+        match = {"query_index": 2, "doc_triple_index": 0, "s_struct": 0.5, "s_sem": 0.25}
+        zero = {"query_index": 2, "doc_triple_index": None, "s_struct": 0.0, "s_sem": 0.0}
+        assert hop.document_scores == [  # every pool document, ranked
+            {"doc_id": "d2", "score": 0.375, "best_matches": [{**match, "s_triple": 0.375}]},
+            {"doc_id": "d1", "score": 0.0, "best_matches": [{**zero, "s_triple": 0.0}]},
+        ]
+        assert list(hop.to_dict()) == [
+            "index", "sub_query", "resolved", "document_scores", "selected", "fallback", "answer"
+        ]
+
+    def test_events_are_rerank_fallbacks_in_hop_order_then_typing_fallbacks(self):
+        hops = [self._hop(1, True), self._hop(2, False), self._hop(3, True)]
+        trace = ReasoningTrace("q?", hops=hops, events=["typing 1", "typing 2"])
+        assert trace.to_dict()["events"] == [
+            "rerank fallback at hop 1", "rerank fallback at hop 3", "typing 1", "typing 2"
+        ]
+
+    def test_model_imports_no_other_package_module_at_run_time(self):
+        # a hop's ranked pool is annotated from tasr.matching only for type checkers
+        tree = ast.parse(Path(model.__file__).read_text(encoding="utf-8"))
+        imported = {n.module for n in tree.body if isinstance(n, ast.ImportFrom)}
+        assert {name for name in imported if name.startswith("tasr")} == {"tasr.errors"}

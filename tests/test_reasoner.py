@@ -34,7 +34,7 @@ from tasr.model import (
     TaxonomyLabel,
     Triple,
 )
-from tasr import matching, reasoner
+from tasr import embedding, matching, reasoner
 from tasr.reasoner import Pipeline, answer_subquery, bind, resolve
 from tasr.structurer import subquery_typing_jobs
 from tasr.taxonomy import EntityTyper, LabelMap, load_default_taxonomy
@@ -737,6 +737,19 @@ class TestTraceEvents:
         assert self._events(examples, fail=lambda req: down(req) and "answer is down") == {
             "q1": ["rerank fallback at hop 1"]
         }
+
+
+class TestEncoderBatchBound:
+    @pytest.mark.parametrize("mode", ["plain", "pre_extract"])
+    def test_no_client_call_exceeds_the_bound_and_no_output_changes(self, monkeypatch, mode):
+        expected = _undelayed_outputs(mode)
+        batches = []
+        encode = HashEncoderClient.encode
+        monkeypatch.setattr(embedding, "CORPUS_CHUNK", 4)
+        recording = lambda client, texts: batches.append(len(texts)) or encode(client, texts)
+        monkeypatch.setattr(HashEncoderClient, "encode", recording)
+        assert _toy_outputs(ScriptedFaults(), mode, 1) == expected
+        assert max(batches) == 4
 
 
 class TestOneTypingStep:

@@ -83,6 +83,18 @@ class TestLoadTaxonomy:
             ("B", "b2"), ("B", "a2"), ("A", "x")
         ]
 
+    def test_a_later_change_to_the_callers_mapping_changes_nothing(self):
+        children = {"A": ("x",)}
+        tax = Taxonomy(children)
+        children["B"] = ("y",)
+        children["A"] = ("z",)
+        assert tax.has_label("A", "x")
+        assert not tax.has_label("B", "y") and not tax.has_label("A", "z")
+        assert tax.l1_classes == ("A",)
+        assert tax.all_pairs() == [TaxonomyLabel("A", "x")]
+        with pytest.raises(TypeError):
+            tax.children["B"] = ("y",)
+
     def test_damaged_bundled_table_is_a_parse_error(self, tmp_path, monkeypatch):
         # the bundled table is read like any taxonomy file
         (tmp_path / "data").mkdir()
